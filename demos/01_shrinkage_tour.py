@@ -20,7 +20,7 @@ from blindmm import (
     tikhonov1,
     tikhonov2,
 )
-from blindmm.rng import RngStream
+from blindmm.rng import generator
 from blindmm.sim import gaussian_vector
 
 # Ten parameters; the last five coordinates are 10x noisier than the first.
@@ -35,7 +35,7 @@ direction = np.array([1.0, 0.5, 0, 0, 0, 2.0, 0, 0, 0, 1.0])
 x = scale_to_snr(model, direction, snr_db=0.0)
 
 # One measurement: y = H x + w with w ~ N(0, Cw).
-w = gaussian_vector(model.cw_sqrt, RngStream(seed=7, stream_id=0))
+w = gaussian_vector(model.cw_sqrt, generator(7))
 y = model.H @ x + w
 xls = ls_estimate(model, y)
 
@@ -63,5 +63,5 @@ for name, result in [
 
 print("\nThe spectral rule (ebme) shrinks the noisy coordinates harder than")
 print("the clean ones, which is where its advantage over scalar gains comes")
-print("from; a single draw is noisy, so rerun with other stream_id values or")
+print("from; a single draw is noisy, so rerun with other generator seeds or")
 print("use demos/03_dominance_sweep.py for averaged comparisons.")

@@ -1,42 +1,51 @@
-"""Reproducibility: counter-based streams and worker-count invariance.
+"""Reproducibility: keyed Philox chunks and worker-count invariance.
 
-Every random draw is a pure function of (seed, stream_id, counter), so a
-trial's noise can be regenerated in isolation, results do not depend on
+Monte Carlo trials are cut into fixed chunks of ``CHUNK_TRIALS``. Each
+chunk's noise is one block from numpy's counter-based Philox generator,
+keyed through ``SeedSequence`` by (seed, first trial of the chunk). A chunk
+can therefore be regenerated in isolation, results do not depend on
 execution order, and the same experiment gives byte-identical CSVs no
-matter how many worker threads run it.
+matter how many worker threads run it. Bit-reproducibility is promised for
+a given numpy build, not across platforms.
 """
 
 import numpy as np
 
 from blindmm import ExperimentConfig, run_experiment
 from blindmm.estimators import EstimatorSpec
-from blindmm.rng import RngStream, normal_block
-from blindmm.sim import format_results_csv
+from blindmm.rng import generator, normal_block
+from blindmm.sim import CHUNK_TRIALS, format_results_csv
 
-# 1. Same (seed, stream) -> same sequence, however it is consumed.
-s = RngStream(seed=42, stream_id=7)
-first = np.concatenate([s.normals(3), s.normals(5)])
-again = RngStream(seed=42, stream_id=7).normals(8)
-print("split vs whole consumption identical:", np.array_equal(first, again))
+# 1. Same key -> same block, and a block is just its keyed Philox stream
+#    filled row by row.
+block = normal_block(seed=42, trial_ids=np.arange(100, 110), count=8)
+again = normal_block(seed=42, trial_ids=np.arange(100, 110), count=8)
+print("same (seed, first trial) identical:  ", np.array_equal(block, again))
+stream = generator(42, 100).standard_normal((10, 8))
+print("block equals its keyed stream:       ", np.array_equal(block, stream))
 
-# 2. Streams are independent coordinates of one keyed function; a block of
-#    streams is just the vectorized view.
-block = normal_block(seed=42, stream_ids=np.arange(10), count=8)
-print("block row 7 equals the stream above: ", np.array_equal(block[7], again))
+# 2. A shorter chunk with the same first trial is a row prefix; a chunk
+#    starting elsewhere is a different, independent block.
+prefix = normal_block(seed=42, trial_ids=np.arange(100, 103), count=8)
+print("3-trial chunk is a row prefix:       ", np.array_equal(prefix, block[:3]))
+other = normal_block(seed=42, trial_ids=np.arange(101, 111), count=8)
+print("chunk keyed at trial 101 differs:    ", not np.array_equal(other[:-1], block[1:]))
 
-# 3. Worker threads change nothing: chunking is fixed, so the reduction
-#    order (and hence every output bit) is worker-independent.
+# 3. Worker threads change nothing: the chunks (of CHUNK_TRIALS trials) are
+#    fixed, so each chunk's noise and the reduction order, and hence every
+#    output bit, are worker-independent.
 config = ExperimentConfig(
     scenario="fig5b-range",
     estimators=[EstimatorSpec("ls"), EstimatorSpec("sbme")],
     snr_grid_db=[0.0, 10.0],
     directions=[("random-sphere", 2)],
-    trials=6000,
+    trials=2 * CHUNK_TRIALS + 1000,
     seed=5,
 )
 serial = format_results_csv(run_experiment(config, workers=1))
 threaded = format_results_csv(run_experiment(config, workers=4))
-print("1 worker vs 4 workers, identical CSV:  ", serial == threaded)
+print(f"1 worker vs 4 workers, identical CSV: {serial == threaded} "
+      f"({config.trials} trials, 3 chunks per point)")
 
 print("\nresults preview:")
 print("\n".join(serial.strip().split("\n")[:4]))

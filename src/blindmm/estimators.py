@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blindmm.linalg import DimensionMismatchError, LinalgError, as_vector, read_vector_csv
+from blindmm.linalg import (
+    DimensionMismatchError,
+    LinalgError,
+    NonFiniteError,
+    as_vector,
+    read_vector_csv,
+)
 from blindmm.model import Model, ls_estimate
 
 
@@ -60,7 +66,7 @@ def _check_ls(model: Model, xls) -> np.ndarray:
             f"xls: trailing dimension {xls.shape[-1]} does not match m={model.m}"
         )
     if not np.all(np.isfinite(xls)):
-        raise DimensionMismatchError("xls: entries must be finite")
+        raise NonFiniteError("xls: entries must be finite")
     return xls
 
 
@@ -181,7 +187,8 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
     ``k``, and ``k`` is the smallest index with ``alpha * sig_{k+1}**(b/2)
     < 1``. Exactly the ``k`` leading components (in ``sig**b`` order) are
     clamped to zero. ``b = 0`` collapses to the scalar ``sbme`` gain;
-    ``xls = 0`` returns zero.
+    ``xls = 0`` returns zero. A ``b`` whose powers of ``sig`` (or whose
+    ``||xls||^2_{Q^b}``) overflow float64 raises ``UnknownEstimatorError``.
 
     ``positive_part=False`` skips the clamp, exposing the raw
     ``(I - alpha Q^{b/2}) xls`` rule the clamp provably improves on.
@@ -189,38 +196,45 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
     xls = _check_ls(model, xls)
     sig = model.Qeig.eigenvalues
     m = model.m
-    order = np.argsort(-(sig**b), kind="stable")
-    inv_order = np.argsort(order, kind="stable")
-    sig_o = sig[order]
-    sb = sig_o**b
-    sb2 = sig_o ** (b / 2.0)
-    r1_suffix = np.cumsum((sig_o ** (b / 2.0 - 1.0))[::-1])[::-1]
-    r2_suffix = np.cumsum((sig_o ** (b - 1.0))[::-1])[::-1]
+    # Powers of sig and the Q^b norm can overflow for large |b|; that is
+    # detected below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = np.argsort(-(sig**b), kind="stable")
+        inv_order = np.argsort(order, kind="stable")
+        sig_o = sig[order]
+        sb = sig_o**b
+        sb2 = sig_o ** (b / 2.0)
+        r1_suffix = np.cumsum((sig_o ** (b / 2.0 - 1.0))[::-1])[::-1]
+        r2_suffix = np.cumsum((sig_o ** (b - 1.0))[::-1])[::-1]
 
-    v = xls @ model.Qeig.basis
-    vo = v[..., order]
-    l2 = (vo * vo) @ sb
-    zero = l2 <= 0.0
-    l2_safe = np.where(zero, 1.0, l2)
+        v = xls @ model.Qeig.basis
+        vo = v[..., order]
+        l2 = (vo * vo) @ sb
+        zero = l2 <= 0.0
+        l2_safe = np.where(zero, 1.0, l2)
 
-    alphas = r1_suffix / (l2_safe[..., None] + r2_suffix)
-    ok = alphas * sb2 < 1.0
-    ok[..., m - 1] = True  # always satisfiable at the last index
-    k = np.argmax(ok, axis=-1)
-    r1k = np.take_along_axis(np.broadcast_to(r1_suffix, ok.shape), k[..., None], axis=-1)
-    r2k = np.take_along_axis(np.broadcast_to(r2_suffix, ok.shape), k[..., None], axis=-1)
+        alphas = r1_suffix / (l2_safe[..., None] + r2_suffix)
+        ok = alphas * sb2 < 1.0
+        ok[..., m - 1] = True  # always satisfiable at the last index
+        k = np.argmax(ok, axis=-1)
+        r1k = np.take_along_axis(np.broadcast_to(r1_suffix, ok.shape), k[..., None], axis=-1)
+        r2k = np.take_along_axis(np.broadcast_to(r2_suffix, ok.shape), k[..., None], axis=-1)
 
-    # Ratio form of 1 - alpha * sig**(b/2): the correction enters the
-    # numerator before the division, so near-total shrinkage keeps full
-    # relative accuracy (at b = 0 the correction vanishes identically).
-    denom = l2_safe[..., None] + r2k
-    gains_o = (l2_safe[..., None] + (r2k - r1k * sb2)) / denom
-    if positive_part:
-        gains_o = np.maximum(gains_o, 0.0)
-        # Components before the cutoff have non-positive gains by
-        # construction; zero them by index to keep the count exact.
-        gains_o = np.where(np.arange(m) < k[..., None], 0.0, gains_o)
-    gains_o = np.where(zero[..., None], 0.0, gains_o)
+        # Ratio form of 1 - alpha * sig**(b/2): the correction enters the
+        # numerator before the division, so near-total shrinkage keeps full
+        # relative accuracy (at b = 0 the correction vanishes identically).
+        denom = l2_safe[..., None] + r2k
+        gains_o = (l2_safe[..., None] + (r2k - r1k * sb2)) / denom
+        if positive_part:
+            gains_o = np.maximum(gains_o, 0.0)
+            # Components before the cutoff have non-positive gains by
+            # construction; zero them by index to keep the count exact.
+            gains_o = np.where(np.arange(m) < k[..., None], 0.0, gains_o)
+        gains_o = np.where(zero[..., None], 0.0, gains_o)
+    if not (np.isfinite(sb[0] + r1_suffix[0] + r2_suffix[0]) and np.all(np.isfinite(gains_o))):
+        raise UnknownEstimatorError(
+            f"ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
+        )
     gains = gains_o[..., inv_order]
     xhat = (gains * v) @ model.Qeig.basis.T
     xhat = np.where(zero[..., None], 0.0, xhat)

@@ -1,9 +1,8 @@
 """Dense real symmetric linear algebra used by every estimator.
 
-The eigensolver is a cyclic Jacobi iteration rather than a LAPACK call so
-that results are bit-reproducible for a given build: rotation order, the
-eigenvalue sort and the eigenvector sign convention are all fixed here.
-All arithmetic is IEEE float64.
+The eigensolver is LAPACK's, through ``np.linalg.eigh``; the eigenvalue sort
+and the eigenvector sign convention are fixed here, so results are
+bit-reproducible for a given build. All arithmetic is IEEE float64.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ import numpy as np
 
 # Absolute per-entry tolerance below which a matrix counts as symmetric.
 SYMMETRY_ATOL = 1e-9
-# Jacobi stops when the off-diagonal Frobenius norm falls below this
-# fraction of the input's Frobenius norm.
-JACOBI_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 # Relative eigenvalue floor below which a matrix is treated as singular.
 SINGULAR_REL_TOL = 1e-12
 
@@ -42,10 +37,6 @@ class DimensionMismatchError(LinalgError):
 
 class SingularPowerError(LinalgError):
     """A non-positive eigenvalue makes the requested power undefined."""
-
-
-class ConvergenceError(LinalgError):
-    """Iteration failed to reach its tolerance (should not happen)."""
 
 
 class CsvFormatError(LinalgError):
@@ -108,11 +99,11 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
-    Deterministic for identical input: fixed sweep order, eigenvalues sorted
-    non-increasing with ties kept in original index order, and each
-    eigenvector's largest-magnitude component made positive.
+    Deterministic for identical input: eigenvalues sorted non-increasing
+    with ties kept in ``np.linalg.eigh`` order, and each eigenvector's
+    largest-magnitude component made positive.
 
     Raises
     ------
@@ -123,52 +114,14 @@ def sym_eig(a) -> EigDecomp:
     """
     a = as_matrix(a, "sym_eig input")
     a = _check_symmetric(a, "sym_eig input")
-    m = a.shape[0]
-    work = a.copy()
-    basis = np.eye(m)
-
-    norm_a = np.sqrt(np.sum(a * a))
-    if m > 1 and norm_a > 0.0:
-        threshold = JACOBI_REL_TOL * norm_a
-        for _ in range(JACOBI_MAX_SWEEPS):
-            # Summing the squared off-diagonal entries directly avoids the
-            # cancellation that ||A||^2 - ||diag||^2 would suffer near
-            # convergence.
-            off = np.sqrt(np.sum((work - np.diag(np.diag(work))) ** 2))
-            if off <= threshold:
-                break
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    # Rotation angle that zeroes the (p, q) entry.
-                    tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    if abs(tau) > 1e150:
-                        t = 1.0 / (2.0 * tau)  # asymptotic root; tau**2 would overflow
-                    elif tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    rot = np.array([[c, s], [-s, c]])
-                    work[:, [p, q]] = work[:, [p, q]] @ rot
-                    work[[p, q], :] = rot.T @ work[[p, q], :]
-                    basis[:, [p, q]] = basis[:, [p, q]] @ rot
-        else:
-            raise ConvergenceError(
-                f"jacobi sweep limit ({JACOBI_MAX_SWEEPS}) reached at m={m}"
-            )
-
-    eigenvalues = np.diag(work).copy()
-    # Non-increasing sort; stable keeps original index order on ties.
+    eigenvalues, basis = np.linalg.eigh(a)
+    # Non-increasing sort; stable keeps eigh's order on ties.
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     basis = basis[:, order]
     # Sign convention: largest-magnitude component of each column positive.
     lead = np.argmax(np.abs(basis), axis=0)
-    flip = basis[lead, np.arange(m)] < 0.0
+    flip = basis[lead, np.arange(a.shape[0])] < 0.0
     basis[:, flip] *= -1.0
     return EigDecomp(basis=basis, eigenvalues=eigenvalues)
 

@@ -17,6 +17,7 @@ from blindmm.linalg import (
     DimensionMismatchError,
     EigDecomp,
     LinalgError,
+    NonFiniteError,
     as_matrix,
     as_vector,
     psd_power,
@@ -132,7 +133,7 @@ def ls_estimate(model: Model, y) -> np.ndarray:
             f"y: trailing dimension {y.shape[-1]} does not match n={model.n}"
         )
     if not np.all(np.isfinite(y)):
-        raise DimensionMismatchError("y: entries must be finite")
+        raise NonFiniteError("y: entries must be finite")
     return y @ model.ls_op.T
 
 

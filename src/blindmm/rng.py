@@ -1,13 +1,17 @@
-"""Counter-based pseudorandom streams for reproducible Monte Carlo.
+"""Keyed pseudorandom streams for reproducible Monte Carlo.
 
-Every draw is a pure function of ``(seed, stream_id, counter)``: a splitmix-
-style 64-bit finalizer is applied to the keyed counter, so any stream can be
-regenerated independently of execution order or worker count. Standard
-normals come from the Marsaglia polar rejection method applied to
-consecutive counter pairs; a stream's normal sequence is therefore fixed by
-its key alone, no matter how draws are batched.
+Every draw comes from one path: ``numpy.random.Philox`` seeded by
+``numpy.random.SeedSequence(seed, spawn_key=labels)``. A stream is a pure
+function of its integer key, so any block can be regenerated on its own,
+independent of execution order or worker count. The labels go in the spawn
+key rather than the entropy list because ``SeedSequence`` zero-pads short
+entropy: ``[s]`` and ``[s, 0]`` would seed the same stream, and so would a
+seed above 2**32 and a small seed followed by a label.
 
-Bit-reproducibility is promised per build (same numpy/libm), not across
+Monte Carlo noise is cut into fixed chunks of consecutive trials; a chunk's
+block is keyed by ``(seed, first trial id)``.
+
+Bit-reproducibility is promised per build (same numpy), not across
 platforms.
 """
 
@@ -15,128 +19,29 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_INV53 = float(2.0**-53)
 
-# Acceptance rate of the polar method is pi/4; size candidate blocks with
-# headroom so a second round is rare.
-_BLOCK_SLACK = 1.45
-_BLOCK_PAD = 8
+def generator(seed, *labels) -> np.random.Generator:
+    """The Philox stream keyed by the non-negative integers ``(seed, *labels)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=labels)))
 
 
-def _mix64(z):
-    """Splitmix64 finalizer (full avalanche); works on uint64 arrays/scalars."""
-    with np.errstate(over="ignore"):  # modular uint64 wrap is the point
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def derive_seed(seed, *labels) -> int:
+    """A 64-bit sub-seed for ``(seed, *labels)``, hashed by ``SeedSequence``."""
+    return int(np.random.SeedSequence(seed, spawn_key=labels).generate_state(1, np.uint64)[0])
 
 
-def _to_u64(value) -> np.uint64:
-    return np.uint64(int(value) & _MASK64)
+def normal_block(seed, trial_ids, count: int) -> np.ndarray:
+    """Standard normals for a chunk of trials, one row of ``count`` per trial.
 
-
-def derive_key(seed, *words) -> int:
-    """Fold integer labels into a 64-bit key. Used for sub-seed derivation."""
-    with np.errstate(over="ignore"):
-        k = _mix64(_to_u64(seed) + _GOLDEN)
-        for w in words:
-            k = _mix64(k ^ _mix64(_to_u64(w) + _GOLDEN))
-    return int(k)
-
-
-def _stream_keys(seed, stream_ids) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        base = _mix64(_to_u64(seed) + _GOLDEN)
-        ids = np.asarray(stream_ids, dtype=np.uint64)
-        return _mix64(base ^ _mix64(ids + _GOLDEN))
-
-
-def _unit_open(keys, counters) -> np.ndarray:
-    """Uniform draws in [0, 1) with 53 random bits, one per counter."""
-    with np.errstate(over="ignore"):
-        bits = _mix64(keys ^ _mix64(counters + _GOLDEN))
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV53
-
-
-def _polar_pairs(keys, counters):
-    """Map uniform counter pairs to polar-method candidates.
-
-    Returns ``(z1, z2, accept)`` where accepted pairs carry two independent
-    standard normals and rejected slots hold garbage.
+    ``trial_ids`` must be a contiguous ascending range; the block is the
+    stream keyed by ``(seed, trial_ids[0])``, filled row by row, so a shorter
+    chunk with the same first id is a row prefix of a longer one.
     """
-    u = _unit_open(keys, counters)
-    g1 = 2.0 * u[..., 0::2] - 1.0
-    g2 = 2.0 * u[..., 1::2] - 1.0
-    s = g1 * g1 + g2 * g2
-    accept = (s < 1.0) & (s > 0.0)
-    safe = np.where(accept, s, 0.5)
-    factor = np.sqrt(-2.0 * np.log(safe) / safe)
-    return g1 * factor, g2 * factor, accept
-
-
-def normal_block(seed, stream_ids, count: int) -> np.ndarray:
-    """Leading ``count`` standard normals of each stream, as one 2-D block.
-
-    Row ``r`` is identical to ``RngStream(seed, stream_ids[r]).normals(count)``;
-    the block form just vectorizes the per-stream rejection scan.
-    """
-    stream_ids = np.asarray(stream_ids, dtype=np.uint64)
-    rows = stream_ids.shape[0]
-    if count == 0:
-        return np.empty((rows, 0))
-    pairs_needed = (count + 1) // 2
-    keys = _stream_keys(seed, stream_ids)
-    out = np.empty((rows, 2 * pairs_needed))
-    filled = np.zeros(rows, dtype=np.int64)
-    next_counter = np.zeros(rows, dtype=np.uint64)
-    active = np.arange(rows)
-    while active.size:
-        deficit = int(np.max(pairs_needed - filled[active]))
-        k = int(deficit * _BLOCK_SLACK) + _BLOCK_PAD
-        counters = next_counter[active, None] + np.arange(2 * k, dtype=np.uint64)[None, :]
-        z1, z2, accept = _polar_pairs(keys[active, None], counters)
-        pos = np.cumsum(accept, axis=1) - 1 + filled[active, None]
-        take = accept & (pos < pairs_needed)
-        row_idx = np.broadcast_to(active[:, None], take.shape)[take]
-        col_idx = pos[take]
-        out[row_idx, 2 * col_idx] = z1[take]
-        out[row_idx, 2 * col_idx + 1] = z2[take]
-        filled[active] = np.minimum(filled[active] + accept.sum(axis=1), pairs_needed)
-        next_counter[active] += np.uint64(2 * k)
-        active = active[filled[active] < pairs_needed]
-    return out[:, :count]
-
-
-class RngStream:
-    """Stateful view of one ``(seed, stream_id)`` stream of standard normals.
-
-    Consumption pattern does not matter: two calls of ``normals(3)`` return
-    the same six values as one call of ``normals(6)``.
-    """
-
-    def __init__(self, seed, stream_id=0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        self._key = _stream_keys(self.seed, np.asarray([self.stream_id], dtype=np.uint64))
-        self._counter = np.uint64(0)
-        self._buffer = np.empty(0)
-
-    def normals(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        while self._buffer.shape[0] < count:
-            deficit_pairs = (count - self._buffer.shape[0] + 1) // 2
-            k = int(deficit_pairs * _BLOCK_SLACK) + _BLOCK_PAD
-            counters = self._counter + np.arange(2 * k, dtype=np.uint64)[None, :]
-            z1, z2, accept = _polar_pairs(self._key[:, None], counters)
-            accepted = np.empty((2, int(accept.sum())))
-            accepted[0] = z1[accept]
-            accepted[1] = z2[accept]
-            self._buffer = np.concatenate([self._buffer, accepted.T.ravel()])
-            self._counter += np.uint64(2 * k)
-        head, self._buffer = self._buffer[:count], self._buffer[count:]
-        return head
+    ids = np.asarray(trial_ids)
+    if ids.ndim != 1:
+        raise ValueError(f"trial_ids: expected a 1-D range, got shape {ids.shape}")
+    if ids.size == 0:
+        return np.empty((0, count))
+    if np.any(np.diff(ids) != 1):
+        raise ValueError("trial_ids: expected a contiguous ascending range")
+    return generator(seed, int(ids[0])).standard_normal((ids.size, count))

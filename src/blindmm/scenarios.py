@@ -34,6 +34,7 @@ from blindmm.estimators import EstimatorSpec, estimate_from_ls
 from blindmm.linalg import LinalgError
 from blindmm.model import Model, build_model
 from blindmm.rng import normal_block
+from blindmm.sim import _chunk_bounds
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in np.arange(-10.0, 20.0 + 1e-9, 2.5))
 FIG6_CONDITIONS = (1.0, 3.16, 10.0, 31.6, 100.0, 316.0, 1000.0)
@@ -235,12 +236,11 @@ def run_dct_demo(seed=0, draws: int = 1000, snr_db: float = 5.0, ratio: float = 
     hx = model.H @ x
 
     se = {spec.label: [] for spec in specs}
-    sbme_gains = []
-    ebme_gains = []
-    chunk = 2048
-    for lo in range(0, draws, chunk):
-        hi = min(lo + chunk, draws)
-        z = normal_block(seed, np.arange(lo, hi, dtype=np.uint64), model.n)
+    # Gains are summed per chunk so memory does not grow with draws.
+    sbme_gain_sum = 0.0
+    ebme_gain_sum = np.zeros(model.m)
+    for lo, hi in _chunk_bounds(draws):
+        z = normal_block(seed, np.arange(lo, hi), model.n)
         y = z @ model.cw_sqrt + hx
         xls = y @ model.ls_op.T
         for spec in specs:
@@ -248,21 +248,21 @@ def run_dct_demo(seed=0, draws: int = 1000, snr_db: float = 5.0, ratio: float = 
             delta = res.xhat - x
             se[spec.label].append(np.sum(delta * delta, axis=-1))
             if spec.kind == "sbme":
-                sbme_gains.append(res.shrinkage[:, 0])
+                sbme_gain_sum += float(res.shrinkage[:, 0].sum())
             if spec.kind == "ebme":
-                ebme_gains.append(res.shrinkage)
+                ebme_gain_sum += res.shrinkage.sum(axis=0)
 
     mse = {}
     for label, parts in se.items():
         values = np.concatenate(parts)
         stderr = float(np.std(values, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
         mse[label] = (float(np.mean(values)), stderr)
-    gain_profile = np.concatenate(ebme_gains).reshape(draws, model.m).mean(axis=0)
+    gain_profile = ebme_gain_sum / draws
     return DctDemoReport(
         draws=draws,
         snr_db=snr_db,
         mse=mse,
-        sbme_gain_mean=float(np.concatenate(sbme_gains).mean()),
+        sbme_gain_mean=sbme_gain_sum / draws,
         ebme_gain_mean=gain_profile,
         ebme_gain_min=float(gain_profile.min()),
         ebme_gain_max=float(gain_profile.max()),

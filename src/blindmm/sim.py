@@ -1,9 +1,10 @@
 """Deterministic Monte Carlo engine for estimator MSE sweeps.
 
-Trial ``t`` of a grid point always draws its noise from counter stream
-``t`` of that point's sub-seed, and per-point squared errors are reduced in
-fixed chunk order, so results are bit-identical no matter how many workers
-run or in what order chunks finish. All estimators see the same noise draw
+Trials of a grid point are cut into fixed chunks of ``CHUNK_TRIALS``; each
+chunk draws its noise from the Philox stream keyed by the point's sub-seed
+and the chunk's first trial, and per-point squared errors are reduced in
+chunk order, so results are bit-identical no matter how many workers run or
+in what order chunks finish. All estimators see the same noise draw
 within a trial (common random numbers), which tightens pairwise MSE
 comparisons without biasing any single estimate.
 """
@@ -21,9 +22,10 @@ import numpy as np
 from blindmm.estimators import EstimatorSpec, estimate_from_ls, parse_estimator_spec
 from blindmm.linalg import LinalgError, as_vector, read_vector_csv
 from blindmm.model import Model, scale_to_snr
-from blindmm.rng import RngStream, derive_key, normal_block
+from blindmm.rng import derive_seed, generator, normal_block
 
-# Fixed chunk size decouples summation order from the worker count.
+# Fixed chunk size decouples the noise and the summation order from the
+# worker count.
 CHUNK_TRIALS = 4096
 
 # Derivation tags keep the noise, direction and point sub-streams disjoint.
@@ -39,10 +41,10 @@ class DegenerateGError(LinalgError):
     """The integration-by-parts test function is undefined (c=0 and v=0)."""
 
 
-def gaussian_vector(cw_sqrt, rng: RngStream) -> np.ndarray:
+def gaussian_vector(cw_sqrt, rng: np.random.Generator) -> np.ndarray:
     """One zero-mean Gaussian draw with covariance ``cw_sqrt @ cw_sqrt``."""
     cw_sqrt = np.asarray(cw_sqrt, dtype=np.float64)
-    return cw_sqrt @ rng.normals(cw_sqrt.shape[0])
+    return cw_sqrt @ rng.standard_normal(cw_sqrt.shape[0])
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,16 @@ class ExperimentConfig:
             raise ConfigError("directions: must be a nonempty list")
         if int(self.trials) < 1:
             raise ConfigError("trials: must be >= 1")
-        if self.seed is None or int(self.seed) < 0:
-            raise ConfigError(
-                "seed: must be a non-negative integer (set it in the config, "
-                "via --seed, or through BLINDMM_SEED)"
-            )
+        _check_seed(self.seed)
         return self
+
+
+def _check_seed(seed) -> None:
+    if seed is None or int(seed) < 0:
+        raise ConfigError(
+            "seed: must be a non-negative integer (set it in the config, "
+            "via --seed, or through BLINDMM_SEED)"
+        )
 
 
 def _chunk_bounds(trials: int):
@@ -105,7 +111,7 @@ def _chunk_bounds(trials: int):
 def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
     """Per-trial squared errors for every estimator at one grid point.
 
-    Returns ``{label: (trials,) ndarray}``; trial ``t`` uses stream ``t``.
+    Returns ``{label: (trials,) ndarray}`` in trial order.
     """
     x = np.asarray(x, dtype=np.float64)
     hx = model.H @ x
@@ -113,7 +119,7 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: in
 
     def eval_chunk(bounds):
         lo, hi = bounds
-        z = normal_block(seed, np.arange(lo, hi, dtype=np.uint64), model.n)
+        z = normal_block(seed, np.arange(lo, hi), model.n)
         y = z @ model.cw_sqrt + hx
         xls = y @ model.ls_op.T
         out = {}
@@ -153,12 +159,8 @@ def monte_carlo_mse(model: Model, x, spec: EstimatorSpec, trials: int, seed, wor
 
 
 def _random_unit_vector(seed, index: int, m: int) -> np.ndarray:
-    stream = RngStream(derive_key(seed, _TAG_DIRECTION), index)
-    while True:
-        v = stream.normals(m)
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            return v / norm
+    v = generator(seed, _TAG_DIRECTION, index).standard_normal(m)
+    return v / np.linalg.norm(v)
 
 
 def resolve_directions(model: Model, policies, seed):
@@ -217,7 +219,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
                 sweep_key = f"{case_key}:{dir_key}"
             for snr_idx, snr_db in enumerate(config.snr_grid_db):
                 x = scale_to_snr(model, direction, float(snr_db))
-                point_seed = derive_key(seed, _TAG_POINT, case_idx, dir_idx, snr_idx)
+                point_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, snr_idx)
                 se_by_label = _point_squared_errors(
                     model, x, config.estimators, trials, point_seed, workers
                 )
@@ -437,6 +439,7 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
         raise ConfigError("c must be >= 0")
     if c == 0.0 and not np.any(v != 0.0):
         raise DegenerateGError("g is undefined at c=0 with v=0")
+    _check_seed(seed)
     if trials < 10**4:
         raise ValueError("stein_lemma_check: trials must be >= 10^4")
     if g not in ("shrink", "linear"):
@@ -449,7 +452,7 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     sum_diff = np.zeros(p)
     sum_diff2 = np.zeros(p)
     for lo, hi in _chunk_bounds(trials):
-        z = normal_block(seed, np.arange(lo, hi, dtype=np.uint64), p)
+        z = normal_block(seed, np.arange(lo, hi), p)
         vh = v + z
         if g == "shrink":
             q = (vh * vh) @ inv_sigma

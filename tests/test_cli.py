@@ -59,6 +59,14 @@ class TestEstimate:
     def test_unknown_estimator_exit_2(self, iid_files):
         assert self._run(iid_files, "stein") == 2
 
+    def test_ebme_overflow_exit_2(self, tmp_path, capsys):
+        write_matrix_csv(tmp_path / "H.csv", np.eye(10))
+        write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0] * 5 + [1e-3] * 5))
+        write_matrix_csv(tmp_path / "y.csv", np.ones(10))
+        assert self._run(tmp_path, "ebme:b=300") == 2
+        assert "b=300" in capsys.readouterr().err
+        assert not (tmp_path / "xhat.csv").exists()
+
     def test_dimension_error_exit_3(self, iid_files):
         write_matrix_csv(iid_files / "short.csv", np.array([1.0, 2.0]))
         assert self._run(iid_files, "ls", y="short.csv") == 3
@@ -255,3 +263,8 @@ class TestSteinCheckCommand:
 
     def test_bad_vector_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,x", "--sigma", "1", "--trials", "10000"]) == 2
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",
+                     "--seed", "-1"]) == 2
+        assert "seed: must be a non-negative integer" in capsys.readouterr().err

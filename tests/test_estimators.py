@@ -6,6 +6,8 @@ re-evaluation (independent of the vectorized suffix-sum path), and the
 scalar rules against hand arithmetic.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from blindmm.estimators import (
     tikhonov1,
     tikhonov2,
 )
+from blindmm.linalg import NonFiniteError
 from blindmm.model import build_model, ls_estimate
-from blindmm.scenarios import fig4_model, fig5b_model
+from blindmm.scenarios import fig4_model, fig5b_model, fig6_model
 
 
 def iid_model(m):
@@ -315,6 +318,25 @@ class TestEbme:
         np.testing.assert_array_equal(
             clamped.shrinkage, np.maximum(raw.shrinkage, 0.0)
         )
+
+    @pytest.mark.parametrize("b", [120.0, 300.0])
+    def test_overflowing_exponent_rejected(self, b):
+        # 1000**b overflows float64: a typed error naming b, not NaN or
+        # all-zero gains behind a RuntimeWarning.
+        m = fig6_model(1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnknownEstimatorError, match=f"b={b:g}"):
+                ebme(m, np.ones(10), b=b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_xls_rejected(self, bad):
+        xls = np.ones(15)
+        xls[3] = bad
+        with pytest.raises(NonFiniteError):
+            ebme(fig4_model(), xls, b=-1.0)
+        with pytest.raises(NonFiniteError):
+            estimate_from_ls(fig4_model(), EstimatorSpec("sbme"), xls)
 
 
 class TestRotationEquivariance:

@@ -1,6 +1,6 @@
 """Eigendecomposition, matrix powers and quadratic forms.
 
-Hand-derived 2x2 cases act as oracles for the Jacobi solver; larger random
+Hand-derived 2x2 cases act as oracles for the eigensolver; larger random
 matrices are checked through reconstruction and algebraic identities rather
 than against another eigensolver.
 """

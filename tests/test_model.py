@@ -4,7 +4,7 @@ calibration of the least-squares risk."""
 import numpy as np
 import pytest
 
-from blindmm.linalg import DimensionMismatchError
+from blindmm.linalg import DimensionMismatchError, NonFiniteError
 from blindmm.model import (
     NotPositiveDefiniteError,
     RankDeficientError,
@@ -99,6 +99,12 @@ class TestLsEstimate:
         m = build_model(np.eye(3), np.eye(3))
         with pytest.raises(DimensionMismatchError):
             ls_estimate(m, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = build_model(np.eye(3), np.eye(3))
+        with pytest.raises(NonFiniteError):
+            ls_estimate(m, np.array([1.0, bad, 0.0]))
 
 
 class TestEffectiveDimension:

@@ -1,51 +1,63 @@
-"""Counter-based random streams: determinism, stream independence, and
-distributional sanity of the polar normal generator."""
+"""Keyed Philox streams: determinism, key independence, and distributional
+sanity of the chunk blocks."""
 
 import numpy as np
 import pytest
 
-from blindmm.rng import RngStream, derive_key, normal_block
+from blindmm.rng import derive_seed, generator, normal_block
+
+
+def _corr(a, b):
+    return np.corrcoef(a.ravel(), b.ravel())[0, 1]
 
 
 class TestDeterminism:
     def test_repeat_call_sequence_identical(self):
-        a = RngStream(123, 5).normals(40)
-        b = RngStream(123, 5).normals(40)
+        a = normal_block(123, np.arange(5, 45), 7)
+        b = normal_block(123, np.arange(5, 45), 7)
         assert np.array_equal(a, b)
 
     def test_consumption_pattern_irrelevant(self):
-        s = RngStream(9, 1)
-        parts = np.concatenate([s.normals(3), s.normals(1), s.normals(13)])
-        whole = RngStream(9, 1).normals(17)
-        assert np.array_equal(parts, whole)
+        # A shorter chunk is a row prefix of a longer one with the same key.
+        short = normal_block(9, np.arange(3, 6), 13)
+        long = normal_block(9, np.arange(3, 40), 13)
+        assert np.array_equal(short, long[:3])
 
     def test_streams_differ(self):
-        a = RngStream(7, 0).normals(16)
-        b = RngStream(7, 1).normals(16)
-        assert not np.array_equal(a, b)
+        # Different chunk keys (first trial ids) give uncorrelated blocks.
+        a = normal_block(7, np.arange(0, 400), 50)
+        b = normal_block(7, np.arange(1, 401), 50)
+        assert not np.array_equal(a[1:], b[:-1])
+        assert abs(_corr(a, b)) < 5.0 / np.sqrt(a.size)
 
     def test_seeds_differ(self):
-        a = RngStream(7, 0).normals(16)
-        b = RngStream(8, 0).normals(16)
+        a = normal_block(7, np.arange(400), 50)
+        b = normal_block(8, np.arange(400), 50)
         assert not np.array_equal(a, b)
+        assert abs(_corr(a, b)) < 5.0 / np.sqrt(a.size)
 
     def test_block_rows_match_streams(self):
-        blk = normal_block(42, np.arange(50), 23)
-        for sid in (0, 17, 49):
-            assert np.array_equal(blk[sid], RngStream(42, sid).normals(23))
+        # A block is the stream keyed by (seed, first id), filled row by row.
+        blk = normal_block(42, np.arange(100, 150), 23)
+        assert np.array_equal(blk, generator(42, 100).standard_normal((50, 23)))
 
     def test_block_count_odd_even(self):
-        # Odd counts drop the second normal of the final accepted pair.
         even = normal_block(3, [4], 8)[0]
         odd = normal_block(3, [4], 7)[0]
         assert np.array_equal(odd, even[:7])
 
-    def test_derive_key_sensitivity(self):
-        keys = {derive_key(1), derive_key(2), derive_key(1, 0), derive_key(1, 1), derive_key(1, 0, 0)}
-        assert len(keys) == 5
+    def test_derive_seed_sensitivity(self):
+        seeds = {derive_seed(1), derive_seed(2), derive_seed(1, 0), derive_seed(1, 1), derive_seed(1, 0, 0)}
+        assert len(seeds) == 5
+        assert derive_seed(1, 0) == derive_seed(1, 0)
 
     def test_zero_count(self):
         assert normal_block(1, [0, 1], 0).shape == (2, 0)
+
+    @pytest.mark.parametrize("ids", [[0, 2], [3, 2], [5, 5], [0, 1, 3]])
+    def test_non_contiguous_ids_rejected(self, ids):
+        with pytest.raises(ValueError):
+            normal_block(0, ids, 4)
 
 
 class TestDistribution:
@@ -74,4 +86,4 @@ class TestDistribution:
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            RngStream(0, 0).normals(-1)
+            normal_block(0, [0], -1)
