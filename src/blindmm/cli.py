@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from blindmm.estimators import UnknownEstimatorError, estimate_from_ls, parse_estimator_spec
+from blindmm.estimators import RULES, UnknownEstimatorError, estimate_from_ls, parse_estimator_spec
 from blindmm.linalg import LinalgError, read_matrix_csv, read_vector_csv, write_matrix_csv
 from blindmm.model import build_model, effective_dimension, ls_estimate
 from blindmm.sim import (
@@ -99,24 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(rows, config) -> None:
-    """MSE table normalized by the least-squares risk of each case."""
-    cases, _ = scenarios.resolve_cases(config.scenario)
-    eps_by_case = {key: model.eps0 for key, model in cases}
-
-    def eps_for(row):
-        for key, eps in eps_by_case.items():
-            if key is not None and (row.sweep_key == key or row.sweep_key.startswith(key + ":")):
-                return eps
-        return next(iter(eps_by_case.values()))
-
+def _run(config, args):
+    """Run a sweep, write its CSV and print the MSE table normalized by the
+    least-squares risk of each row's case."""
+    workers = args.workers if args.workers is not None else _default_workers()
+    rows = run_experiment(config, workers=workers)
+    write_results_csv(args.out, rows)
     print(f"{'estimator':<16} {'snr_db':>7} {'sweep_key':<16} {'mse':>12} {'mse/eps0':>9}")
     for row in rows:
-        eps = eps_for(row)
         print(
             f"{row.estimator:<16} {row.snr_db:>7.2f} {row.sweep_key:<16} "
-            f"{row.mse_mean:>12.5g} {row.mse_mean / eps:>9.4f}"
+            f"{row.mse_mean:>12.5g} {row.mse_mean / row.eps0:>9.4f}"
         )
+    return rows
 
 
 def _cmd_experiment(args) -> int:
@@ -127,10 +122,7 @@ def _cmd_experiment(args) -> int:
         config.seed = _env_seed()
     if args.trials is not None:
         config.trials = args.trials
-    workers = args.workers if args.workers is not None else _default_workers()
-    rows = run_experiment(config, workers=workers)
-    write_results_csv(args.out, rows)
-    _print_summary(rows, config)
+    rows = _run(config, args)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -145,7 +137,7 @@ def _cmd_estimate(args) -> int:
     result = estimate_from_ls(model, spec, xls)
     write_matrix_csv(args.out, result.xhat)
     gains = np.atleast_1d(result.shrinkage)
-    if spec.kind == "ebme":
+    if RULES[spec.kind].per_component:
         print(f"gain range: [{gains.min():.6g}, {gains.max():.6g}]")
     else:
         print(f"gain: {gains.flat[0]:.6g}")
@@ -180,24 +172,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_scenario(args) -> int:
     p = scenarios.preset(args.name)
-    config = ExperimentConfig(
+    config = ExperimentConfig(  # run_experiment fills the other fields from the preset
         scenario=args.name,
-        estimators=list(p.estimators),
-        snr_grid_db=list(p.snr_grid_db),
-        directions=list(p.directions),
         trials=args.trials if args.trials is not None else p.trials,
         seed=args.seed if args.seed is not None else _env_seed(),
     )
-    workers = args.workers if args.workers is not None else _default_workers()
-    rows = run_experiment(config, workers=workers)
-    write_results_csv(args.out, rows)
-    _print_summary(rows, config)
+    rows = _run(config, args)
     if args.name == "fig2-dct":
-        report = scenarios.run_dct_demo(seed=config.seed, draws=config.trials)
-        print(f"mean scalar gain (sbme): {report.sbme_gain_mean:.4f}")
+        gains = {row.estimator: row.gain_mean for row in rows}
+        print(f"mean scalar gain (sbme): {gains['sbme'][0]:.4f}")
         print(
             f"adaptive gain range (ebme:b=-1): "
-            f"[{report.ebme_gain_min:.4f}, {report.ebme_gain_max:.4f}]"
+            f"[{gains['ebme:b=-1'].min():.4f}, {gains['ebme:b=-1'].max():.4f}]"
         )
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

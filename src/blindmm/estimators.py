@@ -26,6 +26,7 @@ every parameter value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -285,18 +286,109 @@ def sbme_dominance_holds(model: Model) -> bool:
 def ebme_dominance_holds(model: Model, b: float) -> bool:
     """Sufficient condition for ``ebme`` with exponent ``b``:
     ``tr(Q**(b/2-1)) > 4 * lambda_max(Q**(b/2-1))``. At ``b = 0`` this is
-    exactly the scalar condition."""
-    powers = model.Qeig.eigenvalues ** (b / 2.0 - 1.0)
-    return float(np.sum(powers)) > 4.0 * float(np.max(powers))
+    exactly the scalar condition. A ``b`` that is not finite, or whose
+    powers of the eigenvalues leave float64 range, raises
+    ``UnknownEstimatorError``."""
+    if not _finite(b):
+        raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
+    with np.errstate(over="ignore"):
+        powers = model.Qeig.eigenvalues ** (b / 2.0 - 1.0)
+        total = float(np.sum(powers))
+    peak = float(np.max(powers))
+    if not (np.isfinite(total) and peak > 0.0):
+        raise UnknownEstimatorError(
+            f"ebme: exponent b={b:g} leaves float64 range on this model; use a smaller |b|"
+        )
+    return total > 4.0 * peak
 
 
 # --- estimator tags -------------------------------------------------------
 #
-# Text syntax used by the CLI and experiment configs:
+# Text syntax used by the CLI and experiment configs; ``RULES`` holds one
+# entry per tag with its parameter, its label and the rule it applies:
 #   ls | sbme | bbm | pbm | bock | tik1 | tik2
 #   ebme:b=<float>   shrinkc:c=<float>   offcenter:file=<vector csv>
 
-_BARE_KINDS = ("ls", "sbme", "bbm", "pbm", "bock", "tik1", "tik2")
+
+def _finite(v) -> bool:
+    return v is not None and bool(np.isfinite(v))
+
+
+def _number(key: str):
+    def parse(val: str, vector_loader) -> dict:
+        try:
+            return {key: float(val)}
+        except ValueError as exc:
+            raise UnknownEstimatorError(f"bad value {key}={val!r}") from exc
+
+    return parse
+
+
+def _center_file(val: str, vector_loader) -> dict:
+    if not val:
+        raise UnknownEstimatorError("expected offcenter:file=<csv>")
+    return {"x0": np.asarray(vector_loader(val), dtype=np.float64), "x0_name": val}
+
+
+def _least_squares(model: Model, xls) -> EstimateResult:
+    xls = _check_ls(model, xls)
+    return EstimateResult(xhat=xls.copy(), shrinkage=np.ones_like(xls), degenerate=False)
+
+
+@dataclass(frozen=True)
+class Param:
+    """A tag's parameter: its text key, ``parse(value, vector_loader)`` into
+    ``EstimatorSpec`` fields, the ``valid(spec)`` test and the requirement
+    it states, and the label ``suffix(spec)`` (``None`` for none)."""
+
+    key: str
+    parse: Callable
+    valid: Callable
+    need: str
+    suffix: Callable
+
+
+_B = Param("b", _number("b"), lambda spec: _finite(spec.b), "a finite exponent b",
+           lambda spec: f"b={spec.b:g}")
+_C = Param("c", _number("c"), lambda spec: _finite(spec.c) and spec.c >= 0.0,
+           "a finite c >= 0", lambda spec: f"c={spec.c:g}")
+_FILE = Param("file", _center_file, lambda spec: spec.x0 is not None, "a center vector x0",
+              lambda spec: f"file={spec.x0_name}" if spec.x0_name else None)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A tag's ``apply(model, spec, xls)``, its parameter (``None`` for a bare
+    tag), and whether its gains differ across ``Q``'s eigenbasis."""
+
+    apply: Callable
+    param: Param | None = None
+    per_component: bool = False
+
+
+def _bare(rule, per_component: bool = False) -> Rule:
+    return Rule(lambda model, spec, xls: rule(model, xls), per_component=per_component)
+
+
+RULES = {
+    "ls": _bare(_least_squares),
+    "sbme": _bare(sbme),
+    "bbm": _bare(balanced_bme),
+    "pbm": _bare(positive_part_bme),
+    "bock": _bare(bock),
+    "tik1": _bare(_tikhonov1_from_ls, per_component=True),
+    "tik2": _bare(_tikhonov2_from_ls),
+    "ebme": Rule(lambda model, spec, xls: ebme(model, xls, b=spec.b), _B, per_component=True),
+    "shrinkc": Rule(lambda model, spec, xls: shrink_c(model, xls, spec.c), _C),
+    "offcenter": Rule(lambda model, spec, xls: off_center_sbme(model, xls, spec.x0), _FILE),
+}
+
+
+def _rule(kind: str) -> Rule:
+    try:
+        return RULES[kind]
+    except KeyError:
+        raise UnknownEstimatorError(f"unknown estimator tag {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -310,29 +402,15 @@ class EstimatorSpec:
     x0_name: str | None = None
 
     def __post_init__(self):
-        if self.kind in _BARE_KINDS:
-            return
-        if self.kind == "ebme":
-            if self.b is None or not np.isfinite(self.b):
-                raise UnknownEstimatorError("ebme requires a finite exponent b")
-        elif self.kind == "shrinkc":
-            if self.c is None or not (self.c >= 0.0):
-                raise UnknownEstimatorError("shrinkc requires c >= 0")
-        elif self.kind == "offcenter":
-            if self.x0 is None:
-                raise UnknownEstimatorError("offcenter requires a center vector x0")
-        else:
-            raise UnknownEstimatorError(f"unknown estimator tag {self.kind!r}")
+        param = _rule(self.kind).param
+        if param is not None and not param.valid(self):
+            raise UnknownEstimatorError(f"{self.kind} requires {param.need}")
 
     @property
     def label(self) -> str:
-        if self.kind == "ebme":
-            return f"ebme:b={self.b:g}"
-        if self.kind == "shrinkc":
-            return f"shrinkc:c={self.c:g}"
-        if self.kind == "offcenter":
-            return f"offcenter:file={self.x0_name}" if self.x0_name else "offcenter"
-        return self.kind
+        param = RULES[self.kind].param
+        suffix = param.suffix(self) if param is not None else None
+        return f"{self.kind}:{suffix}" if suffix else self.kind
 
 
 def parse_estimator_spec(text: str, vector_loader=read_vector_csv) -> EstimatorSpec:
@@ -341,63 +419,19 @@ def parse_estimator_spec(text: str, vector_loader=read_vector_csv) -> EstimatorS
     ``vector_loader`` resolves the ``offcenter:file=...`` argument (callers
     may bind it to a config-relative loader).
     """
-    text = text.strip()
-    kind, _, arg = text.partition(":")
+    kind, _, arg = text.strip().partition(":")
     kind = kind.strip()
-    if kind in _BARE_KINDS:
+    param = _rule(kind).param
+    if param is None:
         if arg:
             raise UnknownEstimatorError(f"estimator {kind!r} takes no parameters: {text!r}")
         return EstimatorSpec(kind=kind)
-    if kind == "ebme":
-        key, _, val = arg.partition("=")
-        if key.strip() != "b":
-            raise UnknownEstimatorError(f"expected ebme:b=<float>, got {text!r}")
-        try:
-            b = float(val)
-        except ValueError as exc:
-            raise UnknownEstimatorError(f"bad ebme exponent in {text!r}") from exc
-        return EstimatorSpec(kind="ebme", b=b)
-    if kind == "shrinkc":
-        key, _, val = arg.partition("=")
-        if key.strip() != "c":
-            raise UnknownEstimatorError(f"expected shrinkc:c=<float>, got {text!r}")
-        try:
-            c = float(val)
-        except ValueError as exc:
-            raise UnknownEstimatorError(f"bad shrinkc constant in {text!r}") from exc
-        return EstimatorSpec(kind="shrinkc", c=c)
-    if kind == "offcenter":
-        key, _, val = arg.partition("=")
-        if key.strip() != "file" or not val:
-            raise UnknownEstimatorError(f"expected offcenter:file=<csv>, got {text!r}")
-        x0 = vector_loader(val)
-        return EstimatorSpec(kind="offcenter", x0=np.asarray(x0, dtype=np.float64), x0_name=val)
-    raise UnknownEstimatorError(f"unknown estimator tag {kind!r}")
+    key, _, val = arg.partition("=")
+    if key.strip() != param.key:
+        raise UnknownEstimatorError(f"expected {kind}:{param.key}=<value>, got {text!r}")
+    return EstimatorSpec(kind=kind, **param.parse(val, vector_loader))
 
 
 def estimate_from_ls(model: Model, spec: EstimatorSpec, xls) -> EstimateResult:
     """Fan-out evaluation: apply ``spec`` to a precomputed ``xls``."""
-    if spec.kind == "ls":
-        xls = _check_ls(model, xls)
-        return EstimateResult(
-            xhat=xls.copy(), shrinkage=np.ones_like(xls), degenerate=False
-        )
-    if spec.kind == "sbme":
-        return sbme(model, xls)
-    if spec.kind == "bbm":
-        return balanced_bme(model, xls)
-    if spec.kind == "pbm":
-        return positive_part_bme(model, xls)
-    if spec.kind == "bock":
-        return bock(model, xls)
-    if spec.kind == "tik1":
-        return _tikhonov1_from_ls(model, xls)
-    if spec.kind == "tik2":
-        return _tikhonov2_from_ls(model, xls)
-    if spec.kind == "ebme":
-        return ebme(model, xls, b=spec.b)
-    if spec.kind == "shrinkc":
-        return shrink_c(model, xls, spec.c)
-    if spec.kind == "offcenter":
-        return off_center_sbme(model, xls, spec.x0)
-    raise UnknownEstimatorError(f"unknown estimator tag {spec.kind!r}")
+    return RULES[spec.kind].apply(model, spec, xls)

@@ -30,15 +30,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from blindmm.estimators import EstimatorSpec, estimate_from_ls
+from blindmm.estimators import parse_estimator_spec
 from blindmm.linalg import LinalgError
 from blindmm.model import Model, build_model
-from blindmm.rng import normal_block
-from blindmm.sim import _chunk_bounds
+from blindmm.sim import ExperimentConfig, run_experiment
+
+# Unused here; bench/tracing.py wraps them under these names and drops a layer if one is gone.
+from blindmm.estimators import estimate_from_ls  # noqa: F401
+from blindmm.rng import normal_block  # noqa: F401
 
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in np.arange(-10.0, 20.0 + 1e-9, 2.5))
 FIG6_CONDITIONS = (1.0, 3.16, 10.0, 31.6, 100.0, 316.0, 1000.0)
 FIG4_NOISE_PROFILE = (1, 1, 1, 1, 0.5, 0.2, 0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05)
+DCT_ESTIMATORS = ("ls", "sbme", "ebme:b=-1")
 
 SCENARIO_NAMES = (
     "fig2-dct",
@@ -57,13 +61,14 @@ class UnknownScenarioError(LinalgError):
 
 @dataclass(frozen=True)
 class Preset:
-    """A scenario: one or more (case_key, model) pairs plus sweep defaults."""
+    """A scenario: one or more (case_key, model) pairs plus sweep defaults
+    (by default the four-rule comparison over ``DEFAULT_SNR_GRID_DB``)."""
 
     name: str
     cases: tuple
-    estimators: tuple
-    snr_grid_db: tuple
     directions: tuple
+    estimators: tuple = tuple(map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "bock")))
+    snr_grid_db: tuple = DEFAULT_SNR_GRID_DB
     trials: int = 10000
 
 
@@ -122,77 +127,50 @@ def fig2_model(snr_db: float = 5.0, ratio: float = 1000.0, n: int = 100, n_noisy
     return model, x
 
 
-def _spec(text: str) -> EstimatorSpec:
-    kind, _, arg = text.partition(":")
-    if kind == "ebme":
-        return EstimatorSpec(kind="ebme", b=float(arg.split("=", 1)[1]))
-    return EstimatorSpec(kind=kind)
-
-
 @lru_cache(maxsize=None)
 def preset(name: str) -> Preset:
     """Look up a built-in scenario; unknown names list the valid ones."""
-    sweep_estimators = tuple(_spec(s) for s in ("ls", "sbme", "ebme:b=-1", "bock"))
+    extremes = ("max-eigenvector", "min-eigenvector")
     if name == "fig4-snr":
-        return Preset(
-            name=name,
-            cases=((None, fig4_model()),),
-            estimators=sweep_estimators,
-            snr_grid_db=DEFAULT_SNR_GRID_DB,
-            directions=("max-eigenvector", "min-eigenvector"),
-        )
+        return Preset(name=name, cases=((None, fig4_model()),), directions=extremes)
     if name == "fig3-pp":
         return Preset(
             name=name,
             cases=((None, fig4_model()),),
-            estimators=tuple(_spec(s) for s in ("ls", "sbme", "bbm", "pbm")),
-            snr_grid_db=DEFAULT_SNR_GRID_DB,
             directions=("max-eigenvector",),
+            estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "bbm", "pbm"))),
         )
-    if name == "fig5a-range":
+    if name in ("fig5a-range", "fig5b-range"):
+        model = fig5a_model() if name == "fig5a-range" else fig5b_model()
         return Preset(
-            name=name,
-            cases=((None, fig5a_model()),),
-            estimators=sweep_estimators,
-            snr_grid_db=DEFAULT_SNR_GRID_DB,
-            directions=(("random-sphere", 200), "max-eigenvector", "min-eigenvector"),
-        )
-    if name == "fig5b-range":
-        return Preset(
-            name=name,
-            cases=((None, fig5b_model()),),
-            estimators=sweep_estimators,
-            snr_grid_db=DEFAULT_SNR_GRID_DB,
-            directions=(("random-sphere", 200), "max-eigenvector", "min-eigenvector"),
+            name=name, cases=((None, model),), directions=(("random-sphere", 200),) + extremes
         )
     if name == "fig6-cond":
-        cases = tuple((f"cond={c:g}", fig6_model(c)) for c in FIG6_CONDITIONS)
         return Preset(
             name=name,
-            cases=cases,
-            estimators=sweep_estimators,
-            snr_grid_db=(0.0,),
+            cases=tuple((f"cond={c:g}", fig6_model(c)) for c in FIG6_CONDITIONS),
             # Direction of the largest eigenvalue of Q (least-noisy axis),
             # where the quadratic-norm shrinkage rule degenerates.
             directions=("min-eigenvector",),
+            snr_grid_db=(0.0,),
         )
     if name == "fig7-tikhonov":
-        e1 = [1.0] + [0.0] * 14
         return Preset(
             name=name,
             cases=((None, fig7_model()),),
-            estimators=tuple(_spec(s) for s in ("ls", "sbme", "ebme:b=-1", "tik1", "tik2")),
-            snr_grid_db=DEFAULT_SNR_GRID_DB,
-            directions=(("vector", e1, "high-noise-axis"),),
+            directions=(("vector", [1.0] + [0.0] * 14, "high-noise-axis"),),
+            estimators=tuple(
+                map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "tik1", "tik2"))
+            ),
         )
     if name == "fig2-dct":
         model, x = fig2_model()
         return Preset(
             name=name,
             cases=((None, model),),
-            estimators=tuple(_spec(s) for s in ("ls", "sbme", "ebme:b=-1")),
-            snr_grid_db=(5.0,),
             directions=(("vector", list(x), "dct-smooth"),),
+            estimators=tuple(map(parse_estimator_spec, DCT_ESTIMATORS)),
+            snr_grid_db=(5.0,),
             trials=1000,
         )
     raise UnknownScenarioError(
@@ -228,41 +206,24 @@ class DctDemoReport:
 
 def run_dct_demo(seed=0, draws: int = 1000, snr_db: float = 5.0, ratio: float = 1000.0) -> DctDemoReport:
     """Reconstruct the demo signal over many noise draws and report both the
-    per-estimator mean squared error and the shrinkage each rule applied."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    per-estimator mean squared error and the shrinkage each rule applied.
+    ``draws < 1`` raises ``ConfigError`` (a ``ValueError``)."""
     model, x = fig2_model(snr_db=snr_db, ratio=ratio)
-    specs = [_spec(s) for s in ("ls", "sbme", "ebme:b=-1")]
-    hx = model.H @ x
-
-    se = {spec.label: [] for spec in specs}
-    # Gains are summed per chunk so memory does not grow with draws.
-    sbme_gain_sum = 0.0
-    ebme_gain_sum = np.zeros(model.m)
-    for lo, hi in _chunk_bounds(draws):
-        z = normal_block(seed, np.arange(lo, hi), model.n)
-        y = z @ model.cw_sqrt + hx
-        xls = y @ model.ls_op.T
-        for spec in specs:
-            res = estimate_from_ls(model, spec, xls)
-            delta = res.xhat - x
-            se[spec.label].append(np.sum(delta * delta, axis=-1))
-            if spec.kind == "sbme":
-                sbme_gain_sum += float(res.shrinkage[:, 0].sum())
-            if spec.kind == "ebme":
-                ebme_gain_sum += res.shrinkage.sum(axis=0)
-
-    mse = {}
-    for label, parts in se.items():
-        values = np.concatenate(parts)
-        stderr = float(np.std(values, ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-        mse[label] = (float(np.mean(values)), stderr)
-    gain_profile = ebme_gain_sum / draws
+    config = ExperimentConfig(
+        scenario=("inline", "fig2-dct", model.H, model.Cw),
+        estimators=list(map(parse_estimator_spec, DCT_ESTIMATORS)),
+        snr_grid_db=[snr_db],
+        directions=[("vector", list(x), "dct-smooth")],
+        trials=draws,
+        seed=seed,
+    )
+    rows = {row.estimator: row for row in run_experiment(config)}
+    gain_profile = rows["ebme:b=-1"].gain_mean
     return DctDemoReport(
         draws=draws,
         snr_db=snr_db,
-        mse=mse,
-        sbme_gain_mean=sbme_gain_sum / draws,
+        mse={label: (row.mse_mean, row.mse_stderr) for label, row in rows.items()},
+        sbme_gain_mean=float(rows["sbme"].gain_mean[0]),
         ebme_gain_mean=gain_profile,
         ebme_gain_min=float(gain_profile.min()),
         ebme_gain_max=float(gain_profile.max()),

@@ -2,11 +2,11 @@
 
 Trials of a grid point are cut into fixed chunks of ``CHUNK_TRIALS``; each
 chunk draws its noise from the Philox stream keyed by the point's sub-seed
-and the chunk's first trial, and per-point squared errors are reduced in
-chunk order, so results are bit-identical no matter how many workers run or
-in what order chunks finish. All estimators see the same noise draw
-within a trial (common random numbers), which tightens pairwise MSE
-comparisons without biasing any single estimate.
+and the chunk's first trial, and per-point squared errors and gain profiles
+are reduced in chunk order, so results are bit-identical no matter how many
+workers run or in what order chunks finish. All estimators see the same
+noise draw within a trial (common random numbers), which tightens pairwise
+MSE comparisons without biasing any single estimate.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ def gaussian_vector(cw_sqrt, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MseRow:
-    """One Monte Carlo result record."""
+    """One Monte Carlo result record. ``gain_mean`` (the mean per-component
+    gain in ``Q``'s eigenbasis) and ``eps0`` (the case's least-squares risk)
+    are neither CSV columns nor compared."""
 
     scenario: str
     estimator: str
@@ -59,6 +61,8 @@ class MseRow:
     mse_stderr: float
     trials: int
     seed: int
+    gain_mean: np.ndarray | None = field(default=None, compare=False, repr=False)
+    eps0: float | None = field(default=None, compare=False)
 
     def sort_key(self):
         return (self.scenario, self.estimator, self.snr_db, self.sweep_key)
@@ -108,11 +112,19 @@ def _chunk_bounds(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
-    """Per-trial squared errors for every estimator at one grid point.
+class PointErrors(dict):
+    """``{label: (trials,) squared errors}`` in trial order, plus
+    ``gain_sums[label]``: that estimator's ``(m,)`` gain profile summed over
+    all trials."""
 
-    Returns ``{label: (trials,) ndarray}`` in trial order.
-    """
+    def __init__(self, squared_errors: dict, gain_sums: dict):
+        super().__init__(squared_errors)
+        self.gain_sums = gain_sums
+
+
+def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
+    """Per-trial squared errors and gain-profile sums for every estimator at
+    one grid point, as a ``PointErrors``."""
     x = np.asarray(x, dtype=np.float64)
     hx = model.H @ x
     labels = [spec.label for spec in specs]
@@ -122,11 +134,12 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: in
         z = normal_block(seed, np.arange(lo, hi), model.n)
         y = z @ model.cw_sqrt + hx
         xls = y @ model.ls_op.T
+        ones = np.ones(hi - lo)  # ones @ a: 10x faster than a.sum(axis=0) at m = 10
         out = {}
         for spec in specs:
-            xhat = estimate_from_ls(model, spec, xls).xhat
-            delta = xhat - x
-            out[spec.label] = np.sum(delta * delta, axis=-1)
+            res = estimate_from_ls(model, spec, xls)
+            delta = res.xhat - x
+            out[spec.label] = (np.sum(delta * delta, axis=-1), ones @ res.shrinkage)
         return out
 
     bounds = _chunk_bounds(trials)
@@ -135,10 +148,12 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: in
             chunk_results = list(pool.map(eval_chunk, bounds))
     else:
         chunk_results = [eval_chunk(b) for b in bounds]
-    # Chunk-order concatenation keeps the reduction worker-independent.
-    return {
-        label: np.concatenate([c[label] for c in chunk_results]) for label in labels
-    }
+    # Chunk-order concatenation and summation keep the reduction
+    # worker-independent.
+    return PointErrors(
+        {label: np.concatenate([c[label][0] for c in chunk_results]) for label in labels},
+        {label: sum(c[label][1] for c in chunk_results) for label in labels},
+    )
 
 
 def _mean_stderr(se: np.ndarray):
@@ -220,11 +235,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
             for snr_idx, snr_db in enumerate(config.snr_grid_db):
                 x = scale_to_snr(model, direction, float(snr_db))
                 point_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, snr_idx)
-                se_by_label = _point_squared_errors(
+                point = _point_squared_errors(
                     model, x, config.estimators, trials, point_seed, workers
                 )
                 for spec in config.estimators:
-                    mean, stderr = _mean_stderr(se_by_label[spec.label])
+                    mean, stderr = _mean_stderr(point[spec.label])
                     rows.append(
                         MseRow(
                             scenario=scenario_name,
@@ -235,6 +250,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
                             mse_stderr=stderr,
                             trials=trials,
                             seed=seed,
+                            gain_mean=point.gain_sums[spec.label] / trials,
+                            eps0=model.eps0,
                         )
                     )
     rows.sort(key=MseRow.sort_key)

@@ -2,13 +2,14 @@
 output, and determinism across reruns and worker counts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from blindmm.cli import main
 from blindmm.linalg import read_vector_csv, write_matrix_csv
-from blindmm.scenarios import FIG4_NOISE_PROFILE
+from blindmm.scenarios import FIG4_NOISE_PROFILE, fig6_model
 
 
 @pytest.fixture
@@ -67,6 +68,11 @@ class TestEstimate:
         assert "b=300" in capsys.readouterr().err
         assert not (tmp_path / "xhat.csv").exists()
 
+    def test_infinite_shrinkc_constant_exit_2(self, iid_files, capsys):
+        assert self._run(iid_files, "shrinkc:c=inf") == 2
+        assert "shrinkc requires a finite c >= 0" in capsys.readouterr().err
+        assert not (iid_files / "xhat.csv").exists()
+
     def test_dimension_error_exit_3(self, iid_files):
         write_matrix_csv(iid_files / "short.csv", np.array([1.0, 2.0]))
         assert self._run(iid_files, "ls", y="short.csv") == 3
@@ -100,6 +106,17 @@ class TestEstimate:
         assert self._run(tmp_path, "ebme:b=-1") == 0
         assert "gain range" in capsys.readouterr().out
 
+    def test_gain_range_reported_for_tik1(self, tmp_path, capsys):
+        # Q = diag(1, 1/4), ||xls||^2 = 5, ridge weight 2/5: gains
+        # sig / (sig + 0.4) are 1/1.4 and 0.25/0.65 in Q's eigenbasis.
+        write_matrix_csv(tmp_path / "H.csv", np.eye(2))
+        write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0, 4.0]))
+        write_matrix_csv(tmp_path / "y.csv", np.array([1.0, 2.0]))
+        assert self._run(tmp_path, "tik1") == 0
+        out = capsys.readouterr().out
+        assert f"gain range: [{0.25 / 0.65:.6g}, {1.0 / 1.4:.6g}]" in out
+        assert "gain:" not in out
+
 
 class TestCheck:
     def test_published_profile(self, tmp_path, capsys):
@@ -118,6 +135,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "effective dimension: 3.0" in out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("b", ["nan", "300"])
+    def test_bad_exponent_exit_2(self, tmp_path, capsys, b):
+        write_matrix_csv(tmp_path / "H.csv", np.eye(10))
+        write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0] * 5 + [1e-3] * 5))
+        argv = ["check", "--H", str(tmp_path / "H.csv"), "--Cw", str(tmp_path / "Cw.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--b", b]) == 2
+        captured = capsys.readouterr()
+        assert f"b={b}" in captured.err
+        assert "FAIL" not in captured.out
 
     def test_five_five_profile_passes(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "H.csv", np.eye(10))
@@ -162,6 +191,44 @@ class TestScenario:
         assert "adaptive gain range (ebme:b=-1):" in text
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 3  # ls, sbme, ebme rows at the single snr point
+        # Three chunks: the gain lines come from the same pass as the CSV,
+        # so neither depends on the worker count.
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["scenario", "fig2-dct", "--out", str(out), "--trials", "9000",
+                         "--seed", "2", "--workers", workers]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_dct_scenario_single_monte_carlo_pass(self, tmp_path, monkeypatch):
+        import blindmm.scenarios
+        import blindmm.sim
+
+        calls = []
+        for module in (blindmm.sim, blindmm.scenarios):
+            def counted(*args, _real=module.normal_block, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "normal_block", counted)
+        out = tmp_path / "dct.csv"
+        assert main(["scenario", "fig2-dct", "--out", str(out), "--trials", "9000",
+                     "--seed", "1", "--workers", "1"]) == 0
+        assert len(calls) == 3  # one block per 4096-trial chunk, no second pass
+
+    def test_condition_sweep_normalized_per_case(self, tmp_path, capsys):
+        out = tmp_path / "fig6.csv"
+        assert main(["scenario", "fig6-cond", "--out", str(out), "--trials", "8", "--seed", "1"]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if len(fields) == 5 and fields[2].startswith("cond="):
+                printed[(fields[0], fields[2])] = fields[4]
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        assert len(printed) == len(rows) == 4 * 7
+        for row in rows:
+            eps0 = fig6_model(float(row[3].split("=")[1])).eps0
+            assert printed[(row[1], row[3])] == f"{float(row[4]) / eps0:.4f}"
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
@@ -239,6 +306,25 @@ class TestExperiment:
         p.write_text("{broken")
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_inline_model_built_once(self, tmp_path, monkeypatch):
+        import blindmm.scenarios
+
+        built = []
+        real = blindmm.scenarios.build_model
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blindmm.scenarios, "build_model", counted)
+        cfg = self._write_config(
+            tmp_path,
+            scenario={"H": {"identity": 3}, "Cw": {"diag": [1.0, 2.0, 3.0]}},
+            directions=[{"vector": [1, 0, 0]}],
+        )
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(built) == 1
 
     def test_invalid_model_exit_3(self, tmp_path):
         cfg = self._write_config(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from blindmm.estimators import (
+    RULES,
     EstimatorSpec,
     UnknownEstimatorError,
     balanced_bme,
@@ -412,10 +413,21 @@ class TestDominancePredicates:
         assert not sbme_dominance_holds(m)
         assert not ebme_dominance_holds(m, -1.0)
 
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), 300.0])
+    def test_bad_exponent_rejected(self, b):
+        # Q = diag(1 x5, 1000 x5): 1000**(300/2 - 1) overflows float64.
+        m = build_model(np.eye(10), np.diag([1.0] * 5 + [1e-3] * 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnknownEstimatorError, match=f"b={b:g}"):
+                ebme_dominance_holds(m, b)
+
 
 class TestSpecParsing:
     def test_bare_tags(self):
-        for tag in ("ls", "sbme", "bbm", "pbm", "bock", "tik1", "tik2"):
+        bare = [tag for tag, rule in RULES.items() if rule.param is None]
+        assert {"ls", "sbme", "bbm", "pbm", "bock", "tik1", "tik2"} <= set(bare)
+        for tag in bare:
             spec = parse_estimator_spec(tag)
             assert spec.kind == tag and spec.label == tag
 
@@ -439,9 +451,36 @@ class TestSpecParsing:
             parse_estimator_spec("james")
 
     def test_malformed_parameter_rejected(self):
-        for bad in ("ebme", "ebme:b=x", "shrinkc:c=-1", "shrinkc:d=1", "sbme:b=1", "offcenter"):
+        for bad in ("ebme", "ebme:b=x", "shrinkc:c=-1", "shrinkc:d=1", "sbme:b=1", "offcenter",
+                    "shrinkc:c=inf", "ebme:b=inf"):
             with pytest.raises(UnknownEstimatorError):
                 parse_estimator_spec(bad)
+
+    def test_constructor_validates_parameters(self):
+        for kind, kwargs in (
+            ("ebme", {}),
+            ("ebme", {"b": float("nan")}),
+            ("shrinkc", {"c": float("inf")}),
+            ("shrinkc", {"c": -0.5}),
+            ("offcenter", {}),
+            ("james", {}),
+        ):
+            with pytest.raises(UnknownEstimatorError):
+                EstimatorSpec(kind, **kwargs)
+        assert EstimatorSpec("shrinkc", c=0.0).label == "shrinkc:c=0"
+        assert EstimatorSpec("offcenter", x0=np.zeros(2)).label == "offcenter"
+
+    def test_per_component_flag_matches_gain_profiles(self):
+        # Scalar rules apply one gain to every component; per-component rules
+        # vary it across Q's eigenbasis (distinct eigenvalues here).
+        m = fig4_model()
+        xls = np.random.default_rng(20).standard_normal((64, 15)) * 2.0
+        for tag, rule in RULES.items():
+            spec = EstimatorSpec(tag, b=-1.0, c=1.0, x0=np.zeros(15))
+            gains = estimate_from_ls(m, spec, xls).shrinkage
+            assert gains.shape == xls.shape
+            scalar = bool(np.all(gains == gains[:, :1]))
+            assert scalar != rule.per_component, tag
 
     def test_dispatch_matches_functions(self):
         m = fig4_model()

@@ -161,6 +161,30 @@ class TestRunExperiment:
         rows3 = run_experiment(self._tiny_config(trials=9000), workers=3)
         assert rows1 == rows3
 
+    def test_gain_profiles_worker_invariant(self):
+        cfg = self._tiny_config(trials=9000)
+        cfg.estimators = cfg.estimators + [EstimatorSpec("ebme", b=-1.0)]
+        rows1 = run_experiment(cfg, workers=1)
+        rows3 = run_experiment(cfg, workers=3)
+        for a, b in zip(rows1, rows3):
+            assert a.gain_mean.shape == (15,)
+            assert np.array_equal(a.gain_mean, b.gain_mean)
+            assert a.eps0 == b.eps0 == fig4_model().eps0
+
+    def test_gain_profiles_are_trial_means(self):
+        m = fig4_model()
+        x = scale_to_snr(m, np.ones(15), 0.0)
+        specs = [EstimatorSpec("ls"), EstimatorSpec("sbme"), EstimatorSpec("ebme", b=-1.0)]
+        point = _point_squared_errors(m, x, specs, 5000, seed=6)
+        assert np.array_equal(point.gain_sums["ls"], np.full(15, 5000.0))
+        xls = np.concatenate([
+            (normal_block(6, np.arange(lo, hi), m.n) @ m.cw_sqrt + m.H @ x) @ m.ls_op.T
+            for lo, hi in ((0, 4096), (4096, 5000))
+        ])
+        for spec in specs[1:]:
+            direct = estimate_from_ls(m, spec, xls).shrinkage.sum(axis=0)
+            np.testing.assert_allclose(point.gain_sums[spec.label], direct, rtol=1e-12)
+
     def test_seed_changes_results(self):
         a = run_experiment(self._tiny_config(seed=0))
         b = run_experiment(self._tiny_config(seed=1))
@@ -234,6 +258,13 @@ class TestResultsCsv:
         assert lines[1].startswith("s,ls,-5.0,")
         assert lines[2].startswith("s,ls,5.0,")
         assert lines[3].startswith("s,sbme,5.0,")
+
+    def test_run_fields_not_in_csv_or_equality(self):
+        bare = MseRow("s", "sbme", 5.0, "max-eig", 1.25, 0.01, 10, 0)
+        full = MseRow("s", "sbme", 5.0, "max-eig", 1.25, 0.01, 10, 0,
+                      gain_mean=np.full(3, 0.5), eps0=2.0)
+        assert bare == full and hash(bare) == hash(full)
+        assert format_results_csv([bare]) == format_results_csv([full])
 
     def test_floats_round_trip(self):
         text = format_results_csv(self._rows())
