@@ -5,18 +5,21 @@ All estimators are written as functions of the least-squares estimate
 Carlo trial solves for ``xls`` once and fans out. Every function accepts
 either a single vector of length ``m`` or a ``(..., m)`` batch and is pure.
 
-The family:
+The family. Every scalar rule applies one gain ``1 - e / (c + s)``
+(``_ratio_gain``) to ``xls``:
 
-* ``sbme``       -- scalar gain ``||xls||^2 / (||xls||^2 + eps0)``;
-* ``shrink_c``   -- scalar gain ``1 - eps0 / (c + ||xls||^2)``, the common
-  generalization (``c = eps0`` gives ``sbme``, ``c = 0`` the balanced rule);
-* ``off_center_sbme`` -- convex combination of ``xls`` and a fixed point;
-* ``ebme``       -- per-spectral-component gains ``(1 - alpha * sig**(b/2))_+``
-  in the eigenbasis of ``Q``, shrinking noisy components harder;
-* ``balanced_bme`` / ``positive_part_bme`` -- gain ``1 - eps0 / ||xls||^2``
-  and its clamp at zero;
-* ``bock``       -- scalar gain ``1 - (eps0/eps_max - 2) / ||xls||^2_Q``;
-* ``tikhonov1`` / ``tikhonov2`` -- empirically regularized least squares.
+* ``sbme``         -- ``s = ||xls||^2``, ``c = e = eps0``;
+* ``shrink_c``     -- ``s = ||xls||^2``, a finite ``c >= 0``, ``e = eps0``;
+* ``balanced_bme`` -- ``s = ||xls||^2``, ``c = 0``, ``e = eps0``; may be
+  negative, and ``positive_part_bme`` clamps it at zero;
+* ``bock``         -- ``s = ||xls||^2_Q``, ``c = 0``, ``e = eps0/eps_max - 2``;
+* ``tikhonov2``    -- ``s = ||xls||^2_Q``, ``c = e = m``.
+
+``off_center_sbme`` shrinks toward a fixed point ``x0`` with the ``sbme``
+gain. The spectral rules apply per-component gains in the eigenbasis of
+``Q``: ``ebme`` uses ``(1 - alpha * sig**(b/2))_+``, shrinking noisy
+components harder, and ``tikhonov1`` is least squares with the empirical
+ridge weight ``m / ||xls||^2``.
 
 ``sbme_dominance_holds`` / ``ebme_dominance_holds`` evaluate the sufficient
 conditions under which the corresponding estimators beat least squares for
@@ -71,58 +74,62 @@ def _check_ls(model: Model, xls) -> np.ndarray:
     return xls
 
 
-def _scalar_result(model: Model, xls, gain, degenerate_mask) -> EstimateResult:
-    gain = np.asarray(gain, dtype=np.float64)
+def _finite(v) -> bool:
+    return v is not None and bool(np.isfinite(v))
+
+
+def _check_exponent(b) -> None:
+    if not _finite(b):
+        raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
+
+
+def _ratio_gain(s, c, e):
+    """The scalar gain ``1 - e / (c + s)`` of every scalar rule, and 0 where
+    ``c + s == 0``.
+
+    The ratio form ``((c - e) + s) / (c + s)`` keeps relative accuracy when
+    the gain is tiny, and reduces exactly to ``s / (s + e)`` at ``c = e``
+    and to ``(s - e) / s`` at ``c = 0``.
+    """
+    denom = c + s
+    return np.divide((c - e) + s, denom, out=np.zeros_like(denom), where=denom != 0.0)
+
+
+def _scalar_result(xls, gain, degenerate) -> EstimateResult:
     xhat = gain[..., None] * xls
     shrinkage = np.broadcast_to(gain[..., None], xls.shape).copy()
-    return EstimateResult(
-        xhat=xhat, shrinkage=shrinkage, degenerate=bool(np.any(degenerate_mask))
-    )
+    return EstimateResult(xhat=xhat, shrinkage=shrinkage, degenerate=bool(np.any(degenerate)))
 
 
 def sbme(model: Model, xls) -> EstimateResult:
     """Spherical rule: shrink toward the origin by
     ``||xls||^2 / (||xls||^2 + eps0)``; gain in [0, 1), zero only at zero."""
-    xls = _check_ls(model, xls)
-    n2 = np.sum(xls * xls, axis=-1)
-    gain = n2 / (n2 + model.eps0)
-    return _scalar_result(model, xls, gain, False)
+    return shrink_c(model, xls, model.eps0)
 
 
 def shrink_c(model: Model, xls, c: float) -> EstimateResult:
-    """Scalar gain ``1 - eps0 / (c + ||xls||^2)`` for ``c >= 0``.
+    """Scalar gain ``1 - eps0 / (c + ||xls||^2)`` for a finite ``c >= 0``.
 
-    ``c = eps0`` reproduces ``sbme`` exactly; ``c = 0`` reproduces
-    ``balanced_bme``. The ``c = 0``, ``xls = 0`` corner is undefined and
-    returns zero with the degenerate flag set.
+    ``c = eps0`` is ``sbme``; ``c = 0`` is ``balanced_bme``. The ``c = 0``,
+    ``xls = 0`` corner is undefined and returns zero with the degenerate
+    flag set.
     """
-    if c < 0:
-        raise ValueError(f"shrink_c: c must be >= 0, got {c}")
+    if not (_finite(c) and c >= 0.0):
+        raise UnknownEstimatorError(f"shrink_c requires a finite c >= 0, got c={c}")
     xls = _check_ls(model, xls)
     n2 = np.sum(xls * xls, axis=-1)
-    denom = c + n2
-    degenerate = denom == 0.0
-    # Ratio form of 1 - eps0/(c + n2): keeps relative accuracy when the
-    # gain is tiny, and reduces bitwise to the spherical/balanced rules at
-    # c = eps0 and c = 0.
-    gain = np.where(
-        degenerate, 0.0, ((c - model.eps0) + n2) / np.where(degenerate, 1.0, denom)
-    )
-    return _scalar_result(model, xls, gain, degenerate)
+    return _scalar_result(xls, _ratio_gain(n2, c, model.eps0), c + n2 == 0.0)
 
 
 def off_center_sbme(model: Model, xls, x0) -> EstimateResult:
     """Spherical rule centered on ``x0`` instead of the origin: returns
     ``g * xls + (1 - g) * x0`` with the ``sbme`` gain ``g``."""
-    xls = _check_ls(model, xls)
+    result = sbme(model, xls)
     x0 = as_vector(x0, "x0")
     if x0.shape[0] != model.m:
         raise DimensionMismatchError(f"x0: dim {x0.shape[0]} does not match m={model.m}")
-    n2 = np.sum(xls * xls, axis=-1)
-    gain = n2 / (n2 + model.eps0)
-    xhat = gain[..., None] * xls + (1.0 - gain)[..., None] * x0
-    shrinkage = np.broadcast_to(gain[..., None], xls.shape).copy()
-    return EstimateResult(xhat=xhat, shrinkage=shrinkage, degenerate=False)
+    result.xhat += (1.0 - result.shrinkage[..., :1]) * x0
+    return result
 
 
 def balanced_bme(model: Model, xls) -> EstimateResult:
@@ -131,13 +138,7 @@ def balanced_bme(model: Model, xls) -> EstimateResult:
     Undefined at ``xls = 0`` (a probability-zero event): returns the zero
     vector with ``degenerate=True``.
     """
-    xls = _check_ls(model, xls)
-    n2 = np.sum(xls * xls, axis=-1)
-    degenerate = n2 == 0.0
-    gain = np.where(
-        degenerate, 0.0, (n2 - model.eps0) / np.where(degenerate, 1.0, n2)
-    )
-    return _scalar_result(model, xls, gain, degenerate)
+    return shrink_c(model, xls, 0.0)
 
 
 def positive_part_bme(model: Model, xls) -> EstimateResult:
@@ -147,10 +148,7 @@ def positive_part_bme(model: Model, xls) -> EstimateResult:
     ``xls = 0``, where no flag is needed)."""
     xls = _check_ls(model, xls)
     n2 = np.sum(xls * xls, axis=-1)
-    zero = n2 == 0.0
-    gain = np.maximum((n2 - model.eps0) / np.where(zero, 1.0, n2), 0.0)
-    gain = np.where(zero, 0.0, gain)
-    return _scalar_result(model, xls, gain, False)
+    return _scalar_result(xls, np.maximum(_ratio_gain(n2, 0.0, model.eps0), 0.0), False)
 
 
 def bock(model: Model, xls) -> EstimateResult:
@@ -158,12 +156,8 @@ def bock(model: Model, xls) -> EstimateResult:
     gain ``1 - (eps0/eps_max - 2) / ||xls||^2_Q``; may be negative."""
     xls = _check_ls(model, xls)
     qn = _q_norm2(model, xls)
-    degenerate = qn == 0.0
-    correction = model.eps0 / model.eps_max - 2.0
-    gain = np.where(
-        degenerate, 0.0, (qn - correction) / np.where(degenerate, 1.0, qn)
-    )
-    return _scalar_result(model, xls, gain, degenerate)
+    gain = _ratio_gain(qn, 0.0, model.eps0 / model.eps_max - 2.0)
+    return _scalar_result(xls, gain, qn == 0.0)
 
 
 def _q_norm2(model: Model, xls) -> np.ndarray:
@@ -171,11 +165,11 @@ def _q_norm2(model: Model, xls) -> np.ndarray:
     return (v * v) @ model.Qeig.eigenvalues
 
 
-def _spectral_result(model: Model, xls, gains, degenerate_mask) -> EstimateResult:
-    """Apply per-component gains in the eigenbasis of Q."""
-    v = xls @ model.Qeig.basis
+def _spectral_result(model: Model, v, gains, degenerate) -> EstimateResult:
+    """Apply per-component gains to ``v = xls @ basis`` (``Q``'s eigenbasis)
+    and rotate back."""
     xhat = (gains * v) @ model.Qeig.basis.T
-    return EstimateResult(xhat=xhat, shrinkage=gains, degenerate=bool(np.any(degenerate_mask)))
+    return EstimateResult(xhat=xhat, shrinkage=gains, degenerate=bool(np.any(degenerate)))
 
 
 def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> EstimateResult:
@@ -194,6 +188,7 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
     ``positive_part=False`` skips the clamp, exposing the raw
     ``(I - alpha Q^{b/2}) xls`` rule the clamp provably improves on.
     """
+    _check_exponent(b)
     xls = _check_ls(model, xls)
     sig = model.Qeig.eigenvalues
     m = model.m
@@ -236,10 +231,10 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
         raise UnknownEstimatorError(
             f"ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
         )
-    gains = gains_o[..., inv_order]
-    xhat = (gains * v) @ model.Qeig.basis.T
-    xhat = np.where(zero[..., None], 0.0, xhat)
-    return EstimateResult(xhat=xhat, shrinkage=gains, degenerate=False)
+    result = _spectral_result(model, v, gains_o[..., inv_order], False)
+    # At xls = 0 the rotations can leave -0.0 entries; return +0.0.
+    result.xhat = np.where(zero[..., None], 0.0, result.xhat)
+    return result
 
 
 def _tikhonov1_from_ls(model: Model, xls) -> EstimateResult:
@@ -251,17 +246,14 @@ def _tikhonov1_from_ls(model: Model, xls) -> EstimateResult:
     degenerate = n2 == 0.0
     lam = model.m / np.where(degenerate, 1.0, n2)
     sig = model.Qeig.eigenvalues
-    gains = sig / (sig + lam[..., None])
-    gains = np.where(degenerate[..., None], 0.0, gains)
-    return _spectral_result(model, xls, gains, degenerate)
+    gains = np.where(degenerate[..., None], 0.0, sig / (sig + lam[..., None]))
+    return _spectral_result(model, xls @ model.Qeig.basis, gains, degenerate)
 
 
 def _tikhonov2_from_ls(model: Model, xls) -> EstimateResult:
     xls = _check_ls(model, xls)
     qn = _q_norm2(model, xls)
-    degenerate = qn == 0.0
-    gain = np.where(degenerate, 0.0, qn / (model.m + qn))
-    return _scalar_result(model, xls, gain, degenerate)
+    return _scalar_result(xls, _ratio_gain(qn, model.m, model.m), qn == 0.0)
 
 
 def tikhonov1(model: Model, y) -> EstimateResult:
@@ -289,8 +281,7 @@ def ebme_dominance_holds(model: Model, b: float) -> bool:
     exactly the scalar condition. A ``b`` that is not finite, or whose
     powers of the eigenvalues leave float64 range, raises
     ``UnknownEstimatorError``."""
-    if not _finite(b):
-        raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
+    _check_exponent(b)
     with np.errstate(over="ignore"):
         powers = model.Qeig.eigenvalues ** (b / 2.0 - 1.0)
         total = float(np.sum(powers))
@@ -308,10 +299,6 @@ def ebme_dominance_holds(model: Model, b: float) -> bool:
 # entry per tag with its parameter, its label and the rule it applies:
 #   ls | sbme | bbm | pbm | bock | tik1 | tik2
 #   ebme:b=<float>   shrinkc:c=<float>   offcenter:file=<vector csv>
-
-
-def _finite(v) -> bool:
-    return v is not None and bool(np.isfinite(v))
 
 
 def _number(key: str):

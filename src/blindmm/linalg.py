@@ -209,21 +209,25 @@ def read_vector_csv(path, name: str = "vector") -> np.ndarray:
     return m[:, 0]
 
 
-def write_matrix_csv(path, a) -> None:
-    """Write a matrix (or a vector, as one column) atomically."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the target
+    directory and a rename, so readers never see a partial file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".blindmm-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for row in a:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_matrix_csv(path, a) -> None:
+    """Write a matrix (or a vector, as one column) atomically."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    write_text_atomic(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a))

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from blindmm.estimators import EstimatorSpec, estimate_from_ls, parse_estimator_spec
-from blindmm.linalg import LinalgError, as_vector, read_vector_csv
+from blindmm.linalg import LinalgError, as_vector, read_vector_csv, write_text_atomic
 from blindmm.model import Model, scale_to_snr
 from blindmm.rng import derive_seed, generator, normal_block
 
@@ -92,6 +91,13 @@ class ExperimentConfig:
             raise ConfigError("estimators: must be a nonempty list")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db: must be a nonempty list")
+        snr = np.asarray(self.snr_grid_db, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear = 10.0 ** (snr / 10.0)
+        if not np.all(np.isfinite(snr) & np.isfinite(linear)):
+            raise ConfigError(
+                "snr_grid_db: entries must be finite, with 10**(snr/10) within float64 range"
+            )
         if not self.directions:
             raise ConfigError("directions: must be a nonempty list")
         if int(self.trials) < 1:
@@ -108,8 +114,23 @@ def _check_seed(seed) -> None:
         )
 
 
-def _chunk_bounds(trials: int):
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
+def _map_chunks(fn, seed, trials: int, width: int, workers: int = 1) -> list:
+    """``fn(z)`` for each ``CHUNK_TRIALS`` block of trials, in chunk order.
+
+    ``z`` holds the block's ``(rows, width)`` standard normals, keyed by
+    ``(seed, first trial)``; up to ``workers`` threads evaluate the blocks.
+    """
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
+
+    def run(lo):
+        return fn(normal_block(seed, np.arange(lo, min(lo + CHUNK_TRIALS, trials)), width))
+
+    starts = range(0, trials, CHUNK_TRIALS)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, starts))
+    return [run(lo) for lo in starts]
 
 
 class PointErrors(dict):
@@ -129,12 +150,10 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: in
     hx = model.H @ x
     labels = [spec.label for spec in specs]
 
-    def eval_chunk(bounds):
-        lo, hi = bounds
-        z = normal_block(seed, np.arange(lo, hi), model.n)
+    def eval_chunk(z):
         y = z @ model.cw_sqrt + hx
         xls = y @ model.ls_op.T
-        ones = np.ones(hi - lo)  # ones @ a: 10x faster than a.sum(axis=0) at m = 10
+        ones = np.ones(z.shape[0])  # ones @ a: 10x faster than a.sum(axis=0) at m = 10
         out = {}
         for spec in specs:
             res = estimate_from_ls(model, spec, xls)
@@ -142,12 +161,7 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: in
             out[spec.label] = (np.sum(delta * delta, axis=-1), ones @ res.shrinkage)
         return out
 
-    bounds = _chunk_bounds(trials)
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(eval_chunk, bounds))
-    else:
-        chunk_results = [eval_chunk(b) for b in bounds]
+    chunk_results = _map_chunks(eval_chunk, seed, trials, model.n, workers)
     # Chunk-order concatenation and summation keep the reduction
     # worker-independent.
     return PointErrors(
@@ -259,18 +273,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
 
 def _fill_from_preset(config: ExperimentConfig) -> ExperimentConfig:
-    """Named scenarios lend their defaults to any field left empty."""
+    """A copy of ``config`` in which a named scenario lends its defaults to
+    any field left empty."""
     from blindmm import scenarios
 
-    if isinstance(config.scenario, str):
-        preset = scenarios.preset(config.scenario)
-        if not config.estimators:
-            config.estimators = list(preset.estimators)
-        if not config.snr_grid_db:
-            config.snr_grid_db = list(preset.snr_grid_db)
-        if not config.directions:
-            config.directions = list(preset.directions)
-    return config
+    if not isinstance(config.scenario, str):
+        return config
+    preset = scenarios.preset(config.scenario)
+    return replace(
+        config,
+        estimators=list(config.estimators or preset.estimators),
+        snr_grid_db=list(config.snr_grid_db or preset.snr_grid_db),
+        directions=list(config.directions or preset.directions),
+    )
 
 
 # --- config file loading ----------------------------------------------------
@@ -405,18 +420,8 @@ def format_results_csv(rows) -> str:
 
 
 def write_results_csv(path, rows) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".blindmm-", suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(format_results_csv(rows))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write the results CSV atomically (``linalg.write_text_atomic``)."""
+    write_text_atomic(path, format_results_csv(rows))
 
 
 # --- Gaussian integration-by-parts identity ----------------------------------
@@ -452,8 +457,8 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
         raise ConfigError("sigma must have the same length as v")
     if np.any(sigma <= 0.0):
         raise ConfigError("sigma entries must be positive")
-    if c < 0.0:
-        raise ConfigError("c must be >= 0")
+    if not (np.isfinite(c) and c >= 0.0):
+        raise ConfigError(f"c must be finite and >= 0, got {c}")
     if c == 0.0 and not np.any(v != 0.0):
         raise DegenerateGError("g is undefined at c=0 with v=0")
     _check_seed(seed)
@@ -462,14 +467,9 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     if g not in ("shrink", "linear"):
         raise ValueError(f"unknown test function {g!r}")
 
-    p = v.shape[0]
     inv_sigma = 1.0 / sigma
-    sum_deriv = np.zeros(p)
-    sum_cross = np.zeros(p)
-    sum_diff = np.zeros(p)
-    sum_diff2 = np.zeros(p)
-    for lo, hi in _chunk_bounds(trials):
-        z = normal_block(seed, np.arange(lo, hi), p)
+
+    def column_sums(z):
         vh = v + z
         if g == "shrink":
             q = (vh * vh) @ inv_sigma
@@ -481,10 +481,13 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
             deriv = np.ones_like(vh)
         cross = gi * (v - vh)
         diff = deriv + cross
-        sum_deriv += deriv.sum(axis=0)
-        sum_cross += cross.sum(axis=0)
-        sum_diff += diff.sum(axis=0)
-        sum_diff2 += (diff * diff).sum(axis=0)
+        return np.stack([deriv.sum(axis=0), cross.sum(axis=0), diff.sum(axis=0),
+                         (diff * diff).sum(axis=0)])
+
+    # Chunk-order sums, as for the squared errors.
+    sum_deriv, sum_cross, sum_diff, sum_diff2 = sum(
+        _map_chunks(column_sums, seed, trials, v.shape[0])
+    )
     lhs = sum_deriv / trials
     rhs = -sum_cross / trials
     mean_diff = sum_diff / trials

@@ -326,6 +326,26 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 4000.0])
+    def test_bad_snr_grid_exit_2(self, tmp_path, capsys, snr):
+        cfg = self._write_config(tmp_path, snr_grid_db=[0.0, snr])  # NaN, Infinity, 4000.0
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "o.csv"
+        assert main(
+            ["experiment", "--config", str(cfg), "--out", str(out), "--workers", workers]
+        ) == 2
+        assert "workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_model_exit_3(self, tmp_path):
         cfg = self._write_config(
             tmp_path,
@@ -349,6 +369,14 @@ class TestSteinCheckCommand:
 
     def test_bad_vector_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,x", "--sigma", "1", "--trials", "10000"]) == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_bad_constant_exit_2(self, capsys, c):
+        assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",
+                     "--c", c]) == 2
+        captured = capsys.readouterr()
+        assert "c must be finite" in captured.err
+        assert captured.out == ""
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",

@@ -109,6 +109,14 @@ class TestShrinkC:
         with pytest.raises(ValueError):
             shrink_c(iid_model(3), np.ones(3), -0.5)
 
+    @pytest.mark.parametrize("c", [float("inf"), float("nan")])
+    def test_non_finite_c_rejected(self, c):
+        # A typed error, not NaN gains behind a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnknownEstimatorError, match="finite c >= 0"):
+                shrink_c(iid_model(3), np.ones(3), c)
+
     def test_degenerate_corner(self):
         r = shrink_c(iid_model(3), np.zeros(3), 0.0)
         np.testing.assert_array_equal(r.xhat, np.zeros(3))
@@ -320,6 +328,11 @@ class TestEbme:
             clamped.shrinkage, np.maximum(raw.shrinkage, 0.0)
         )
 
+    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, b):
+        with pytest.raises(UnknownEstimatorError, match=f"requires a finite exponent b, got b={b:g}"):
+            ebme(fig4_model(), np.ones(15), b=b)
+
     @pytest.mark.parametrize("b", [120.0, 300.0])
     def test_overflowing_exponent_rejected(self, b):
         # 1000**b overflows float64: a typed error naming b, not NaN or
@@ -338,6 +351,78 @@ class TestEbme:
             ebme(fig4_model(), xls, b=-1.0)
         with pytest.raises(NonFiniteError):
             estimate_from_ls(fig4_model(), EstimatorSpec("sbme"), xls)
+
+
+class TestScalarGainOracle:
+    """Each scalar rule's gain against its textbook closed form, with
+    ``||xls||^2_Q`` taken from ``H`` and ``Cw`` directly."""
+
+    FORMS = {
+        "sbme": lambda n2, qn, m: n2 / (n2 + m.eps0),
+        "bbm": lambda n2, qn, m: 1.0 - m.eps0 / n2,
+        "pbm": lambda n2, qn, m: np.maximum(1.0 - m.eps0 / n2, 0.0),
+        "bock": lambda n2, qn, m: 1.0 - (m.eps0 / m.eps_max - 2.0) / qn,
+        "tik2": lambda n2, qn, m: qn / (m.m + qn),
+        "shrinkc:c=0.5": lambda n2, qn, m: 1.0 - m.eps0 / (0.5 + n2),
+        "shrinkc:c=7": lambda n2, qn, m: 1.0 - m.eps0 / (7.0 + n2),
+    }
+
+    @pytest.mark.parametrize("tag", sorted(FORMS))
+    def test_gain_matches_closed_form(self, tag):
+        rng = np.random.default_rng(22)
+        spec = parse_estimator_spec(tag)
+        models = [fig4_model(), fig5b_model()] + [random_model(rng, dense) for dense in (0, 1) * 3]
+        for m in models:
+            q = m.H.T @ np.linalg.solve(m.Cw, m.H)
+            for scale in (0.3, 1.0, 4.0):
+                xls = rng.standard_normal((200, m.m)) * scale * np.sqrt(m.eps0 / m.m)
+                n2 = np.einsum("ij,ij->i", xls, xls)
+                qn = np.einsum("ij,jk,ik->i", xls, q, xls)
+                res = estimate_from_ls(m, spec, xls)
+                assert res.shrinkage.shape == xls.shape
+                # 1 - e/s rounds to an absolute error of a few ulps of 1, which
+                # is not small relative to a gain near zero: hence the atol.
+                np.testing.assert_allclose(
+                    res.shrinkage, np.repeat(self.FORMS[tag](n2, qn, m)[:, None], m.m, axis=1),
+                    rtol=1e-12, atol=1e-15,
+                )
+                np.testing.assert_array_equal(res.xhat, res.shrinkage * xls)
+
+
+# Degenerate flag at xls = 0 on fig4_model: set exactly where a rule's
+# denominator vanishes there.
+_FLAG_AT_ZERO = [
+    ("ls", {}, False),
+    ("sbme", {}, False),
+    ("bbm", {}, True),
+    ("pbm", {}, False),
+    ("bock", {}, True),
+    ("tik1", {}, True),
+    ("tik2", {}, True),
+    ("ebme", {"b": -1.0}, False),
+    ("shrinkc", {"c": 0.0}, True),
+    ("shrinkc", {"c": 1.0}, False),
+    ("offcenter", {"x0": np.ones(15)}, False),
+]
+
+
+def test_zero_flag_table_covers_every_rule():
+    assert {kind for kind, _, _ in _FLAG_AT_ZERO} == set(RULES)
+
+
+@pytest.mark.parametrize(
+    "kind,params,flag", _FLAG_AT_ZERO, ids=[EstimatorSpec(k, **p).label for k, p, _ in _FLAG_AT_ZERO]
+)
+def test_degenerate_flag_at_zero(kind, params, flag):
+    m = fig4_model()
+    spec = EstimatorSpec(kind, **params)
+    assert estimate_from_ls(m, spec, np.zeros(15)).degenerate is flag
+    # A batch is flagged when any of its rows is.
+    batch = np.vstack([np.ones(15), np.zeros(15)])
+    res = estimate_from_ls(m, spec, batch)
+    assert res.degenerate is flag
+    assert res.shrinkage.shape == batch.shape
+    assert estimate_from_ls(m, spec, np.ones((2, 15))).degenerate is False
 
 
 class TestRotationEquivariance:

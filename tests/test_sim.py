@@ -2,6 +2,7 @@
 config parsing, CSV output, and the integration-by-parts identity check."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,29 @@ class TestRunExperiment:
         assert rows[0].scenario == "tiny"
         assert rows[0].sweep_key == "vec-000"
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf"), 4000.0])
+    def test_bad_snr_rejected(self, snr):
+        cfg = self._tiny_config()
+        cfg.snr_grid_db = [0.0, snr]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="snr_grid_db"):
+                cfg.validate()
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_bad_worker_count_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(self._tiny_config(), workers=workers)
+        m = fig4_model()
+        with pytest.raises(ConfigError, match="workers"):
+            monte_carlo_mse(m, np.ones(15), EstimatorSpec("ls"), 100, seed=0, workers=workers)
+
+    def test_caller_config_unchanged(self):
+        cfg = ExperimentConfig(scenario="fig4-snr", trials=8, seed=0)
+        assert len(run_experiment(cfg)) == 4 * 13 * 2
+        assert cfg == ExperimentConfig(scenario="fig4-snr", trials=8, seed=0)
+        assert cfg.estimators == [] and cfg.snr_grid_db == [] and cfg.directions == []
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(scenario="fig4-snr", trials=0, seed=0))
@@ -393,6 +417,21 @@ class TestSteinIdentity:
             stein_lemma_check([1.0, 2.0], [1.0], 1.0, 10**4, seed=0)
         with pytest.raises(ConfigError):
             stein_lemma_check([1.0], [-1.0], 1.0, 10**4, seed=0)
+        for c in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="c must be finite"):
+                stein_lemma_check([1.0], [1.0], c, 10**4, seed=0)
+
+    def test_sums_match_one_block(self):
+        # Chunked column sums against one pass over the same normals.
+        v, sigma, c = np.array([1.0, 2.0]), np.array([1.0, 4.0]), 1.0
+        res = stein_lemma_check(v, sigma, c, 10**4, seed=8)
+        vh = v + np.concatenate([
+            normal_block(8, np.arange(lo, hi), 2) for lo, hi in ((0, 4096), (4096, 8192), (8192, 10**4))
+        ])
+        denom = (c + (vh * vh) @ (1.0 / sigma))[:, None]
+        deriv = 1.0 / denom - 2.0 * vh * vh / (sigma * denom * denom)
+        np.testing.assert_allclose(res.lhs, deriv.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(res.rhs, -(vh / denom * (v - vh)).mean(axis=0), rtol=1e-12)
 
 
 class TestPairedDominanceChecks:
