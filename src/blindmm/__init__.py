@@ -6,7 +6,6 @@ from blindmm.linalg import (
     LinalgError,
     condition_number,
     psd_power,
-    quad_form,
     sym_eig,
 )
 from blindmm.model import (
@@ -70,7 +69,6 @@ __all__ = [
     "parse_estimator_spec",
     "positive_part_bme",
     "psd_power",
-    "quad_form",
     "run_experiment",
     "sbme",
     "sbme_dominance_holds",

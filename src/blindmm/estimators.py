@@ -1,25 +1,28 @@
 """Shrinkage estimators that post-process the least-squares solution.
 
-All estimators are written as functions of the least-squares estimate
-``xls`` (the Tikhonov variants also exist in measurement form), so a Monte
-Carlo trial solves for ``xls`` once and fans out. Every function accepts
-either a single vector of length ``m`` or a ``(..., m)`` batch and is pure.
+Every rule rescales the eigen-coordinates ``v = U' xls`` of the
+least-squares estimate, ``U`` the eigenbasis of ``Q = H' Cw^-1 H``, by one
+gain per trial (scalar rules) or per component (spectral rules). Each tag
+in ``RULES`` builds a ``Plan`` for a model whose ``gains(v)`` kernel works on
+``(m, rows)`` eigen-coordinates; the public functions below and the Monte
+Carlo engine in ``sim`` run the same kernels, so each formula exists once.
+The public functions accept one vector of length ``m`` or a ``(..., m)``
+batch and are pure.
 
-The family. Every scalar rule applies one gain ``1 - e / (c + s)``
-(``_ratio_gain``) to ``xls``:
+Every rule but ``ls`` and ``ebme`` applies the gain ``1 - e / (c + s)``
+(``_ratio_gain``):
 
 * ``sbme``         -- ``s = ||xls||^2``, ``c = e = eps0``;
 * ``shrink_c``     -- ``s = ||xls||^2``, a finite ``c >= 0``, ``e = eps0``;
 * ``balanced_bme`` -- ``s = ||xls||^2``, ``c = 0``, ``e = eps0``; may be
   negative, and ``positive_part_bme`` clamps it at zero;
 * ``bock``         -- ``s = ||xls||^2_Q``, ``c = 0``, ``e = eps0/eps_max - 2``;
-* ``tikhonov2``    -- ``s = ||xls||^2_Q``, ``c = e = m``.
+* ``tikhonov2``    -- ``s = ||xls||^2_Q``, ``c = e = m``;
+* ``tikhonov1``    -- per component, ``s_i = sig_i ||xls||^2``, ``c = e = m``.
 
 ``off_center_sbme`` shrinks toward a fixed point ``x0`` with the ``sbme``
-gain. The spectral rules apply per-component gains in the eigenbasis of
-``Q``: ``ebme`` uses ``(1 - alpha * sig**(b/2))_+``, shrinking noisy
-components harder, and ``tikhonov1`` is least squares with the empirical
-ridge weight ``m / ||xls||^2``.
+gain. ``ebme`` applies ``(1 - alpha * sig**(b/2))_+`` per component,
+shrinking noisy components harder.
 
 ``sbme_dominance_holds`` / ``ebme_dominance_holds`` evaluate the sufficient
 conditions under which the corresponding estimators beat least squares for
@@ -29,7 +32,7 @@ every parameter value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,16 +98,122 @@ def _ratio_gain(s, c, e):
     return np.divide((c - e) + s, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
-def _scalar_result(xls, gain, degenerate) -> EstimateResult:
-    xhat = gain[..., None] * xls
-    shrinkage = np.broadcast_to(gain[..., None], xls.shape).copy()
-    return EstimateResult(xhat=xhat, shrinkage=shrinkage, degenerate=bool(np.any(degenerate)))
+# --- gain kernels -----------------------------------------------------------
+
+
+class Plan(NamedTuple):
+    """A rule's kernel for one model. ``gains(v)`` maps ``(m, rows)``
+    eigen-coordinates to ``(g, degenerate)``: ``g`` is ``(rows,)`` or, per
+    component, ``(m, rows)``; ``degenerate`` flags rows where the rule is
+    undefined (gain 0 there). ``center`` is the point shrunk toward
+    (``None``: the origin)."""
+
+    gains: Callable
+    center: np.ndarray | None = None
+
+
+def _unit_gains(v):
+    return np.ones(v.shape[1]), False
+
+
+def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, center=None):
+    """Gain ``_ratio_gain(s, c, e)`` with ``s = ||xls||^2``, or
+    ``||xls||^2_Q`` when ``weights`` holds ``Q``'s eigenvalues. An ``(m, 1)``
+    ``spread`` makes it per component, ``s_i = spread_i * s``; ``clamp``
+    takes the positive part and ``zero_flag`` flags ``s == 0``."""
+
+    def gains(v):
+        vv = v * v
+        s = vv.sum(axis=0) if weights is None else weights @ vv
+        g = _ratio_gain(s if spread is None else spread * s, c, e)
+        if clamp:
+            np.maximum(g, 0.0, out=g)
+        return g, zero_flag & (s == 0.0)
+
+    return Plan(gains, center)
+
+
+def _center_plan(model: Model, x0) -> Plan:
+    x0 = as_vector(x0, "x0")
+    if x0.shape[0] != model.m:
+        raise DimensionMismatchError(f"x0: dim {x0.shape[0]} does not match m={model.m}")
+    return _ratio_plan(model.eps0, model.eps0, center=x0)
+
+
+_OVERFLOW = "ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
+
+
+def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
+    """``ebme``'s threshold table. With components ranked so ``sig**b`` is
+    non-increasing, ``t_k = r1_k * sig_k**(b/2) - r2_k`` is non-increasing
+    (``sum_{j>=k} sig_j**(b/2-1) (sig_k**(b/2) - sig_j**(b/2))``; its running
+    minimum absorbs rounding), so the cutoff, the first ``k`` with
+    ``t_k < ||xls||^2_{Q^b}``, is one ``searchsorted`` per trial."""
+    _check_exponent(b)
+    sig, m = model.Qeig.eigenvalues, model.m
+    # Powers of sig can overflow for large |b|; that is detected below
+    # instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sb = sig**b
+        order = np.argsort(-sb, kind="stable")
+        sig_o = sig[order]
+        r1 = np.cumsum((sig_o ** (b / 2.0 - 1.0))[::-1])[::-1]
+        r2 = np.cumsum((sig_o ** (b - 1.0))[::-1])[::-1]
+        t_ascending = np.minimum.accumulate(r1 * sig_o ** (b / 2.0) - r2)[::-1].copy()
+        sb2 = (sig ** (b / 2.0))[:, None]
+    if not (np.isfinite(sb[order[0]] + r1[0] + r2[0]) and np.all(np.isfinite(t_ascending))):
+        raise UnknownEstimatorError(_OVERFLOW.format(b=b))
+    rank = np.argsort(order, kind="stable")[:, None]
+
+    def gains(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2 = sb @ (v * v)
+            k = np.minimum(m - np.searchsorted(t_ascending, l2), m - 1)
+            r1k, r2k = r1[k], r2[k]
+            k[l2 <= 0.0] = m  # zero input: every component is cut
+            # Ratio form of 1 - alpha * sig**(b/2), alpha = r1k / (l2 + r2k):
+            # the correction enters the numerator before the division, so
+            # near-total shrinkage keeps full relative accuracy (at b = 0 the
+            # correction vanishes identically).
+            g = (l2 + (r2k - r1k * sb2)) / (l2 + r2k)
+            if positive_part:
+                np.maximum(g, 0.0, out=g)
+                # Components ranked before the cutoff have non-positive gains
+                # by construction; zero them by rank to keep the count exact.
+                np.copyto(g, 0.0, where=rank < k)
+            else:
+                np.copyto(g, 0.0, where=l2 <= 0.0)
+        if not np.all(np.isfinite(g)):
+            raise UnknownEstimatorError(_OVERFLOW.format(b=b))
+        return g, False
+
+    return Plan(gains)
+
+
+def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
+    """Run ``plan``'s kernel on one ``xls`` or a ``(..., m)`` batch."""
+    xls = _check_ls(model, xls)
+    rows = xls.reshape(-1, model.m)
+    v = model.Qeig.basis.T @ rows.T
+    g, degenerate = plan.gains(v)
+    if g.ndim == 1:
+        xhat = g[:, None] * rows
+        if plan.center is not None:
+            xhat += (1.0 - g)[:, None] * plan.center
+        shrinkage = np.repeat(g[:, None], model.m, axis=1)
+    else:
+        # Adding +0.0 turns the -0.0 a rotation can leave at xls = 0 into +0.0.
+        xhat = (g * v).T @ model.Qeig.basis.T + 0.0
+        shrinkage = g.T
+    return EstimateResult(
+        xhat.reshape(xls.shape), shrinkage.reshape(xls.shape), bool(np.any(degenerate))
+    )
 
 
 def sbme(model: Model, xls) -> EstimateResult:
     """Spherical rule: shrink toward the origin by
     ``||xls||^2 / (||xls||^2 + eps0)``; gain in [0, 1), zero only at zero."""
-    return shrink_c(model, xls, model.eps0)
+    return estimate_from_ls(model, EstimatorSpec("sbme"), xls)
 
 
 def shrink_c(model: Model, xls, c: float) -> EstimateResult:
@@ -114,22 +223,13 @@ def shrink_c(model: Model, xls, c: float) -> EstimateResult:
     ``xls = 0`` corner is undefined and returns zero with the degenerate
     flag set.
     """
-    if not (_finite(c) and c >= 0.0):
-        raise UnknownEstimatorError(f"shrink_c requires a finite c >= 0, got c={c}")
-    xls = _check_ls(model, xls)
-    n2 = np.sum(xls * xls, axis=-1)
-    return _scalar_result(xls, _ratio_gain(n2, c, model.eps0), c + n2 == 0.0)
+    return estimate_from_ls(model, EstimatorSpec("shrinkc", c=c), xls)
 
 
 def off_center_sbme(model: Model, xls, x0) -> EstimateResult:
     """Spherical rule centered on ``x0`` instead of the origin: returns
     ``g * xls + (1 - g) * x0`` with the ``sbme`` gain ``g``."""
-    result = sbme(model, xls)
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != model.m:
-        raise DimensionMismatchError(f"x0: dim {x0.shape[0]} does not match m={model.m}")
-    result.xhat += (1.0 - result.shrinkage[..., :1]) * x0
-    return result
+    return estimate_from_ls(model, EstimatorSpec("offcenter", x0=x0), xls)
 
 
 def balanced_bme(model: Model, xls) -> EstimateResult:
@@ -138,7 +238,7 @@ def balanced_bme(model: Model, xls) -> EstimateResult:
     Undefined at ``xls = 0`` (a probability-zero event): returns the zero
     vector with ``degenerate=True``.
     """
-    return shrink_c(model, xls, 0.0)
+    return estimate_from_ls(model, EstimatorSpec("bbm"), xls)
 
 
 def positive_part_bme(model: Model, xls) -> EstimateResult:
@@ -146,30 +246,13 @@ def positive_part_bme(model: Model, xls) -> EstimateResult:
 
     Returns exactly zero whenever ``||xls||^2 <= eps0`` (including at
     ``xls = 0``, where no flag is needed)."""
-    xls = _check_ls(model, xls)
-    n2 = np.sum(xls * xls, axis=-1)
-    return _scalar_result(xls, np.maximum(_ratio_gain(n2, 0.0, model.eps0), 0.0), False)
+    return estimate_from_ls(model, EstimatorSpec("pbm"), xls)
 
 
 def bock(model: Model, xls) -> EstimateResult:
     """Extended scalar-shrinkage rule for colored noise:
     gain ``1 - (eps0/eps_max - 2) / ||xls||^2_Q``; may be negative."""
-    xls = _check_ls(model, xls)
-    qn = _q_norm2(model, xls)
-    gain = _ratio_gain(qn, 0.0, model.eps0 / model.eps_max - 2.0)
-    return _scalar_result(xls, gain, qn == 0.0)
-
-
-def _q_norm2(model: Model, xls) -> np.ndarray:
-    v = xls @ model.Qeig.basis
-    return (v * v) @ model.Qeig.eigenvalues
-
-
-def _spectral_result(model: Model, v, gains, degenerate) -> EstimateResult:
-    """Apply per-component gains to ``v = xls @ basis`` (``Q``'s eigenbasis)
-    and rotate back."""
-    xhat = (gains * v) @ model.Qeig.basis.T
-    return EstimateResult(xhat=xhat, shrinkage=gains, degenerate=bool(np.any(degenerate)))
+    return estimate_from_ls(model, EstimatorSpec("bock"), xls)
 
 
 def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> EstimateResult:
@@ -188,84 +271,21 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
     ``positive_part=False`` skips the clamp, exposing the raw
     ``(I - alpha Q^{b/2}) xls`` rule the clamp provably improves on.
     """
-    _check_exponent(b)
-    xls = _check_ls(model, xls)
-    sig = model.Qeig.eigenvalues
-    m = model.m
-    # Powers of sig and the Q^b norm can overflow for large |b|; that is
-    # detected below instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        order = np.argsort(-(sig**b), kind="stable")
-        inv_order = np.argsort(order, kind="stable")
-        sig_o = sig[order]
-        sb = sig_o**b
-        sb2 = sig_o ** (b / 2.0)
-        r1_suffix = np.cumsum((sig_o ** (b / 2.0 - 1.0))[::-1])[::-1]
-        r2_suffix = np.cumsum((sig_o ** (b - 1.0))[::-1])[::-1]
-
-        v = xls @ model.Qeig.basis
-        vo = v[..., order]
-        l2 = (vo * vo) @ sb
-        zero = l2 <= 0.0
-        l2_safe = np.where(zero, 1.0, l2)
-
-        alphas = r1_suffix / (l2_safe[..., None] + r2_suffix)
-        ok = alphas * sb2 < 1.0
-        ok[..., m - 1] = True  # always satisfiable at the last index
-        k = np.argmax(ok, axis=-1)
-        r1k = np.take_along_axis(np.broadcast_to(r1_suffix, ok.shape), k[..., None], axis=-1)
-        r2k = np.take_along_axis(np.broadcast_to(r2_suffix, ok.shape), k[..., None], axis=-1)
-
-        # Ratio form of 1 - alpha * sig**(b/2): the correction enters the
-        # numerator before the division, so near-total shrinkage keeps full
-        # relative accuracy (at b = 0 the correction vanishes identically).
-        denom = l2_safe[..., None] + r2k
-        gains_o = (l2_safe[..., None] + (r2k - r1k * sb2)) / denom
-        if positive_part:
-            gains_o = np.maximum(gains_o, 0.0)
-            # Components before the cutoff have non-positive gains by
-            # construction; zero them by index to keep the count exact.
-            gains_o = np.where(np.arange(m) < k[..., None], 0.0, gains_o)
-        gains_o = np.where(zero[..., None], 0.0, gains_o)
-    if not (np.isfinite(sb[0] + r1_suffix[0] + r2_suffix[0]) and np.all(np.isfinite(gains_o))):
-        raise UnknownEstimatorError(
-            f"ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
-        )
-    result = _spectral_result(model, v, gains_o[..., inv_order], False)
-    # At xls = 0 the rotations can leave -0.0 entries; return +0.0.
-    result.xhat = np.where(zero[..., None], 0.0, result.xhat)
-    return result
-
-
-def _tikhonov1_from_ls(model: Model, xls) -> EstimateResult:
-    """Spectral form of ``(Q + (m/||xls||^2) I)^-1 H' Cw^-1 y``: since
-    ``H' Cw^-1 y = Q xls``, the gain of component ``i`` is
-    ``sig_i / (sig_i + m/||xls||^2)``."""
-    xls = _check_ls(model, xls)
-    n2 = np.sum(xls * xls, axis=-1)
-    degenerate = n2 == 0.0
-    lam = model.m / np.where(degenerate, 1.0, n2)
-    sig = model.Qeig.eigenvalues
-    gains = np.where(degenerate[..., None], 0.0, sig / (sig + lam[..., None]))
-    return _spectral_result(model, xls @ model.Qeig.basis, gains, degenerate)
-
-
-def _tikhonov2_from_ls(model: Model, xls) -> EstimateResult:
-    xls = _check_ls(model, xls)
-    qn = _q_norm2(model, xls)
-    return _scalar_result(xls, _ratio_gain(qn, model.m, model.m), qn == 0.0)
+    return _apply(model, _ebme_plan(model, b, positive_part), xls)
 
 
 def tikhonov1(model: Model, y) -> EstimateResult:
     """Regularized least squares with ridge weight ``m / ||xls||^2``
-    estimated from the data. Not guaranteed to beat least squares."""
-    return _tikhonov1_from_ls(model, ls_estimate(model, y))
+    estimated from the data: since ``H' Cw^-1 y = Q xls``, the gain of
+    component ``i`` is ``sig_i / (sig_i + m/||xls||^2)``. Not guaranteed to
+    beat least squares."""
+    return estimate_from_ls(model, EstimatorSpec("tik1"), ls_estimate(model, y))
 
 
 def tikhonov2(model: Model, y) -> EstimateResult:
     """Shrinkage variant of the empirical ridge: scalar gain
     ``||xls||^2_Q / (m + ||xls||^2_Q)``."""
-    return _tikhonov2_from_ls(model, ls_estimate(model, y))
+    return estimate_from_ls(model, EstimatorSpec("tik2"), ls_estimate(model, y))
 
 
 def sbme_dominance_holds(model: Model) -> bool:
@@ -296,7 +316,7 @@ def ebme_dominance_holds(model: Model, b: float) -> bool:
 # --- estimator tags -------------------------------------------------------
 #
 # Text syntax used by the CLI and experiment configs; ``RULES`` holds one
-# entry per tag with its parameter, its label and the rule it applies:
+# entry per tag with its parameter, its label and the plan it builds:
 #   ls | sbme | bbm | pbm | bock | tik1 | tik2
 #   ebme:b=<float>   shrinkc:c=<float>   offcenter:file=<vector csv>
 
@@ -315,11 +335,6 @@ def _center_file(val: str, vector_loader) -> dict:
     if not val:
         raise UnknownEstimatorError("expected offcenter:file=<csv>")
     return {"x0": np.asarray(vector_loader(val), dtype=np.float64), "x0_name": val}
-
-
-def _least_squares(model: Model, xls) -> EstimateResult:
-    xls = _check_ls(model, xls)
-    return EstimateResult(xhat=xls.copy(), shrinkage=np.ones_like(xls), degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -345,29 +360,32 @@ _FILE = Param("file", _center_file, lambda spec: spec.x0 is not None, "a center 
 
 @dataclass(frozen=True)
 class Rule:
-    """A tag's ``apply(model, spec, xls)``, its parameter (``None`` for a bare
-    tag), and whether its gains differ across ``Q``'s eigenbasis."""
+    """A tag's ``plan(model, spec)`` (its gain kernel with the model's
+    constants), its parameter (``None`` for a bare tag), and whether its
+    gains differ across ``Q``'s eigenbasis."""
 
-    apply: Callable
+    plan: Callable
     param: Param | None = None
     per_component: bool = False
 
 
-def _bare(rule, per_component: bool = False) -> Rule:
-    return Rule(lambda model, spec, xls: rule(model, xls), per_component=per_component)
-
-
 RULES = {
-    "ls": _bare(_least_squares),
-    "sbme": _bare(sbme),
-    "bbm": _bare(balanced_bme),
-    "pbm": _bare(positive_part_bme),
-    "bock": _bare(bock),
-    "tik1": _bare(_tikhonov1_from_ls, per_component=True),
-    "tik2": _bare(_tikhonov2_from_ls),
-    "ebme": Rule(lambda model, spec, xls: ebme(model, xls, b=spec.b), _B, per_component=True),
-    "shrinkc": Rule(lambda model, spec, xls: shrink_c(model, xls, spec.c), _C),
-    "offcenter": Rule(lambda model, spec, xls: off_center_sbme(model, xls, spec.x0), _FILE),
+    "ls": Rule(lambda model, spec: Plan(_unit_gains)),
+    "sbme": Rule(lambda model, spec: _ratio_plan(model.eps0, model.eps0)),
+    "bbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, zero_flag=True)),
+    "pbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, clamp=True)),
+    "bock": Rule(lambda model, spec: _ratio_plan(
+        0.0, model.eps0 / model.eps_max - 2.0, model.Qeig.eigenvalues, zero_flag=True)),
+    "tik1": Rule(lambda model, spec: _ratio_plan(
+        model.m, model.m, spread=model.Qeig.eigenvalues[:, None], zero_flag=True),
+        per_component=True),
+    "tik2": Rule(lambda model, spec: _ratio_plan(
+        model.m, model.m, model.Qeig.eigenvalues, zero_flag=True)),
+    "ebme": Rule(lambda model, spec: _ebme_plan(model, spec.b), _B, per_component=True),
+    "shrinkc": Rule(
+        lambda model, spec: _ratio_plan(spec.c, model.eps0, zero_flag=spec.c == 0.0), _C
+    ),
+    "offcenter": Rule(lambda model, spec: _center_plan(model, spec.x0), _FILE),
 }
 
 
@@ -421,4 +439,4 @@ def parse_estimator_spec(text: str, vector_loader=read_vector_csv) -> EstimatorS
 
 def estimate_from_ls(model: Model, spec: EstimatorSpec, xls) -> EstimateResult:
     """Fan-out evaluation: apply ``spec`` to a precomputed ``xls``."""
-    return RULES[spec.kind].apply(model, spec, xls)
+    return _apply(model, RULES[spec.kind].plan(model, spec), xls)

@@ -79,10 +79,6 @@ class EigDecomp:
     basis: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         return (self.basis * self.eigenvalues) @ self.basis.T
 
@@ -152,21 +148,6 @@ def psd_power(eig: EigDecomp, p: float) -> np.ndarray:
     else:
         wp = w**p
     return (eig.basis * wp) @ eig.basis.T
-
-
-def quad_form(x, t) -> float:
-    """Quadratic form ``x.T @ t @ x`` for a symmetric matrix ``t``.
-
-    Equals the squared Euclidean norm of ``x`` when ``t`` is the identity.
-    """
-    x = as_vector(x, "quad_form x")
-    t = as_matrix(t, "quad_form t")
-    t = _check_symmetric(t, "quad_form t")
-    if t.shape[0] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"quad_form: vector has dim {x.shape[0]}, matrix is {t.shape[0]}x{t.shape[1]}"
-        )
-    return float(x @ t @ x)
 
 
 def condition_number(eig: EigDecomp) -> float:

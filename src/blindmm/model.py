@@ -41,6 +41,10 @@ class ZeroDirectionError(LinalgError):
     """A direction vector must be nonzero."""
 
 
+class SnrRangeError(LinalgError):
+    """An SNR whose parameter vector leaves float64 range on this model."""
+
+
 @dataclass(frozen=True)
 class Model:
     """Immutable problem instance; safe to share across workers."""
@@ -150,7 +154,8 @@ def snr_of(model: Model, x) -> float:
 
 
 def scale_to_snr(model: Model, direction, snr_db: float) -> np.ndarray:
-    """Scale ``direction`` so the model sees the requested SNR in dB."""
+    """Scale ``direction`` so the model sees the requested SNR in dB; raises
+    ``SnrRangeError`` when the result is not finite in float64."""
     d = as_vector(direction, "direction")
     if d.shape[0] != model.m:
         raise DimensionMismatchError(
@@ -159,5 +164,8 @@ def scale_to_snr(model: Model, direction, snr_db: float) -> np.ndarray:
     norm = float(np.linalg.norm(d))
     if norm == 0.0:
         raise ZeroDirectionError("direction must be nonzero")
-    target = 10.0 ** (snr_db / 10.0) * model.trace_cw
-    return d * (np.sqrt(target) / norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = d * (np.sqrt(np.float64(10.0) ** (snr_db / 10.0) * model.trace_cw) / norm)
+    if not np.all(np.isfinite(x)):
+        raise SnrRangeError(f"snr_db={snr_db:g}: 10**(snr/10) * tr(Cw) overflows float64")
+    return x

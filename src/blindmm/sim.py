@@ -7,21 +7,35 @@ are reduced in chunk order, so results are bit-identical no matter how many
 workers run or in what order chunks finish. All estimators see the same
 noise draw within a trial (common random numbers), which tightens pairwise
 MSE comparisons without biasing any single estimate.
+
+Engine version 2 works in the eigenbasis ``U`` of ``Q``: a chunk's noise
+``z`` maps straight to the eigen-coordinates ``v = A' z' + U'x`` of the
+least-squares estimate, with ``A = cw_sqrt ls_op' U``, laid out ``(m, rows)``
+so every vectorized operation runs along the trials. Each rule's plan
+(``estimators.RULES``) turns ``v`` into gains ``g``, and as ``U`` is
+orthogonal the squared error is ``||g * v - U'x||^2``: no ``y``, ``xls`` or
+estimate is formed. The noise bits are those of version 1, which worked on
+``(rows, m)`` estimates; results differ from it at rounding level only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from blindmm.estimators import EstimatorSpec, estimate_from_ls, parse_estimator_spec
-from blindmm.linalg import LinalgError, as_vector, read_vector_csv, write_text_atomic
-from blindmm.model import Model, scale_to_snr
+from blindmm.estimators import RULES, EstimatorSpec, parse_estimator_spec
+from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
+from blindmm.model import Model, SnrRangeError, scale_to_snr
 from blindmm.rng import derive_seed, generator, normal_block
+
+# Unused here; bench/tracing.py wraps it under this name and drops a layer if it is gone.
+from blindmm.estimators import estimate_from_ls  # noqa: F401
 
 # Fixed chunk size decouples the noise and the summation order from the
 # worker count.
@@ -114,60 +128,72 @@ def _check_seed(seed) -> None:
         )
 
 
-def _map_chunks(fn, seed, trials: int, width: int, workers: int = 1) -> list:
+def _thread_pool(workers: int):
+    """A context giving ``_map_chunks`` ``workers`` threads (``None`` for one)."""
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def _map_chunks(fn, seed, trials: int, width: int, pool=None) -> list:
     """``fn(z)`` for each ``CHUNK_TRIALS`` block of trials, in chunk order.
 
     ``z`` holds the block's ``(rows, width)`` standard normals, keyed by
-    ``(seed, first trial)``; up to ``workers`` threads evaluate the blocks.
+    ``(seed, first trial)``; the threads of ``pool``, if any, evaluate the
+    blocks.
     """
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
 
     def run(lo):
         return fn(normal_block(seed, np.arange(lo, min(lo + CHUNK_TRIALS, trials)), width))
 
     starts = range(0, trials, CHUNK_TRIALS)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, starts))
+    if pool is not None and len(starts) > 1:
+        return list(pool.map(run, starts))
     return [run(lo) for lo in starts]
 
 
-class PointErrors(dict):
-    """``{label: (trials,) squared errors}`` in trial order, plus
-    ``gain_sums[label]``: that estimator's ``(m,)`` gain profile summed over
-    all trials."""
+def _point_errors(model: Model, x, plans, trials: int, seed, pool=None):
+    """The engine: per-trial squared errors and ``(m,)`` gain-profile sums
+    of each plan at one grid point, as two lists in plan order."""
+    basis = model.Qeig.basis
+    a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T)
+    u = (basis.T @ np.asarray(x, dtype=np.float64))[:, None]
+    centers = [None if p.center is None else (basis.T @ p.center)[:, None] for p in plans]
 
-    def __init__(self, squared_errors: dict, gain_sums: dict):
-        super().__init__(squared_errors)
-        self.gain_sums = gain_sums
+    def eval_chunk(z):
+        v = a_t @ z.T
+        v += u
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteError("xls: entries must be finite")
+        out = []
+        for plan, c in zip(plans, centers):
+            g, _ = plan.gains(v)
+            d = g * v if c is None else g * (v - c) + c  # offcenter: c + g (xls - c)
+            d -= u
+            d *= d
+            out.append((d.sum(axis=0), g.sum(axis=-1)))
+        return out
+
+    chunks = _map_chunks(eval_chunk, seed, trials, model.n, pool)
+    # Chunk-order concatenation and summation keep the reduction
+    # worker-independent; a scalar rule's gain sum covers every component.
+    return (
+        [np.concatenate([c[i][0] for c in chunks]) for i in range(len(plans))],
+        [np.broadcast_to(sum(c[i][1] for c in chunks), (model.m,)) for i in range(len(plans))],
+    )
+
+
+_Point = namedtuple("_Point", "squared_errors gain_sums")
 
 
 def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
     """Per-trial squared errors and gain-profile sums for every estimator at
-    one grid point, as a ``PointErrors``."""
-    x = np.asarray(x, dtype=np.float64)
-    hx = model.H @ x
+    one grid point: a ``(squared_errors, gain_sums)`` pair of label dicts."""
+    with _thread_pool(workers) as pool:
+        plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
+        point = _point_errors(model, x, plans, trials, seed, pool)
     labels = [spec.label for spec in specs]
-
-    def eval_chunk(z):
-        y = z @ model.cw_sqrt + hx
-        xls = y @ model.ls_op.T
-        ones = np.ones(z.shape[0])  # ones @ a: 10x faster than a.sum(axis=0) at m = 10
-        out = {}
-        for spec in specs:
-            res = estimate_from_ls(model, spec, xls)
-            delta = res.xhat - x
-            out[spec.label] = (np.sum(delta * delta, axis=-1), ones @ res.shrinkage)
-        return out
-
-    chunk_results = _map_chunks(eval_chunk, seed, trials, model.n, workers)
-    # Chunk-order concatenation and summation keep the reduction
-    # worker-independent.
-    return PointErrors(
-        {label: np.concatenate([c[label][0] for c in chunk_results]) for label in labels},
-        {label: sum(c[label][1] for c in chunk_results) for label in labels},
-    )
+    return _Point(*(dict(zip(labels, part)) for part in point))
 
 
 def _mean_stderr(se: np.ndarray):
@@ -180,8 +206,8 @@ def monte_carlo_mse(model: Model, x, spec: EstimatorSpec, trials: int, seed, wor
     """Mean and standard error of ``||xhat - x||^2`` over i.i.d. trials."""
     if trials < 2:
         raise ValueError("monte_carlo_mse: trials must be >= 2")
-    se = _point_squared_errors(model, x, [spec], trials, seed, workers)[spec.label]
-    return _mean_stderr(se)
+    point = _point_squared_errors(model, x, [spec], trials, seed, workers)
+    return _mean_stderr(point.squared_errors[spec.label])
 
 
 # --- direction policies ----------------------------------------------------
@@ -230,7 +256,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
     The scenario resolves to one or more ``(case_key, model)`` cases (the
     condition-number sweep has one case per condition; everything else has
-    a single unkeyed case).
+    a single unkeyed case). Every grid point is resolved before any noise is
+    drawn, each model's rule plans are built once, and one thread pool
+    serves the whole run.
     """
     from blindmm import scenarios  # late import: scenarios builds on this module
 
@@ -239,35 +267,33 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     cases, scenario_name = scenarios.resolve_cases(config.scenario)
     seed = int(config.seed)
     trials = int(config.trials)
-    rows = []
+    points = []
     for case_idx, (case_key, model) in enumerate(cases):
+        plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
         directions = resolve_directions(model, config.directions, seed)
         for dir_idx, (dir_key, direction) in enumerate(directions):
             sweep_key = case_key if case_key is not None else dir_key
             if case_key is not None and len(directions) > 1:
                 sweep_key = f"{case_key}:{dir_key}"
             for snr_idx, snr_db in enumerate(config.snr_grid_db):
-                x = scale_to_snr(model, direction, float(snr_db))
+                try:
+                    x = scale_to_snr(model, direction, float(snr_db))
+                except SnrRangeError as exc:
+                    raise ConfigError(f"snr_grid_db: {exc}") from exc
                 point_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, snr_idx)
-                point = _point_squared_errors(
-                    model, x, config.estimators, trials, point_seed, workers
-                )
-                for spec in config.estimators:
-                    mean, stderr = _mean_stderr(point[spec.label])
-                    rows.append(
-                        MseRow(
-                            scenario=scenario_name,
-                            estimator=spec.label,
-                            snr_db=float(snr_db),
-                            sweep_key=sweep_key,
-                            mse_mean=mean,
-                            mse_stderr=stderr,
-                            trials=trials,
-                            seed=seed,
-                            gain_mean=point.gain_sums[spec.label] / trials,
-                            eps0=model.eps0,
-                        )
-                    )
+                points.append((model, plans, sweep_key, float(snr_db), x, point_seed))
+
+    rows = []
+    with _thread_pool(workers) as pool:
+        for model, plans, sweep_key, snr_db, x, point_seed in points:
+            point = _point_errors(model, x, plans, trials, point_seed, pool)
+            for spec, se, gains in zip(config.estimators, *point):
+                mean, stderr = _mean_stderr(se)
+                rows.append(MseRow(
+                    scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
+                    sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
+                    seed=seed, gain_mean=gains / trials, eps0=model.eps0,
+                ))
     rows.sort(key=MseRow.sort_key)
     return rows
 

@@ -336,6 +336,36 @@ class TestExperiment:
         assert "snr_grid_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_snr_overflowing_model_scale_exit_2(self, tmp_path, capsys):
+        # 10**308 passes the grid check, but 10**308 * tr(Cw) overflows.
+        cfg = self._write_config(tmp_path, snr_grid_db=[0.0, 3080.0])
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_thread_pool_per_run(self, tmp_path, monkeypatch):
+        import blindmm.sim
+
+        pools = []
+        real = blindmm.sim.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blindmm.sim, "ThreadPoolExecutor", counted)
+        # 13 grid points of two chunks each, so every point uses the pool.
+        cfg = self._write_config(
+            tmp_path, snr_grid_db=[-10.0 + 2.5 * i for i in range(13)], trials=4100
+        )
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 2 * 13
+        assert pools == [{"max_workers": 2}]
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
         cfg = self._write_config(tmp_path)

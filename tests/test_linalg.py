@@ -17,7 +17,6 @@ from blindmm.linalg import (
     SingularPowerError,
     condition_number,
     psd_power,
-    quad_form,
     read_matrix_csv,
     read_vector_csv,
     sym_eig,
@@ -167,33 +166,6 @@ class TestPsdPower:
         eig = EigDecomp(basis=np.eye(2), eigenvalues=np.array([1.0, -0.5]))
         with pytest.raises(SingularPowerError):
             psd_power(eig, 0.5)
-
-
-class TestQuadForm:
-    def test_identity_is_squared_norm(self):
-        assert quad_form([3.0, 4.0], np.eye(2)) == pytest.approx(25.0)
-
-    def test_zero_vector(self):
-        assert quad_form(np.zeros(3), random_spd(np.random.default_rng(0), 3)) == 0.0
-
-    def test_hand_case(self):
-        # x=(1,2), T=[[2,1],[1,2]]: 2 + 2 + 2 + 8 = 14.
-        assert quad_form([1.0, 2.0], [[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(14.0)
-
-    def test_nonnegative_and_matches_sqrt_norm(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            m = int(rng.integers(2, 10))
-            t = random_spd(rng, m)
-            x = rng.standard_normal(m)
-            q = quad_form(x, t)
-            assert q >= 0.0
-            root = psd_power(sym_eig(t), 0.5) @ x
-            assert abs(q - float(root @ root)) <= 1e-9 * max(1.0, q)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            quad_form([1.0, 2.0, 3.0], np.eye(2))
 
 
 class TestConditionNumber:

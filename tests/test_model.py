@@ -1,6 +1,8 @@
 """Model construction, least squares, SNR scaling, and the Monte Carlo
 calibration of the least-squares risk."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from blindmm.linalg import DimensionMismatchError, NonFiniteError
 from blindmm.model import (
     NotPositiveDefiniteError,
     RankDeficientError,
+    SnrRangeError,
     ZeroDirectionError,
     build_model,
     effective_dimension,
@@ -158,6 +161,15 @@ class TestSnr:
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirectionError):
             scale_to_snr(fig4_model(), np.zeros(15), 0.0)
+
+    @pytest.mark.parametrize("snr_db", [3080.0, 4000.0])
+    def test_overflowing_snr_rejected(self, snr_db):
+        # 10**308 is finite but 10**308 * tr(Cw) is not; 10**400 overflows
+        # outright. Either is a typed error, with no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SnrRangeError, match="snr_db="):
+                scale_to_snr(fig4_model(), np.ones(15), snr_db)
 
 
 class TestMonteCarloCalibration:

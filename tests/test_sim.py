@@ -7,10 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
-from blindmm.estimators import EstimatorSpec, balanced_bme, ebme, estimate_from_ls, positive_part_bme
+from blindmm import sim
+from blindmm.estimators import (
+    EstimatorSpec,
+    balanced_bme,
+    ebme,
+    estimate_from_ls,
+    parse_estimator_spec,
+    positive_part_bme,
+)
+from blindmm.linalg import write_matrix_csv
 from blindmm.model import build_model, scale_to_snr
 from blindmm.rng import generator, normal_block
-from blindmm.scenarios import fig4_model, fig5b_model, fig6_model
+from blindmm.scenarios import fig4_model, fig5b_model, fig6_model, fig7_model
 from blindmm.sim import (
     ConfigError,
     DegenerateGError,
@@ -91,7 +100,8 @@ class TestMonteCarloMse:
         joint = _point_squared_errors(
             m, x, [EstimatorSpec("ls"), EstimatorSpec("sbme")], 500, seed=8
         )
-        assert np.array_equal(solo["ls"], joint["ls"])
+        assert np.array_equal(solo.squared_errors["ls"], joint.squared_errors["ls"])
+        assert np.array_equal(solo.gain_sums["ls"], joint.gain_sums["ls"])
 
 
 class TestDirections:
@@ -237,6 +247,17 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="snr_grid_db"):
                 cfg.validate()
 
+    def test_overflowing_snr_rejected_before_any_noise(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        cfg = self._tiny_config()
+        cfg.snr_grid_db = [0.0, 3080.0]  # 10**308 * tr(Cw) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="snr_grid_db"):
+                run_experiment(cfg)
+        assert drawn == []
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers"):
@@ -265,6 +286,82 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+class TestEigenbasisEngine:
+    """The engine's per-trial squared errors and gain sums against the public
+    rules applied to ``xls`` rebuilt from the same noise blocks."""
+
+    TAGS = (
+        "ls", "sbme", "bbm", "pbm", "bock", "tik1", "tik2",
+        "ebme:b=-1", "ebme:b=0", "ebme:b=2", "shrinkc:c=0", "shrinkc:c=1",
+    )
+    TRIALS = 5000  # two chunks
+
+    @staticmethod
+    def _dense_model(rng, m, n):
+        h = rng.standard_normal((n, m))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        cw = (q * np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))) @ q.T
+        return build_model(h, (cw + cw.T) / 2.0)
+
+    def _models(self):
+        rng = np.random.default_rng(61)
+        dense = [self._dense_model(rng, m, n) for m, n in ((4, 6), (7, 9), (12, 15))]
+        return [fig4_model(), fig5b_model(), fig7_model()] + dense
+
+    def _specs(self, model, tmp_path):
+        path = tmp_path / f"x0-{model.m}.csv"
+        write_matrix_csv(path, np.linspace(-1.0, 2.0, model.m))
+        tags = self.TAGS + (f"offcenter:file={path}",)
+        return [parse_estimator_spec(tag) for tag in tags]
+
+    def _check(self, model, x, specs, seed):
+        point = _point_squared_errors(model, x, specs, self.TRIALS, seed)
+        xls = np.concatenate([
+            (sim.normal_block(seed, np.arange(lo, hi), model.n) @ model.cw_sqrt + model.H @ x)
+            @ model.ls_op.T
+            for lo, hi in ((0, 4096), (4096, self.TRIALS))
+        ])
+        results = {}
+        for spec in specs:
+            res = results[spec.kind] = estimate_from_ls(model, spec, xls)
+            se = np.sum((res.xhat - x) ** 2, axis=1)
+            np.testing.assert_allclose(
+                point.squared_errors[spec.label], se, rtol=1e-9, err_msg=spec.label
+            )
+            np.testing.assert_allclose(
+                point.gain_sums[spec.label], res.shrinkage.sum(axis=0), rtol=1e-9,
+                err_msg=spec.label,
+            )
+        return results
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
+    def test_matches_public_rules(self, tmp_path, snr_db):
+        rng = np.random.default_rng(62)
+        clamped = 0
+        for idx, model in enumerate(self._models()):
+            x = scale_to_snr(model, rng.standard_normal(model.m), snr_db)
+            results = self._check(model, x, self._specs(model, tmp_path), seed=100 + idx)
+            clamped += int(np.sum(results["pbm"].shrinkage[:, 0] == 0.0))
+        if snr_db == -10.0:
+            assert clamped > 0  # the pbm clamp is exercised
+
+    def test_degenerate_inputs(self, tmp_path, monkeypatch):
+        # Zero noise rows at x = 0 give xls = 0, where bbm and bock are
+        # undefined and return zero by convention.
+        real = sim.normal_block
+
+        def with_zero_rows(seed, trial_ids, count):
+            z = real(seed, trial_ids, count)
+            z[np.asarray(trial_ids) % 7 == 0] = 0.0
+            return z
+
+        monkeypatch.setattr(sim, "normal_block", with_zero_rows)
+        for idx, model in enumerate(self._models()):
+            results = self._check(model, np.zeros(model.m), self._specs(model, tmp_path), idx)
+            assert results["bbm"].degenerate and results["bock"].degenerate
+            assert np.all(results["pbm"].shrinkage[::7] == 0.0)
 
 
 class TestResultsCsv:
