@@ -21,7 +21,6 @@ from blindmm import (
     tikhonov2,
 )
 from blindmm.rng import generator
-from blindmm.sim import gaussian_vector
 
 # Ten parameters; the last five coordinates are 10x noisier than the first.
 noise_profile = np.diag([0.1] * 5 + [1.0] * 5)
@@ -35,7 +34,7 @@ direction = np.array([1.0, 0.5, 0, 0, 0, 2.0, 0, 0, 0, 1.0])
 x = scale_to_snr(model, direction, snr_db=0.0)
 
 # One measurement: y = H x + w with w ~ N(0, Cw).
-w = gaussian_vector(model.cw_sqrt, generator(7))
+w = model.cw_sqrt @ generator(7).standard_normal(model.n)
 y = model.H @ x + w
 xls = ls_estimate(model, y)
 

@@ -7,6 +7,10 @@ can therefore be regenerated in isolation, results do not depend on
 execution order, and the same experiment gives byte-identical CSVs no
 matter how many worker threads run it. Bit-reproducibility is promised for
 a given numpy build, not across platforms.
+
+There is one stream per direction, not per grid point: the SNR points of a
+direction differ only in the true parameter, so they share each chunk's
+noise block (common random numbers along the SNR axis).
 """
 
 import numpy as np
@@ -33,7 +37,8 @@ print("chunk keyed at trial 101 differs:    ", not np.array_equal(other[:-1], bl
 
 # 3. Worker threads change nothing: the chunks (of CHUNK_TRIALS trials) are
 #    fixed, so each chunk's noise and the reduction order, and hence every
-#    output bit, are worker-independent.
+#    output bit, are worker-independent. Both SNR points of a direction read
+#    the same blocks.
 config = ExperimentConfig(
     scenario="fig5b-range",
     estimators=[EstimatorSpec("ls"), EstimatorSpec("sbme")],
@@ -45,7 +50,7 @@ config = ExperimentConfig(
 serial = format_results_csv(run_experiment(config, workers=1))
 threaded = format_results_csv(run_experiment(config, workers=4))
 print(f"1 worker vs 4 workers, identical CSV: {serial == threaded} "
-      f"({config.trials} trials, 3 chunks per point)")
+      f"({config.trials} trials, 3 chunks per direction, shared by its 2 SNR points)")
 
 print("\nresults preview:")
 print("\n".join(serial.strip().split("\n")[:4]))

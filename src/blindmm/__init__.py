@@ -36,7 +36,6 @@ from blindmm.estimators import (
 from blindmm.sim import (
     ExperimentConfig,
     MseRow,
-    gaussian_vector,
     monte_carlo_mse,
     run_experiment,
     stein_lemma_check,
@@ -62,7 +61,6 @@ __all__ = [
     "ebme_dominance_holds",
     "effective_dimension",
     "estimate_from_ls",
-    "gaussian_vector",
     "ls_estimate",
     "monte_carlo_mse",
     "off_center_sbme",

@@ -106,10 +106,13 @@ class Plan(NamedTuple):
     eigen-coordinates to ``(g, degenerate)``: ``g`` is ``(rows,)`` or, per
     component, ``(m, rows)``; ``degenerate`` flags rows where the rule is
     undefined (gain 0 there). ``center`` is the point shrunk toward
-    (``None``: the origin)."""
+    (``None``: the origin). ``rotated`` is false when the gains depend on
+    ``v`` only through ``||v||^2 = ||xls||^2``, so ``xls`` itself may stand
+    in for ``v``."""
 
     gains: Callable
     center: np.ndarray | None = None
+    rotated: bool = True
 
 
 def _unit_gains(v):
@@ -130,7 +133,7 @@ def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, c
             np.maximum(g, 0.0, out=g)
         return g, zero_flag & (s == 0.0)
 
-    return Plan(gains, center)
+    return Plan(gains, center, rotated=weights is not None or spread is not None)
 
 
 def _center_plan(model: Model, x0) -> Plan:
@@ -194,7 +197,7 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     """Run ``plan``'s kernel on one ``xls`` or a ``(..., m)`` batch."""
     xls = _check_ls(model, xls)
     rows = xls.reshape(-1, model.m)
-    v = model.Qeig.basis.T @ rows.T
+    v = model.Qeig.basis.T @ rows.T if plan.rotated else rows.T
     g, degenerate = plan.gains(v)
     if g.ndim == 1:
         xhat = g[:, None] * rows
@@ -370,7 +373,7 @@ class Rule:
 
 
 RULES = {
-    "ls": Rule(lambda model, spec: Plan(_unit_gains)),
+    "ls": Rule(lambda model, spec: Plan(_unit_gains, rotated=False)),
     "sbme": Rule(lambda model, spec: _ratio_plan(model.eps0, model.eps0)),
     "bbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, zero_flag=True)),
     "pbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, clamp=True)),

@@ -1,28 +1,38 @@
 """Deterministic Monte Carlo engine for estimator MSE sweeps.
 
-Trials of a grid point are cut into fixed chunks of ``CHUNK_TRIALS``; each
-chunk draws its noise from the Philox stream keyed by the point's sub-seed
-and the chunk's first trial, and per-point squared errors and gain profiles
-are reduced in chunk order, so results are bit-identical no matter how many
-workers run or in what order chunks finish. All estimators see the same
-noise draw within a trial (common random numbers), which tightens pairwise
-MSE comparisons without biasing any single estimate.
+Trials are cut into fixed chunks of ``CHUNK_TRIALS``; each chunk draws its
+noise from the Philox stream keyed by a sub-seed and the chunk's first
+trial, and results are reduced in chunk order, so they are bit-identical no
+matter how many workers run or in what order chunks finish. All estimators
+see the same noise draw within a trial (common random numbers), which
+tightens pairwise MSE comparisons without biasing any single estimate.
 
-Engine version 2 works in the eigenbasis ``U`` of ``Q``: a chunk's noise
-``z`` maps straight to the eigen-coordinates ``v = A' z' + U'x`` of the
+The engine works in the eigenbasis ``U`` of ``Q``: a chunk's noise ``z``
+maps straight to the eigen-coordinates ``v = A' z' + U'x`` of the
 least-squares estimate, with ``A = cw_sqrt ls_op' U``, laid out ``(m, rows)``
 so every vectorized operation runs along the trials. Each rule's plan
 (``estimators.RULES``) turns ``v`` into gains ``g``, and as ``U`` is
 orthogonal the squared error is ``||g * v - U'x||^2``: no ``y``, ``xls`` or
-estimate is formed. The noise bits are those of version 1, which worked on
-``(rows, m)`` estimates; results differ from it at rounding level only.
+estimate is formed.
+
+Engine version 3 shares the noise along the SNR axis. The SNR points of one
+(case, direction) pair differ only in ``x``, so one stream, keyed by the
+sub-seed the pair's first SNR point had in version 2, serves all of them:
+``A' z'`` is formed once per chunk, and each point adds its own ``U'x``.
+Rows at SNR index 0 keep their version 2 noise bits, rows at higher indices
+have new (shared) noise, and the differences between neighbouring SNR
+points are common-random-number comparisons. Each chunk is folded into
+per-(point, rule) moments at once, so no per-trial array outlives its
+chunk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
+import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -52,12 +62,6 @@ class ConfigError(LinalgError):
 
 class DegenerateGError(LinalgError):
     """The integration-by-parts test function is undefined (c=0 and v=0)."""
-
-
-def gaussian_vector(cw_sqrt, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean Gaussian draw with covariance ``cw_sqrt @ cw_sqrt``."""
-    cw_sqrt = np.asarray(cw_sqrt, dtype=np.float64)
-    return cw_sqrt @ rng.standard_normal(cw_sqrt.shape[0])
 
 
 @dataclass(frozen=True)
@@ -152,35 +156,64 @@ def _map_chunks(fn, seed, trials: int, width: int, pool=None) -> list:
     return [run(lo) for lo in starts]
 
 
-def _point_errors(model: Model, x, plans, trials: int, seed, pool=None):
-    """The engine: per-trial squared errors and ``(m,)`` gain-profile sums
-    of each plan at one grid point, as two lists in plan order."""
-    basis = model.Qeig.basis
+class _Buffers(threading.local):
+    """Per-thread work arrays, reused from chunk to chunk so the chunk loop
+    allocates no ``(m, rows)`` array of its own; each is a contiguous view
+    of a flat buffer that grows when a wider chunk asks for it."""
+
+    def __init__(self):
+        self.flat = {}
+
+    def get(self, name: str, m: int, rows: int) -> np.ndarray:
+        buf = self.flat.get(name)
+        if buf is None or buf.size < m * rows:
+            buf = self.flat[name] = np.empty(m * rows)
+        return buf[: m * rows].reshape(m, rows)
+
+
+def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
+    """The engine: ``eval_chunk(z)`` maps one noise block to, per point
+    ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
+    sum)``, where ``se`` holds the chunk's per-trial squared errors and the
+    gain sum is ``(m,)`` or, for a scalar rule, a scalar.
+
+    All points share the block: ``v0 = A' z'`` is formed once and each
+    point's eigen-coordinates are ``v = v0 + U'x``.
+    """
+    basis, m = model.Qeig.basis, model.m
     a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T)
-    u = (basis.T @ np.asarray(x, dtype=np.float64))[:, None]
+    us = [(basis.T @ np.asarray(x, dtype=np.float64))[:, None] for x in xs]
     centers = [None if p.center is None else (basis.T @ p.center)[:, None] for p in plans]
 
     def eval_chunk(z):
-        v = a_t @ z.T
-        v += u
-        if not np.all(np.isfinite(v)):
+        rows = z.shape[0]
+        v0 = np.matmul(a_t, z.T, out=buffers.get("v0", m, rows))
+        if not np.all(np.isfinite(v0)):
             raise NonFiniteError("xls: entries must be finite")
+        d = buffers.get("d", m, rows)
         out = []
-        for plan, c in zip(plans, centers):
-            g, _ = plan.gains(v)
-            d = g * v if c is None else g * (v - c) + c  # offcenter: c + g (xls - c)
-            d -= u
-            d *= d
-            out.append((d.sum(axis=0), g.sum(axis=-1)))
+        for k, u in enumerate(us):
+            if k + 1 < len(us):
+                v = np.add(v0, u, out=buffers.get("v", m, rows))
+            else:
+                v = v0  # the last point reuses v0's storage
+                v += u
+            point = []
+            for plan, c in zip(plans, centers):
+                g, _ = plan.gains(v)
+                if c is None:
+                    np.multiply(g, v, out=d)
+                else:  # offcenter: c + g (xls - c)
+                    np.subtract(v, c, out=d)
+                    d *= g
+                    d += c
+                d -= u
+                d *= d
+                point.append((reduce(d.sum(axis=0)), g.sum(axis=-1)))
+            out.append(point)
         return out
 
-    chunks = _map_chunks(eval_chunk, seed, trials, model.n, pool)
-    # Chunk-order concatenation and summation keep the reduction
-    # worker-independent; a scalar rule's gain sum covers every component.
-    return (
-        [np.concatenate([c[i][0] for c in chunks]) for i in range(len(plans))],
-        [np.broadcast_to(sum(c[i][1] for c in chunks), (model.m,)) for i in range(len(plans))],
-    )
+    return eval_chunk
 
 
 _Point = namedtuple("_Point", "squared_errors gain_sums")
@@ -189,17 +222,36 @@ _Point = namedtuple("_Point", "squared_errors gain_sums")
 def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
     """Per-trial squared errors and gain-profile sums for every estimator at
     one grid point: a ``(squared_errors, gain_sums)`` pair of label dicts."""
+    plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
+    kernel = _chunk_kernel(model, [x], plans, _Buffers(), lambda se: se)
     with _thread_pool(workers) as pool:
-        plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
-        point = _point_errors(model, x, plans, trials, seed, pool)
-    labels = [spec.label for spec in specs]
-    return _Point(*(dict(zip(labels, part)) for part in point))
+        chunks = [c[0] for c in _map_chunks(kernel, seed, trials, model.n, pool)]
+    # Chunk-order concatenation and summation keep the reduction
+    # worker-independent; a scalar rule's gain sum covers every component.
+    squared_errors, gain_sums = {}, {}
+    for spec, parts in zip(specs, zip(*chunks)):
+        squared_errors[spec.label] = np.concatenate([se for se, _ in parts])
+        gain_sums[spec.label] = np.broadcast_to(sum(g for _, g in parts), (model.m,))
+    return _Point(squared_errors, gain_sums)
 
 
-def _mean_stderr(se: np.ndarray):
-    mean = float(np.mean(se))
-    stderr = float(np.std(se, ddof=1) / np.sqrt(se.shape[0])) if se.shape[0] > 1 else 0.0
-    return mean, stderr
+def _moments(se: np.ndarray):
+    """Count, sum and sum of squared deviations of the errors ``se``."""
+    total = float(se.sum())
+    dev = se - total / se.shape[0]
+    return se.shape[0], total, float(dev @ dev)
+
+
+def _merge(a, b):
+    """Chan et al.'s pairwise update: the ``_moments`` of two samples joined."""
+    (na, sa, qa), (nb, sb, qb) = a, b
+    delta = sb / nb - sa / na
+    return na + nb, sa + sb, qa + qb + delta * delta * na * nb / (na + nb)
+
+
+def _mean_stderr(count: int, total: float, m2: float):
+    stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+    return total / count, stderr
 
 
 def monte_carlo_mse(model: Model, x, spec: EstimatorSpec, trials: int, seed, workers: int = 1):
@@ -207,7 +259,7 @@ def monte_carlo_mse(model: Model, x, spec: EstimatorSpec, trials: int, seed, wor
     if trials < 2:
         raise ValueError("monte_carlo_mse: trials must be >= 2")
     point = _point_squared_errors(model, x, [spec], trials, seed, workers)
-    return _mean_stderr(point.squared_errors[spec.label])
+    return _mean_stderr(*_moments(point.squared_errors[spec.label]))
 
 
 # --- direction policies ----------------------------------------------------
@@ -258,7 +310,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     condition-number sweep has one case per condition; everything else has
     a single unkeyed case). Every grid point is resolved before any noise is
     drawn, each model's rule plans are built once, and one thread pool
-    serves the whole run.
+    serves the whole run. The SNR points of one (case, direction) pair form
+    a group that shares its noise: one chunk pass serves the group, and
+    each chunk is folded into per-(point, rule) moments in chunk order.
     """
     from blindmm import scenarios  # late import: scenarios builds on this module
 
@@ -267,7 +321,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     cases, scenario_name = scenarios.resolve_cases(config.scenario)
     seed = int(config.seed)
     trials = int(config.trials)
-    points = []
+    snrs = [float(snr_db) for snr_db in config.snr_grid_db]
+    groups = []
     for case_idx, (case_key, model) in enumerate(cases):
         plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
         directions = resolve_directions(model, config.directions, seed)
@@ -275,25 +330,33 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
             sweep_key = case_key if case_key is not None else dir_key
             if case_key is not None and len(directions) > 1:
                 sweep_key = f"{case_key}:{dir_key}"
-            for snr_idx, snr_db in enumerate(config.snr_grid_db):
-                try:
-                    x = scale_to_snr(model, direction, float(snr_db))
-                except SnrRangeError as exc:
-                    raise ConfigError(f"snr_grid_db: {exc}") from exc
-                point_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, snr_idx)
-                points.append((model, plans, sweep_key, float(snr_db), x, point_seed))
+            try:
+                xs = [scale_to_snr(model, direction, snr_db) for snr_db in snrs]
+            except SnrRangeError as exc:
+                raise ConfigError(f"snr_grid_db: {exc}") from exc
+            # The group's stream is the one its first SNR point had alone.
+            group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
+            groups.append((model, plans, sweep_key, xs, group_seed))
 
     rows = []
+    buffers = _Buffers()
     with _thread_pool(workers) as pool:
-        for model, plans, sweep_key, snr_db, x, point_seed in points:
-            point = _point_errors(model, x, plans, trials, point_seed, pool)
-            for spec, se, gains in zip(config.estimators, *point):
-                mean, stderr = _mean_stderr(se)
-                rows.append(MseRow(
-                    scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
-                    sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
-                    seed=seed, gain_mean=gains / trials, eps0=model.eps0,
-                ))
+        for model, plans, sweep_key, xs, group_seed in groups:
+            kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
+            chunks = iter(_map_chunks(kernel, group_seed, trials, model.n, pool))
+            folded = next(chunks)
+            for chunk in chunks:
+                folded = [[(_merge(ma, mb), ga + gb) for (ma, ga), (mb, gb) in zip(pa, pb)]
+                          for pa, pb in zip(folded, chunk)]
+            for snr_db, point in zip(snrs, folded):
+                for spec, (moments, gains) in zip(config.estimators, point):
+                    mean, stderr = _mean_stderr(*moments)
+                    rows.append(MseRow(
+                        scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
+                        sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
+                        seed=seed, gain_mean=np.broadcast_to(gains, (model.m,)) / trials,
+                        eps0=model.eps0,
+                    ))
     rows.sort(key=MseRow.sort_key)
     return rows
 

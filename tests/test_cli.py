@@ -346,6 +346,44 @@ class TestExperiment:
         assert "snr_grid_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_range_sweep_one_noise_block_per_chunk(self, tmp_path, monkeypatch):
+        import blindmm.sim
+
+        calls = []
+
+        def counted(*args, _real=blindmm.sim.normal_block, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(blindmm.sim, "normal_block", counted)
+        # One direction x 13 SNRs x two chunks: the 13 points share each chunk's block.
+        cfg = self._write_config(
+            tmp_path, scenario="fig5b-range", estimators=["ls", "sbme", "ebme:b=-1", "bock"],
+            snr_grid_db=[-10.0 + 2.5 * i for i in range(13)],
+            directions=[{"random-sphere": 1}], trials=8192,
+        )
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 4 * 13
+        assert len(calls) == 2
+
+    def test_shared_noise_workers_byte_identical(self, tmp_path):
+        # Several directions and SNRs, and a short last chunk (9000 trials).
+        cfg = self._write_config(
+            tmp_path, scenario="fig5b-range", estimators=["ls", "sbme", "ebme:b=-1", "tik1"],
+            snr_grid_db=[-10.0, 0.0, 7.5, 20.0],
+            directions=["max-eigenvector", {"random-sphere": 2}], trials=9000,
+        )
+        outs = []
+        for workers in ("1", "2", "4"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(
+                ["experiment", "--config", str(cfg), "--out", str(out), "--workers", workers]
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].decode().strip().split("\n")) == 1 + 4 * 4 * 3
+
     def test_one_thread_pool_per_run(self, tmp_path, monkeypatch):
         import blindmm.sim
 

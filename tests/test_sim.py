@@ -2,6 +2,7 @@
 config parsing, CSV output, and the integration-by-parts identity check."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from blindmm.estimators import (
 )
 from blindmm.linalg import write_matrix_csv
 from blindmm.model import build_model, scale_to_snr
-from blindmm.rng import generator, normal_block
+from blindmm.rng import derive_seed, normal_block
 from blindmm.scenarios import fig4_model, fig5b_model, fig6_model, fig7_model
 from blindmm.sim import (
     ConfigError,
@@ -26,7 +27,6 @@ from blindmm.sim import (
     ExperimentConfig,
     MseRow,
     format_results_csv,
-    gaussian_vector,
     load_config,
     monte_carlo_mse,
     resolve_directions,
@@ -39,27 +39,6 @@ from blindmm.sim import (
 
 def iid_model(m):
     return build_model(np.eye(m), np.eye(m))
-
-
-class TestGaussianVector:
-    def test_deterministic(self):
-        m = fig4_model()
-        a = gaussian_vector(m.cw_sqrt, generator(5, 9))
-        b = gaussian_vector(m.cw_sqrt, generator(5, 9))
-        assert np.array_equal(a, b)
-
-    def test_white_noise_covariance(self):
-        rng = generator(1, 0)
-        z = np.stack([gaussian_vector(np.eye(2), rng) for _ in range(5000)])
-        z_big = normal_block(1, np.arange(200000), 2)  # same stream, larger sample
-        cov = np.cov(z_big.T)
-        assert np.max(np.abs(cov - np.eye(2))) < 0.02
-        assert np.array_equal(z, z_big[:5000])
-
-    def test_diagonal_scaling(self):
-        m = build_model(np.eye(2), np.diag([4.0, 1.0]))
-        w = normal_block(2, np.arange(200000), 2) @ m.cw_sqrt
-        np.testing.assert_allclose(w.var(axis=0), [4.0, 1.0], rtol=0.02)
 
 
 class TestMonteCarloMse:
@@ -362,6 +341,76 @@ class TestEigenbasisEngine:
             results = self._check(model, np.zeros(model.m), self._specs(model, tmp_path), idx)
             assert results["bbm"].degenerate and results["bock"].degenerate
             assert np.all(results["pbm"].shrinkage[::7] == 0.0)
+
+
+class TestSharedNoise:
+    """Engine version 3: the SNR points of one direction share each chunk's
+    noise block, and chunks are folded into per-(point, rule) moments."""
+
+    SPECS = [EstimatorSpec("ls"), EstimatorSpec("sbme"), EstimatorSpec("ebme", b=-1.0),
+             EstimatorSpec("bock")]
+    SNRS = [-10.0 + 2.5 * i for i in range(13)]
+
+    def _config(self, trials, snrs=None, seed=3):
+        return ExperimentConfig(
+            scenario="fig5b-range", estimators=self.SPECS, snr_grid_db=snrs or self.SNRS,
+            directions=["max-eigenvector", ("random-sphere", 1)], trials=trials, seed=seed,
+        )
+
+    @pytest.mark.parametrize("trials", [2, 4096, 4097, 9000])
+    def test_moment_merge_matches_concatenated(self, trials):
+        m = fig5b_model()
+        x = scale_to_snr(m, np.ones(m.m), 0.0)
+        point = _point_squared_errors(m, x, self.SPECS, trials, seed=5)
+        for se in point.squared_errors.values():
+            chunks = [se[lo:lo + sim.CHUNK_TRIALS] for lo in range(0, trials, sim.CHUNK_TRIALS)]
+            folded = sim._moments(chunks[0])
+            for chunk in chunks[1:]:
+                folded = sim._merge(folded, sim._moments(chunk))
+            mean, stderr = sim._mean_stderr(*folded)
+            assert folded[0] == trials
+            np.testing.assert_allclose(mean, np.mean(se), rtol=1e-12)
+            np.testing.assert_allclose(
+                stderr, np.std(se, ddof=1) / np.sqrt(trials), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("trials", [2, 4097])
+    def test_rows_match_oracle_under_group_key(self, trials):
+        # Every SNR point of a direction draws the stream its SNR index 0
+        # had alone, so each row matches the per-trial oracle under that key.
+        cfg = self._config(trials, snrs=[-10.0, 2.5, 20.0])
+        rows = run_experiment(cfg)
+        m = fig5b_model()
+        directions = resolve_directions(m, cfg.directions, cfg.seed)
+        for dir_idx, (key, direction) in enumerate(directions):
+            point_seed = derive_seed(cfg.seed, sim._TAG_POINT, 0, dir_idx, 0)
+            for snr_db in cfg.snr_grid_db:
+                x = scale_to_snr(m, direction, snr_db)
+                point = _point_squared_errors(m, x, self.SPECS, trials, point_seed)
+                for spec in self.SPECS:
+                    (row,) = [r for r in rows if (r.sweep_key, r.snr_db, r.estimator)
+                              == (key, snr_db, spec.label)]
+                    se = point.squared_errors[spec.label]
+                    np.testing.assert_allclose(
+                        (row.mse_mean, row.mse_stderr),
+                        (np.mean(se), np.std(se, ddof=1) / np.sqrt(trials)), rtol=1e-12,
+                    )
+                    np.testing.assert_allclose(
+                        row.gain_mean, point.gain_sums[spec.label] / trials, rtol=1e-12
+                    )
+
+    def test_retained_memory_bounded(self):
+        # Keeping every point's per-trial errors to the end would hold
+        # 13 points x 4 rules x 65536 trials x 8 bytes = 27 MB.
+        cfg = self._config(65536)
+        cfg.directions = [("random-sphere", 1)]
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9e6
 
 
 class TestResultsCsv:
