@@ -191,9 +191,12 @@ def _cmd_scenario(args) -> int:
 
 def _parse_float_list(text, name):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"{name}: expected comma-separated floats, got {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{name}: expected at least one value, got {text!r}")
+    return values
 
 
 def _cmd_stein_check(args) -> int:

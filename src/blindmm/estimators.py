@@ -2,12 +2,14 @@
 
 Every rule rescales the eigen-coordinates ``v = U' xls`` of the
 least-squares estimate, ``U`` the eigenbasis of ``Q = H' Cw^-1 H``, by one
-gain per trial (scalar rules) or per component (spectral rules). Each tag
-in ``RULES`` builds a ``Plan`` for a model whose ``gains(v)`` kernel works on
-``(m, rows)`` eigen-coordinates; the public functions below and the Monte
-Carlo engine in ``sim`` run the same kernels, so each formula exists once.
-The public functions accept one vector of length ``m`` or a ``(..., m)``
-batch and are pure.
+gain per trial (scalar rules) or per component (spectral rules), and the
+gains depend on ``v`` only through one statistic ``s = sum_i w_i v_i**2``
+per trial, with ``w = 1``, ``sig`` (``Q``'s eigenvalues) or ``sig**b``. Each
+tag in ``RULES`` builds a ``Plan`` for a model: its weights ``w`` and its
+``gain(s)``. The public functions below and the Monte Carlo engine in
+``sim`` call the same ``gain``, so each formula exists once. The public
+functions accept one vector of length ``m`` or a ``(..., m)`` batch and are
+pure.
 
 Every rule but ``ls`` and ``ebme`` applies the gain ``1 - e / (c + s)``
 (``_ratio_gain``):
@@ -102,21 +104,16 @@ def _ratio_gain(s, c, e):
 
 
 class Plan(NamedTuple):
-    """A rule's kernel for one model. ``gains(v)`` maps ``(m, rows)``
-    eigen-coordinates to ``(g, degenerate)``: ``g`` is ``(rows,)`` or, per
-    component, ``(m, rows)``; ``degenerate`` flags rows where the rule is
-    undefined (gain 0 there). ``center`` is the point shrunk toward
-    (``None``: the origin). ``rotated`` is false when the gains depend on
-    ``v`` only through ``||v||^2 = ||xls||^2``, so ``xls`` itself may stand
-    in for ``v``."""
+    """A rule for one model: ``gain(s, out=None)`` maps the statistic
+    ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
+    ``s = ||xls||^2``) to ``(g, degenerate)``. ``g`` is ``(rows,)`` or, per
+    component, ``(m, rows)``, and may be written into the work array ``out``;
+    ``degenerate`` flags rows where the rule is undefined (gain 0 there).
+    ``center`` is the point shrunk toward (``None``: the origin)."""
 
-    gains: Callable
+    gain: Callable
+    weights: np.ndarray | None = None
     center: np.ndarray | None = None
-    rotated: bool = True
-
-
-def _unit_gains(v):
-    return np.ones(v.shape[1]), False
 
 
 def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, center=None):
@@ -125,15 +122,13 @@ def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, c
     ``spread`` makes it per component, ``s_i = spread_i * s``; ``clamp``
     takes the positive part and ``zero_flag`` flags ``s == 0``."""
 
-    def gains(v):
-        vv = v * v
-        s = vv.sum(axis=0) if weights is None else weights @ vv
-        g = _ratio_gain(s if spread is None else spread * s, c, e)
+    def gain(s, out=None):
+        g = _ratio_gain(s if spread is None else np.multiply(spread, s, out=out), c, e)
         if clamp:
             np.maximum(g, 0.0, out=g)
-        return g, zero_flag & (s == 0.0)
+        return g, zero_flag and s == 0.0
 
-    return Plan(gains, center, rotated=weights is not None or spread is not None)
+    return Plan(gain, weights, center)
 
 
 def _center_plan(model: Model, x0) -> Plan:
@@ -168,17 +163,20 @@ def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
         raise UnknownEstimatorError(_OVERFLOW.format(b=b))
     rank = np.argsort(order, kind="stable")[:, None]
 
-    def gains(v):
+    def gain(l2, out=None):
         with np.errstate(over="ignore", invalid="ignore"):
-            l2 = sb @ (v * v)
             k = np.minimum(m - np.searchsorted(t_ascending, l2), m - 1)
             r1k, r2k = r1[k], r2[k]
             k[l2 <= 0.0] = m  # zero input: every component is cut
             # Ratio form of 1 - alpha * sig**(b/2), alpha = r1k / (l2 + r2k):
             # the correction enters the numerator before the division, so
             # near-total shrinkage keeps full relative accuracy (at b = 0 the
-            # correction vanishes identically).
-            g = (l2 + (r2k - r1k * sb2)) / (l2 + r2k)
+            # correction vanishes identically). In place, the numerator is
+            # (-r1k * sb2 + r2k) + l2, the same floats as l2 + (r2k - r1k * sb2).
+            g = np.multiply(-r1k, sb2, out=out)
+            g += r2k
+            g += l2
+            g /= l2 + r2k
             if positive_part:
                 np.maximum(g, 0.0, out=g)
                 # Components ranked before the cutoff have non-positive gains
@@ -190,23 +188,29 @@ def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
             raise UnknownEstimatorError(_OVERFLOW.format(b=b))
         return g, False
 
-    return Plan(gains)
+    return Plan(gain, sb)
 
 
 def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
-    """Run ``plan``'s kernel on one ``xls`` or a ``(..., m)`` batch."""
+    """Run ``plan`` on one ``xls`` or a ``(..., m)`` batch; only a weighted
+    or per-component rule rotates the rows into ``Q``'s eigenbasis."""
     xls = _check_ls(model, xls)
     rows = xls.reshape(-1, model.m)
-    v = model.Qeig.basis.T @ rows.T if plan.rotated else rows.T
-    g, degenerate = plan.gains(v)
+    basis = model.Qeig.basis
+    v = None if plan.weights is None else basis.T @ rows.T  # (m, rows), as in the engine
+    with np.errstate(over="ignore"):  # an overflowing ebme statistic raises in its gain
+        s = np.einsum("ij,ij->i", rows, rows) if v is None else plan.weights @ (v * v)
+    g, degenerate = plan.gain(s)
     if g.ndim == 1:
         xhat = g[:, None] * rows
         if plan.center is not None:
             xhat += (1.0 - g)[:, None] * plan.center
         shrinkage = np.repeat(g[:, None], model.m, axis=1)
     else:
+        if v is None:
+            v = basis.T @ rows.T
         # Adding +0.0 turns the -0.0 a rotation can leave at xls = 0 into +0.0.
-        xhat = (g * v).T @ model.Qeig.basis.T + 0.0
+        xhat = (g * v).T @ basis.T + 0.0
         shrinkage = g.T
     return EstimateResult(
         xhat.reshape(xls.shape), shrinkage.reshape(xls.shape), bool(np.any(degenerate))
@@ -363,7 +367,7 @@ _FILE = Param("file", _center_file, lambda spec: spec.x0 is not None, "a center 
 
 @dataclass(frozen=True)
 class Rule:
-    """A tag's ``plan(model, spec)`` (its gain kernel with the model's
+    """A tag's ``plan(model, spec)`` (its ``Plan`` with the model's
     constants), its parameter (``None`` for a bare tag), and whether its
     gains differ across ``Q``'s eigenbasis."""
 
@@ -373,7 +377,7 @@ class Rule:
 
 
 RULES = {
-    "ls": Rule(lambda model, spec: Plan(_unit_gains, rotated=False)),
+    "ls": Rule(lambda model, spec: Plan(lambda s, out=None: (np.ones_like(s), False))),
     "sbme": Rule(lambda model, spec: _ratio_plan(model.eps0, model.eps0)),
     "bbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, zero_flag=True)),
     "pbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, clamp=True)),

@@ -7,23 +7,13 @@ matter how many workers run or in what order chunks finish. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine works in the eigenbasis ``U`` of ``Q``: a chunk's noise ``z``
-maps straight to the eigen-coordinates ``v = A' z' + U'x`` of the
-least-squares estimate, with ``A = cw_sqrt ls_op' U``, laid out ``(m, rows)``
-so every vectorized operation runs along the trials. Each rule's plan
-(``estimators.RULES``) turns ``v`` into gains ``g``, and as ``U`` is
-orthogonal the squared error is ``||g * v - U'x||^2``: no ``y``, ``xls`` or
-estimate is formed.
-
-Engine version 3 shares the noise along the SNR axis. The SNR points of one
-(case, direction) pair differ only in ``x``, so one stream, keyed by the
-sub-seed the pair's first SNR point had in version 2, serves all of them:
-``A' z'`` is formed once per chunk, and each point adds its own ``U'x``.
-Rows at SNR index 0 keep their version 2 noise bits, rows at higher indices
-have new (shared) noise, and the differences between neighbouring SNR
-points are common-random-number comparisons. Each chunk is folded into
-per-(point, rule) moments at once, so no per-trial array outlives its
-chunk.
+The engine (version 4, see the README) works in the eigenbasis ``U`` of
+``Q``. The SNR points of one (case, direction) pair share each chunk's
+noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
+U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
+``v = v0 + U'x``. A rule sees ``v`` only through ``s = w . v**2``
+(``estimators.Plan``), so scalar rules cost O(rows) per point and only
+per-component rules form ``v``. Chunks fold into per-(point, rule) moments.
 """
 
 from __future__ import annotations
@@ -171,45 +161,69 @@ class _Buffers(threading.local):
         return buf[: m * rows].reshape(m, rows)
 
 
+def _distinct(arrays):
+    """The distinct rows among ``arrays`` in first-seen order, and each input's index among them."""
+    keys = list(dict.fromkeys(a.tobytes() for a in arrays))
+    return np.array([np.frombuffer(k) for k in keys]), [keys.index(a.tobytes()) for a in arrays]
+
+
 def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
     """The engine: ``eval_chunk(z)`` maps one noise block to, per point
     ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
     sum)``, where ``se`` holds the chunk's per-trial squared errors and the
     gain sum is ``(m,)`` or, for a scalar rule, a scalar.
 
-    All points share the block: ``v0 = A' z'`` is formed once and each
-    point's eigen-coordinates are ``v = v0 + U'x``.
+    All points share the block's ``v0 = A' z'``; a point's statistics are
+    ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
+    ``u = U'x``, and a scalar rule's squared error is
+    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
     """
     basis, m = model.Qeig.basis, model.m
     a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T)
-    us = [(basis.T @ np.asarray(x, dtype=np.float64))[:, None] for x in xs]
-    centers = [None if p.center is None else (basis.T @ p.center)[:, None] for p in plans]
+    us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
+    # w = 1 comes first: every scalar error needs ||v0||^2.
+    w_mat, w_slot = _distinct([np.ones(m)] + [
+        np.ones(m) if p.weights is None else p.weights for p in plans])
+    c_mat, c_slot = _distinct([np.zeros(m) if p.center is None else basis.T @ p.center
+                               for p in plans])
+    n_w, last = w_mat.shape[0], len(us) - 1
+    shifted = us[:, None, :] - c_mat  # u' per (point, center)
+    # Per point: rows 2 w u (the statistics' cross terms), then 2 u' (the errors').
+    cross_ops = 2.0 * np.concatenate([us[:, None, :] * w_mat, shifted], axis=1)
+    w_u2 = (us * us) @ w_mat.T
+    u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
 
     def eval_chunk(z):
         rows = z.shape[0]
         v0 = np.matmul(a_t, z.T, out=buffers.get("v0", m, rows))
-        if not np.all(np.isfinite(v0)):
-            raise NonFiniteError("xls: entries must be finite")
         d = buffers.get("d", m, rows)
+        cross = buffers.get("cross", cross_ops.shape[1], rows)
+        stats = cross[:n_w]
+        # Overflow gives inf, which ebme's gain and the check below reject.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = w_mat @ np.multiply(v0, v0, out=d)
+        if not np.all(np.isfinite(base[0])):
+            raise NonFiniteError("xls: entries must be finite")
         out = []
-        for k, u in enumerate(us):
-            if k + 1 < len(us):
-                v = np.add(v0, u, out=buffers.get("v", m, rows))
-            else:
-                v = v0  # the last point reuses v0's storage
-                v += u
-            point = []
-            for plan, c in zip(plans, centers):
-                g, _ = plan.gains(v)
-                if c is None:
-                    np.multiply(g, v, out=d)
-                else:  # offcenter: c + g (xls - c)
-                    np.subtract(v, c, out=d)
-                    d *= g
-                    d += c
-                d -= u
-                d *= d
-                point.append((reduce(d.sum(axis=0)), g.sum(axis=-1)))
+        for k, u in enumerate(us[:, :, None]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(cross_ops[k], v0, out=cross)
+                stats += base
+                stats += w_u2[k, :, None]
+            v, point = None, []
+            for plan, j, c in zip(plans, w_slot[1:], c_slot):
+                g, _ = plan.gain(stats[j], d)  # a per-component g may be d itself
+                gain_sum = g.sum(axis=-1)
+                if g.ndim == 1:
+                    h = g - 1.0
+                    se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
+                else:
+                    if v is None:  # the last point adds its u to v0 in place
+                        v = np.add(v0, u, out=v0 if k == last else buffers.get("v", m, rows))
+                    g *= v
+                    g -= u
+                    se = np.einsum("ij,ij->j", g, g)
+                point.append((reduce(se), gain_sum))
             out.append(point)
         return out
 
@@ -413,20 +427,13 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"estimators: expected tag strings, got {ent!r}")
         estimators.append(parse_estimator_spec(ent, vector_loader=loader))
 
-    snr_grid = []
-    for ent in _as_list(raw.get("snr_grid_db", []), "snr_grid_db"):
-        if not isinstance(ent, (int, float)) or isinstance(ent, bool):
-            raise ConfigError(f"snr_grid_db: expected numbers, got {ent!r}")
-        snr_grid.append(float(ent))
+    snr_grid = _numbers(_as_list(raw.get("snr_grid_db", []), "snr_grid_db"), "snr_grid_db")
 
     directions = [_parse_direction(ent) for ent in _as_list(raw.get("directions", []), "directions")]
 
-    trials = raw.get("trials", 10000)
+    trials = _count(raw.get("trials", 10000), "trials")
     seed = raw.get("seed")  # None defers to --seed or BLINDMM_SEED
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ConfigError("trials: expected an integer")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ConfigError("seed: expected an integer")
+    seed = None if seed is None else _count(seed, "seed")
 
     scenario = raw["scenario"]
     if isinstance(scenario, dict):
@@ -452,6 +459,18 @@ def _as_list(value, name):
     return value
 
 
+def _numbers(value, name: str) -> list:
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _count(value, name: str) -> int:
+    if type(value) is not int:  # bool is not a count
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
 def _parse_direction(ent):
     if isinstance(ent, str):
         if ent in ("max-eigenvector", "min-eigenvector"):
@@ -462,12 +481,12 @@ def _parse_direction(ent):
             extra = set(ent) - {"random-sphere"}
             if extra:
                 raise ConfigError(f"directions: unknown keys {sorted(extra)}")
-            return ("random-sphere", int(ent["random-sphere"]))
+            return ("random-sphere", _count(ent["random-sphere"], "directions.random-sphere"))
         if "vector" in ent:
             extra = set(ent) - {"vector", "id"}
             if extra:
                 raise ConfigError(f"directions: unknown keys {sorted(extra)}")
-            return ("vector", [float(v) for v in ent["vector"]], ent.get("id"))
+            return ("vector", _numbers(ent["vector"], "directions.vector"), ent.get("id"))
     raise ConfigError(f"directions: unknown policy {ent!r}")
 
 
@@ -482,9 +501,9 @@ def _parse_inline_model(obj):
 
     def mat(spec, field_name):
         if isinstance(spec, dict) and "identity" in spec:
-            return np.eye(int(spec["identity"]))
+            return np.eye(_count(spec["identity"], f"scenario.{field_name}.identity"))
         if isinstance(spec, dict) and "diag" in spec:
-            return np.diag([float(v) for v in spec["diag"]])
+            return np.diag(_numbers(spec["diag"], f"scenario.{field_name}.diag"))
         if isinstance(spec, list):
             return np.asarray(spec, dtype=np.float64)
         raise ConfigError(f"scenario.{field_name}: expected nested lists, diag or identity")
@@ -544,8 +563,10 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     sigma = as_vector(sigma, "sigma")
     if sigma.shape != v.shape:
         raise ConfigError("sigma must have the same length as v")
-    if np.any(sigma <= 0.0):
-        raise ConfigError("sigma entries must be positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_sigma = 1.0 / sigma
+    if np.any(sigma <= 0.0) or not np.all(np.isfinite(inv_sigma)):
+        raise ConfigError("sigma entries must be positive, with 1/sigma finite in float64")
     if not (np.isfinite(c) and c >= 0.0):
         raise ConfigError(f"c must be finite and >= 0, got {c}")
     if c == 0.0 and not np.any(v != 0.0):
@@ -555,8 +576,6 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
         raise ValueError("stein_lemma_check: trials must be >= 10^4")
     if g not in ("shrink", "linear"):
         raise ValueError(f"unknown test function {g!r}")
-
-    inv_sigma = 1.0 / sigma
 
     def column_sums(z):
         vh = v + z
@@ -573,15 +592,19 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
         return np.stack([deriv.sum(axis=0), cross.sum(axis=0), diff.sum(axis=0),
                          (diff * diff).sum(axis=0)])
 
-    # Chunk-order sums, as for the squared errors.
-    sum_deriv, sum_cross, sum_diff, sum_diff2 = sum(
-        _map_chunks(column_sums, seed, trials, v.shape[0])
-    )
-    lhs = sum_deriv / trials
-    rhs = -sum_cross / trials
-    mean_diff = sum_diff / trials
-    var_diff = (sum_diff2 - trials * mean_diff**2) / (trials - 1)
-    stderr = np.sqrt(np.maximum(var_diff, 0.0) / trials)
+    # Chunk-order sums, as for the squared errors. Overflow is checked once,
+    # on the results.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sum_deriv, sum_cross, sum_diff, sum_diff2 = sum(
+            _map_chunks(column_sums, seed, trials, v.shape[0])
+        )
+        lhs = sum_deriv / trials
+        rhs = -sum_cross / trials
+        mean_diff = sum_diff / trials
+        var_diff = (sum_diff2 - trials * mean_diff**2) / (trials - 1)
+        stderr = np.sqrt(np.maximum(var_diff, 0.0) / trials)
+    if not np.all(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(stderr)):
+        raise ConfigError("v: entries too large for this sigma, terms overflow float64")
     return SteinCheckResult(
         lhs=lhs,
         rhs=rhs,

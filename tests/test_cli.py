@@ -346,6 +346,21 @@ class TestExperiment:
         assert "snr_grid_db" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"directions": [{"vector": 5}]}, "directions.vector"),
+        ({"directions": [{"random-sphere": None}]}, "directions.random-sphere"),
+        ({"directions": [{"random-sphere": 2.7}]}, "directions.random-sphere"),
+        ({"scenario": {"H": {"identity": 3}, "Cw": {"diag": 3}}}, "scenario.Cw.diag"),
+    ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number"])
+    def test_malformed_entry_exit_2(self, tmp_path, capsys, overrides, field):
+        # A wrongly typed entry is a usage error, not a TypeError traceback
+        # (exit 1) or a silently truncated count.
+        cfg = self._write_config(tmp_path, **overrides)
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {field}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_range_sweep_one_noise_block_per_chunk(self, tmp_path, monkeypatch):
         import blindmm.sim
 
@@ -444,6 +459,21 @@ class TestSteinCheckCommand:
                      "--c", c]) == 2
         captured = capsys.readouterr()
         assert "c must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("v, sigma, name", [
+        ("1e308,1", "1,4", "v"),
+        ("1,2", "1e-320,1", "sigma"),
+        (",", "1,4", "--v"),
+    ], ids=["v-overflow", "sigma-subnormal", "v-empty"])
+    def test_unusable_vector_exit_2(self, capsys, v, sigma, name):
+        # Overflow gives a typed error naming the input, not a NaN row
+        # behind RuntimeWarnings; an empty list is a usage error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stein-check", "--v", v, "--sigma", sigma, "--trials", "10000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name}")
         assert captured.out == ""
 
     def test_negative_seed_exit_2(self, capsys):

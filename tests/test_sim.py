@@ -413,6 +413,32 @@ class TestSharedNoise:
         assert peak < 9e6
 
 
+class TestScalarStatistics:
+    """Engine version 4: scalar rules are evaluated from per-chunk
+    statistics, so an SNR point costs O(rows), not O(m * rows)."""
+
+    def test_scalar_rules_form_no_per_point_array(self):
+        # One chunk of a 13-SNR group at m = 100: the traced peak holds the
+        # noise block, v0 and its squares (three m x rows arrays) plus small
+        # change. Forming v or g * v - u for a point would add at least one
+        # more; the engine before version 4 peaked at about five.
+        m, rows = 100, sim.CHUNK_TRIALS
+        specs = [parse_estimator_spec(tag)
+                 for tag in ("ls", "sbme", "bbm", "pbm", "bock", "tik2", "shrinkc:c=1")]
+        cfg = ExperimentConfig(
+            scenario=("inline", "wide", np.eye(m), np.diag(np.linspace(1.0, 0.01, m))),
+            estimators=specs, snr_grid_db=TestSharedNoise.SNRS,
+            directions=[("random-sphere", 1)], trials=rows, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * m * rows * 8
+
+
 class TestResultsCsv:
     def _rows(self):
         return [
