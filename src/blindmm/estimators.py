@@ -88,16 +88,19 @@ def _check_exponent(b) -> None:
         raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
 
 
-def _ratio_gain(s, c, e):
+def _ratio_gain(s, c, e, out=None):
     """The scalar gain ``1 - e / (c + s)`` of every scalar rule, and 0 where
-    ``c + s == 0``.
+    ``c + s == 0``, written into ``out`` (which may be ``s``) if given.
 
     The ratio form ``((c - e) + s) / (c + s)`` keeps relative accuracy when
     the gain is tiny, and reduces exactly to ``s / (s + e)`` at ``c = e``
     and to ``(s - e) / s`` at ``c = 0``.
     """
     denom = c + s
-    return np.divide((c - e) + s, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    zero = denom == 0.0
+    g = np.add(s, c - e, out=out)  # the same floats as (c - e) + s
+    g[zero], denom[zero] = 0.0, 1.0
+    return np.divide(g, denom, out=g)
 
 
 # --- gain kernels -----------------------------------------------------------
@@ -123,7 +126,8 @@ def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, c
     takes the positive part and ``zero_flag`` flags ``s == 0``."""
 
     def gain(s, out=None):
-        g = _ratio_gain(s if spread is None else np.multiply(spread, s, out=out), c, e)
+        spread_s = s if spread is None else np.multiply(spread, s, out=out)
+        g = _ratio_gain(spread_s, c, e, out=None if spread is None else spread_s)
         if clamp:
             np.maximum(g, 0.0, out=g)
         return g, zero_flag and s == 0.0
@@ -198,9 +202,12 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     rows = xls.reshape(-1, model.m)
     basis = model.Qeig.basis
     v = None if plan.weights is None else basis.T @ rows.T  # (m, rows), as in the engine
-    with np.errstate(over="ignore"):  # an overflowing ebme statistic raises in its gain
+    # Overflow raises after the gain, so ebme raises its own error first.
+    with np.errstate(over="ignore", invalid="ignore"):
         s = np.einsum("ij,ij->i", rows, rows) if v is None else plan.weights @ (v * v)
-    g, degenerate = plan.gain(s)
+        g, degenerate = plan.gain(s)
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(g))):
+        raise NonFiniteError("xls: entries must be finite")
     if g.ndim == 1:
         xhat = g[:, None] * rows
         if plan.center is not None:

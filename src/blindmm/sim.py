@@ -19,6 +19,7 @@ per-component rules form ``v``. Chunks fold into per-(point, rule) moments.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -263,6 +264,13 @@ def _merge(a, b):
     return na + nb, sa + sb, qa + qb + delta * delta * na * nb / (na + nb)
 
 
+def _fold(chunks):
+    """Join per-chunk lists of ``(moments, sums)`` pairs, in chunk order."""
+    return functools.reduce(
+        lambda a, b: [(_merge(ma, mb), sa + sb) for (ma, sa), (mb, sb) in zip(a, b)], chunks
+    )
+
+
 def _mean_stderr(count: int, total: float, m2: float):
     stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
     return total / count, stderr
@@ -357,12 +365,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     with _thread_pool(workers) as pool:
         for model, plans, sweep_key, xs, group_seed in groups:
             kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
-            chunks = iter(_map_chunks(kernel, group_seed, trials, model.n, pool))
-            folded = next(chunks)
-            for chunk in chunks:
-                folded = [[(_merge(ma, mb), ga + gb) for (ma, ga), (mb, gb) in zip(pa, pb)]
-                          for pa, pb in zip(folded, chunk)]
-            for snr_db, point in zip(snrs, folded):
+            chunks = _map_chunks(kernel, group_seed, trials, model.n, pool)
+            for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
                 for spec, (moments, gains) in zip(config.estimators, point):
                     mean, stderr = _mean_stderr(*moments)
                     rows.append(MseRow(
@@ -558,6 +562,12 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     ``g_i(v) = v_i`` (derivative one) as a calibration case. Both sides are
     estimated from common draws, so ``stderr`` is the standard error of the
     per-draw difference.
+
+    Each chunk of draws ``z`` is worked on as a C-ordered ``(width, rows)``
+    array, the residual ``v - v_hat`` is exactly ``-z``, and the per-draw
+    differences fold into the engine's moments in chunk order. Terms that
+    overflow, or a zero ``stderr`` under a nonzero discrepancy (underflow),
+    raise ``ConfigError`` naming ``v``.
     """
     v = as_vector(v, "v")
     sigma = as_vector(sigma, "sigma")
@@ -577,38 +587,30 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     if g not in ("shrink", "linear"):
         raise ValueError(f"unknown test function {g!r}")
 
-    def column_sums(z):
-        vh = v + z
+    def chunk_stats(z):
+        """Per coordinate: the moments of ``dg_i/dv_i - g_i z_i`` and the sums of both terms."""
+        zt = np.ascontiguousarray(z.T)
+        vh = zt + v[:, None]
         if g == "shrink":
-            q = (vh * vh) @ inv_sigma
-            denom = (c + q)[:, None]
-            gi = vh / denom
-            deriv = 1.0 / denom - 2.0 * inv_sigma * vh * vh / (denom * denom)
+            sq = vh * vh
+            inv = 1.0 / (c + inv_sigma @ sq)
+            deriv = inv * (1.0 - 2.0 * inv_sigma[:, None] * sq * inv)
+            gz = vh * inv * zt
         else:
-            gi = vh
             deriv = np.ones_like(vh)
-        cross = gi * (v - vh)
-        diff = deriv + cross
-        return np.stack([deriv.sum(axis=0), cross.sum(axis=0), diff.sum(axis=0),
-                         (diff * diff).sum(axis=0)])
+            gz = vh * zt
+        sums = np.stack([deriv.sum(axis=1), gz.sum(axis=1)], axis=1)
+        return list(zip(map(_moments, deriv - gz), sums))
 
-    # Chunk-order sums, as for the squared errors. Overflow is checked once,
-    # on the results.
+    # Overflow is checked once, on the results.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sum_deriv, sum_cross, sum_diff, sum_diff2 = sum(
-            _map_chunks(column_sums, seed, trials, v.shape[0])
-        )
-        lhs = sum_deriv / trials
-        rhs = -sum_cross / trials
-        mean_diff = sum_diff / trials
-        var_diff = (sum_diff2 - trials * mean_diff**2) / (trials - 1)
-        stderr = np.sqrt(np.maximum(var_diff, 0.0) / trials)
-    if not np.all(np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(stderr)):
-        raise ConfigError("v: entries too large for this sigma, terms overflow float64")
+        moments, sums = zip(*_fold(_map_chunks(chunk_stats, seed, trials, v.shape[0])))
+        lhs, rhs = np.array(sums).T / trials
+        discrepancy = np.abs(lhs - rhs)
+    stderr = np.array([_mean_stderr(*mo)[1] for mo in moments])
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(stderr)
+    if not np.all(finite & ((stderr > 0.0) | (discrepancy == 0.0))):
+        raise ConfigError("v: entries too large for this sigma, terms leave float64 range")
     return SteinCheckResult(
-        lhs=lhs,
-        rhs=rhs,
-        discrepancy=np.abs(lhs - rhs),
-        stderr=stderr,
-        trials=trials,
+        lhs=lhs, rhs=rhs, discrepancy=discrepancy, stderr=stderr, trials=trials
     )

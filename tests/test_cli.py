@@ -73,6 +73,15 @@ class TestEstimate:
         assert "shrinkc requires a finite c >= 0" in capsys.readouterr().err
         assert not (iid_files / "xhat.csv").exists()
 
+    @pytest.mark.parametrize("estimator", ["ls", "sbme", "tik1"])
+    def test_overflowing_statistic_exit_3(self, iid_files, capsys, estimator):
+        write_matrix_csv(iid_files / "big.csv", np.full(5, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(iid_files, estimator, y="big.csv") == 3
+        assert capsys.readouterr().err.startswith("error: xls: ")
+        assert not (iid_files / "xhat.csv").exists()
+
     def test_dimension_error_exit_3(self, iid_files):
         write_matrix_csv(iid_files / "short.csv", np.array([1.0, 2.0]))
         assert self._run(iid_files, "ls", y="short.csv") == 3
@@ -463,18 +472,31 @@ class TestSteinCheckCommand:
 
     @pytest.mark.parametrize("v, sigma, name", [
         ("1e308,1", "1,4", "v"),
+        ("1e150,1", "1,4", "v"),
         ("1,2", "1e-320,1", "sigma"),
         (",", "1,4", "--v"),
-    ], ids=["v-overflow", "sigma-subnormal", "v-empty"])
+    ], ids=["v-overflow", "v-underflow", "sigma-subnormal", "v-empty"])
     def test_unusable_vector_exit_2(self, capsys, v, sigma, name):
         # Overflow gives a typed error naming the input, not a NaN row
-        # behind RuntimeWarnings; an empty list is a usage error.
+        # behind RuntimeWarnings, and so does a coordinate whose per-draw
+        # differences underflow to a zero stderr under a nonzero
+        # discrepancy; an empty list is a usage error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["stein-check", "--v", v, "--sigma", sigma, "--trials", "10000"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name}")
         assert captured.out == ""
+
+    def test_large_mean_passes(self, capsys):
+        # v + z rounds to v at 1e20; the residual v - v_hat is taken as -z,
+        # so the check does not read a zero rhs and a zero stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stein-check", "--v", "1e20,1", "--sigma", "1,4", "--trials", "100000",
+                         "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("PASS")
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",

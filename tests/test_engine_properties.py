@@ -1,6 +1,8 @@
-"""Property test for the Monte Carlo engine's scalar rules: the per-trial
+"""Property tests for the Monte Carlo engine's scalar rules: the per-trial
 squared errors and gains it computes from each chunk's statistics equal the
-explicit ``||xhat - x||^2`` of the public rules on random dense models."""
+explicit ``||xhat - x||^2`` of the public rules on random dense models; and
+for ``stein_lemma_check``: its component-major chunk sums and moment fold
+equal a row-major float64 reference over the same draws."""
 
 import numpy as np
 import pytest
@@ -59,3 +61,52 @@ def test_scalar_rules_match_explicit_error(case):
         np.testing.assert_allclose(
             point.gain_sums[spec.label], res.shrinkage.sum(axis=0), rtol=1e-9, err_msg=spec.label
         )
+
+
+@st.composite
+def stein_cases(draw):
+    width = draw(st.integers(1, 5))
+    v = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), min_size=width,
+                      max_size=width))
+    c_low = 1e-3 if not any(v) else 0.0  # g is undefined at c = 0 with v = 0
+    return {
+        "v": np.array(v),
+        "sigma": np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=width, max_size=width))),
+        "c": draw(st.one_of(st.just(c_low), st.floats(c_low, 1e3))),
+        "g": draw(st.sampled_from(["shrink", "linear"])),
+        "trials": draw(st.integers(10**4, 3 * sim.CHUNK_TRIALS + 5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stein_cases())
+def test_stein_sums_match_row_major_reference(case):
+    # The component-major chunk sums and the moment fold against one
+    # row-major pass over the same draws, with a two-pass variance.
+    v, sigma, c, trials = case["v"], case["sigma"], case["c"], case["trials"]
+    res = sim.stein_lemma_check(v, sigma, c, trials, case["seed"], g=case["g"])
+    z = np.concatenate([
+        sim.normal_block(case["seed"], np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), v.shape[0])
+        for lo in range(0, trials, sim.CHUNK_TRIALS)
+    ])
+    vh = v + z
+    if case["g"] == "shrink":
+        inv = (1.0 / (c + (vh * vh) @ (1.0 / sigma)))[:, None]
+        part = 2.0 / sigma * (vh * vh) * inv
+        deriv, scale = inv * (1.0 - part), inv * (1.0 + part)
+        gz = vh * inv * z
+    else:
+        deriv, gz = np.ones_like(vh), vh * z
+        scale = deriv
+    diff = deriv - gz
+    dev = diff - diff.mean(axis=0)
+    stderr = np.sqrt((dev * dev).sum(axis=0) / (trials - 1) / trials)
+    # Relative to the terms' magnitude: the means can cancel far below it
+    # (at v = 515 in two coordinates the lhs is 1e-6 of its terms), and the
+    # reference forms q in another order.
+    for got, want, terms in ((res.lhs, deriv, scale), (res.rhs, gz, np.abs(gz))):
+        want = want.mean(axis=0)
+        bound = 1e-12 * (np.abs(want) + terms.mean(axis=0))
+        assert np.all(np.abs(got - want) <= bound), (got, want, bound)
+    np.testing.assert_allclose(res.stderr, stderr, rtol=1e-9)

@@ -353,6 +353,35 @@ class TestEbme:
             estimate_from_ls(fig4_model(), EstimatorSpec("sbme"), xls)
 
 
+class TestOverflowingStatistic:
+    """Finite inputs whose statistic ``s`` overflows float64 raise the
+    engine's typed error instead of returning NaN behind a warning."""
+
+    @pytest.mark.parametrize("spec", [
+        EstimatorSpec(tag) for tag, rule in RULES.items() if rule.param is None
+    ] + [EstimatorSpec("shrinkc", c=0.0), EstimatorSpec("shrinkc", c=1.0),
+         EstimatorSpec("offcenter", x0=np.ones(3))], ids=lambda spec: spec.label)
+    def test_typed_error(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="xls: "):
+                estimate_from_ls(iid_model(3), spec, np.full(3, 1e160))
+
+    def test_overflowing_gain(self):
+        # ||xls||^2 is finite, but tik1's sig_i ||xls||^2 overflows.
+        model = build_model(np.eye(3), 0.25 * np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="xls: "):
+                estimate_from_ls(model, EstimatorSpec("tik1"), np.full(3, 0.7e154))
+
+    def test_ebme_keeps_its_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnknownEstimatorError, match="b=-1"):
+                ebme(iid_model(3), np.full(3, 1e160), b=-1.0)
+
+
 class TestScalarGainOracle:
     """Each scalar rule's gain against its textbook closed form, with
     ``||xls||^2_Q`` taken from ``H`` and ``Cw`` directly."""
