@@ -14,7 +14,6 @@ from blindmm.model import (
     effective_dimension,
     ls_estimate,
     scale_to_snr,
-    snr_of,
 )
 from blindmm.estimators import (
     EstimateResult,
@@ -73,7 +72,6 @@ __all__ = [
     "scale_to_snr",
     "scenarios",
     "shrink_c",
-    "snr_of",
     "stein_lemma_check",
     "sym_eig",
     "tikhonov1",

@@ -106,17 +106,32 @@ def _ratio_gain(s, c, e, out=None):
 # --- gain kernels -----------------------------------------------------------
 
 
+class Affine(NamedTuple):
+    """``ebme``'s gains on a row whose statistic ``l2`` exceeds ``t0``, the
+    largest cutoff threshold: no component is cut there, and the gains are
+    ``1 - a * weights`` with one ``a = r1 / (l2 + r2)`` per row."""
+
+    weights: np.ndarray
+    t0: float
+    r1: float
+    r2: float
+
+
 class Plan(NamedTuple):
     """A rule for one model: ``gain(s, out=None)`` maps the statistic
     ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
     ``s = ||xls||^2``) to ``(g, degenerate)``. ``g`` is ``(rows,)`` or, per
     component, ``(m, rows)``, and may be written into the work array ``out``;
     ``degenerate`` flags rows where the rule is undefined (gain 0 there).
-    ``center`` is the point shrunk toward (``None``: the origin)."""
+    ``center`` is the point shrunk toward (``None``: the origin). ``affine``
+    (``ebme`` only) is the closed form of ``gain`` on the rows its cutoff
+    leaves whole, which the Monte Carlo engine evaluates from per-row
+    statistics; ``gain`` stays the reference on every row."""
 
     gain: Callable
     weights: np.ndarray | None = None
     center: np.ndarray | None = None
+    affine: Affine | None = None
 
 
 def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, center=None):
@@ -192,7 +207,9 @@ def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
             raise UnknownEstimatorError(_OVERFLOW.format(b=b))
         return g, False
 
-    return Plan(gain, sb)
+    # t0 >= 0, so a zero row (every component cut) is never affine.
+    t0 = float(max(t_ascending[-1], 0.0))
+    return Plan(gain, sb, affine=Affine(sb2[:, 0], t0, r1[0], r2[0]))
 
 
 def _apply(model: Model, plan: Plan, xls) -> EstimateResult:

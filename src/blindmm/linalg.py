@@ -79,9 +79,6 @@ class EigDecomp:
     basis: np.ndarray
     eigenvalues: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis * self.eigenvalues) @ self.basis.T
-
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:

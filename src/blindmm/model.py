@@ -147,12 +147,6 @@ def effective_dimension(model: Model) -> float:
     return model.eps0 / model.eps_max
 
 
-def snr_of(model: Model, x) -> float:
-    """Signal-to-noise ratio ``||x||^2 / tr(Cw)`` (linear scale, not dB)."""
-    x = as_vector(x, "x")
-    return float(x @ x) / model.trace_cw
-
-
 def scale_to_snr(model: Model, direction, snr_db: float) -> np.ndarray:
     """Scale ``direction`` so the model sees the requested SNR in dB; raises
     ``SnrRangeError`` when the result is not finite in float64."""

@@ -7,13 +7,15 @@ matter how many workers run or in what order chunks finish. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine (version 4, see the README) works in the eigenbasis ``U`` of
+The engine (version 5, see the README) works in the eigenbasis ``U`` of
 ``Q``. The SNR points of one (case, direction) pair share each chunk's
 noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
 ``v = v0 + U'x``. A rule sees ``v`` only through ``s = w . v**2``
-(``estimators.Plan``), so scalar rules cost O(rows) per point and only
-per-component rules form ``v``. Chunks fold into per-(point, rule) moments.
+(``estimators.Plan``), so scalar rules cost O(rows) per point, and so does
+``ebme`` on the trials its cutoff leaves whole (``Plan.affine``); only
+``tik1`` and ``ebme``'s cut trials form ``v``. Chunks fold into
+per-(point, rule) moments.
 """
 
 from __future__ import annotations
@@ -168,6 +170,30 @@ def _distinct(arrays):
     return np.array([np.frombuffer(k) for k in keys]), [keys.index(a.tobytes()) for a in arrays]
 
 
+def _affine_errors(affine, whole, l2, base0, cross2):
+    """``ebme``'s squared errors ``||v0||^2 - a cross2 + a**2 l2`` and gain
+    sum on the ``whole`` rows (``l2 > affine.t0``, no component cut), with
+    ``cross2 = 2 (w v0) . v`` for the affine weights ``w``, and the indices
+    of the other rows."""
+    # A row whose closed form overflows joins the rows left to the reference
+    # gain, which raises ebme's own error if it overflows too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = affine.r1 / (l2 + affine.r2)
+        se = base0 - a * (cross2 - a * l2)
+        whole &= np.isfinite(se)
+        cut = np.flatnonzero(~whole)
+        a_sum = a[whole].sum() if cut.size else a.sum()
+        gain_sum = (l2.shape[0] - cut.size) - affine.weights * a_sum
+    return se, gain_sum, cut
+
+
+def _spectral_errors(g, v, u):
+    """Squared errors ``||g v - u||^2`` of per-component gains ``g`` (overwritten)."""
+    g *= v
+    g -= u
+    return np.einsum("ij,ij->j", g, g)
+
+
 def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
     """The engine: ``eval_chunk(z)`` maps one noise block to, per point
     ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
@@ -178,21 +204,40 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
     ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
     ``u = U'x``, and a scalar rule's squared error is
     ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
+    A plan with an ``affine`` form (``ebme``) takes it on the rows its
+    cutoff leaves whole and its reference ``gain`` on the others only.
+
+    Raises ``SnrRangeError`` before any noise is drawn when a noise-free
+    statistic ``w . u**2``, or a rule's gain on it, leaves float64 range.
     """
     basis, m = model.Qeig.basis, model.m
     a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T)
     us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
-    # w = 1 comes first: every scalar error needs ||v0||^2.
+    # w = 1 comes first: every scalar error needs ||v0||^2. Each plan then
+    # adds the weights of its statistic and of its affine form (1 if none).
     w_mat, w_slot = _distinct([np.ones(m)] + [
-        np.ones(m) if p.weights is None else p.weights for p in plans])
+        np.ones(m) if w is None else w
+        for p in plans for w in (p.weights, None if p.affine is None else p.affine.weights)])
+    s_slot, a_slot = w_slot[1::2], w_slot[2::2]
     c_mat, c_slot = _distinct([np.zeros(m) if p.center is None else basis.T @ p.center
                                for p in plans])
     n_w, last = w_mat.shape[0], len(us) - 1
-    shifted = us[:, None, :] - c_mat  # u' per (point, center)
-    # Per point: rows 2 w u (the statistics' cross terms), then 2 u' (the errors').
-    cross_ops = 2.0 * np.concatenate([us[:, None, :] * w_mat, shifted], axis=1)
-    w_u2 = (us * us) @ w_mat.T
-    u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = us[:, None, :] - c_mat  # u' per (point, center)
+        # Per point: rows 2 w u (the statistics' cross terms), then 2 u' (the errors').
+        cross_ops = 2.0 * np.concatenate([us[:, None, :] * w_mat, shifted], axis=1)
+        w_u2 = (us * us) @ w_mat.T
+        u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
+        finite = [np.isfinite(cross_ops).all(axis=(1, 2)), np.isfinite(w_u2).all(axis=1),
+                  np.isfinite(u2).all(axis=1)]
+        finite += [np.isfinite(plan.gain(w_u2[:, j])[0]).reshape(-1, len(xs)).all(axis=0)
+                   for plan, j in zip(plans, s_slot)]
+    bad = np.flatnonzero(~np.logical_and.reduce(finite))
+    if bad.size:
+        raise SnrRangeError(
+            f"||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's statistic w . (U'x)**2 "
+            "leaves float64 range on this model"
+        )
 
     def eval_chunk(z):
         rows = z.shape[0]
@@ -200,10 +245,10 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
         d = buffers.get("d", m, rows)
         cross = buffers.get("cross", cross_ops.shape[1], rows)
         stats = cross[:n_w]
-        # Overflow gives inf, which ebme's gain and the check below reject.
+        # Overflow gives inf, which the check below rejects for every weight row.
         with np.errstate(over="ignore", invalid="ignore"):
             base = w_mat @ np.multiply(v0, v0, out=d)
-        if not np.all(np.isfinite(base[0])):
+        if not np.all(np.isfinite(base)):
             raise NonFiniteError("xls: entries must be finite")
         out = []
         for k, u in enumerate(us[:, :, None]):
@@ -212,18 +257,34 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
                 stats += base
                 stats += w_u2[k, :, None]
             v, point = None, []
-            for plan, j, c in zip(plans, w_slot[1:], c_slot):
-                g, _ = plan.gain(stats[j], d)  # a per-component g may be d itself
-                gain_sum = g.sum(axis=-1)
-                if g.ndim == 1:
-                    h = g - 1.0
-                    se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
+            for plan, j, ja, c in zip(plans, s_slot, a_slot, c_slot):
+                s = stats[j]
+                whole = None if plan.affine is None else s > plan.affine.t0
+                # Gathering the cut rows pays off while fewer than about half
+                # are cut (measured on fig5a, ebme:b=1); past that the
+                # reference gain on every row costs less.
+                if whole is not None and 2 * np.count_nonzero(whole) >= rows:
+                    se, gain_sum, cut = _affine_errors(
+                        plan.affine, whole, s, base[0], stats[ja] + base[ja] - w_u2[k, ja])
+                    if cut.size:  # the reference gain on the gathered cut rows
+                        # The last point may already have formed v in v0's place.
+                        vc = np.take(v0 if v is None else v, cut, axis=1,
+                                     out=buffers.get("vc", m, cut.size))
+                        if v is None:
+                            vc += u
+                        g, _ = plan.gain(s[cut], buffers.get("d", m, cut.size))
+                        gain_sum = gain_sum + g.sum(axis=-1)
+                        se[cut] = _spectral_errors(g, vc, u)
                 else:
-                    if v is None:  # the last point adds its u to v0 in place
-                        v = np.add(v0, u, out=v0 if k == last else buffers.get("v", m, rows))
-                    g *= v
-                    g -= u
-                    se = np.einsum("ij,ij->j", g, g)
+                    g, _ = plan.gain(s, d)  # a per-component g may be d itself
+                    gain_sum = g.sum(axis=-1)
+                    if g.ndim == 1:
+                        h = g - 1.0
+                        se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
+                    else:
+                        if v is None:  # the last point adds its u to v0 in place
+                            v = np.add(v0, u, out=v0 if k == last else buffers.get("v", m, rows))
+                        se = _spectral_errors(g, v, u)
                 point.append((reduce(se), gain_sum))
             out.append(point)
         return out
@@ -330,11 +391,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
     The scenario resolves to one or more ``(case_key, model)`` cases (the
     condition-number sweep has one case per condition; everything else has
-    a single unkeyed case). Every grid point is resolved before any noise is
-    drawn, each model's rule plans are built once, and one thread pool
-    serves the whole run. The SNR points of one (case, direction) pair form
-    a group that shares its noise: one chunk pass serves the group, and
-    each chunk is folded into per-(point, rule) moments in chunk order.
+    a single unkeyed case). Every grid point is resolved, and its rules'
+    statistics bounded, before any noise is drawn; each model's rule plans
+    are built once, and one thread pool serves the whole run. The SNR
+    points of one (case, direction) pair form a group that shares its noise:
+    one chunk pass serves the group, and each chunk is folded into
+    per-(point, rule) moments in chunk order.
     """
     from blindmm import scenarios  # late import: scenarios builds on this module
 
@@ -345,6 +407,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     trials = int(config.trials)
     snrs = [float(snr_db) for snr_db in config.snr_grid_db]
     groups = []
+    buffers = _Buffers()
     for case_idx, (case_key, model) in enumerate(cases):
         plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
         directions = resolve_directions(model, config.directions, seed)
@@ -354,17 +417,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
                 sweep_key = f"{case_key}:{dir_key}"
             try:
                 xs = [scale_to_snr(model, direction, snr_db) for snr_db in snrs]
+                kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
             except SnrRangeError as exc:
                 raise ConfigError(f"snr_grid_db: {exc}") from exc
             # The group's stream is the one its first SNR point had alone.
             group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
-            groups.append((model, plans, sweep_key, xs, group_seed))
+            groups.append((model, sweep_key, kernel, group_seed))
 
     rows = []
-    buffers = _Buffers()
     with _thread_pool(workers) as pool:
-        for model, plans, sweep_key, xs, group_seed in groups:
-            kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
+        for model, sweep_key, kernel, group_seed in groups:
             chunks = _map_chunks(kernel, group_seed, trials, model.n, pool)
             for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
                 for spec, (moments, gains) in zip(config.estimators, point):

@@ -355,6 +355,21 @@ class TestExperiment:
         assert "snr_grid_db" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_weighted_statistic_exit_2(self, tmp_path, capsys):
+        # x is finite at 3070 dB, but sig_max * ||U'x||^2 (bock along the
+        # clean axis, tik1 along both) overflows float64.
+        cfg = self._write_config(
+            tmp_path, scenario={"H": {"identity": 3}, "Cw": {"diag": [1e-3, 1, 1]}},
+            estimators=["ls", "bock", "tik1", "ebme:b=-1"], snr_grid_db=[3070.0],
+            directions=["max-eigenvector", "min-eigenvector"],
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "snr_grid_db" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, field", [
         ({"directions": [{"vector": 5}]}, "directions.vector"),
         ({"directions": [{"random-sphere": None}]}, "directions.random-sphere"),

@@ -10,6 +10,7 @@ import pytest
 
 from blindmm import sim
 from blindmm.estimators import (
+    RULES,
     EstimatorSpec,
     balanced_bme,
     ebme,
@@ -20,7 +21,7 @@ from blindmm.estimators import (
 from blindmm.linalg import write_matrix_csv
 from blindmm.model import build_model, scale_to_snr
 from blindmm.rng import derive_seed, normal_block
-from blindmm.scenarios import fig4_model, fig5b_model, fig6_model, fig7_model
+from blindmm.scenarios import fig4_model, fig5a_model, fig5b_model, fig6_model, fig7_model
 from blindmm.sim import (
     ConfigError,
     DegenerateGError,
@@ -39,6 +40,15 @@ from blindmm.sim import (
 
 def iid_model(m):
     return build_model(np.eye(m), np.eye(m))
+
+
+def chunked_xls(model, x, seed, trials):
+    """The least-squares estimates the engine's noise blocks give at ``x``."""
+    return np.concatenate([
+        (sim.normal_block(seed, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), model.n)
+         @ model.cw_sqrt + model.H @ x) @ model.ls_op.T
+        for lo in range(0, trials, sim.CHUNK_TRIALS)
+    ])
 
 
 class TestMonteCarloMse:
@@ -237,6 +247,24 @@ class TestRunExperiment:
                 run_experiment(cfg)
         assert drawn == []
 
+    @pytest.mark.parametrize("direction", ["max-eigenvector", "min-eigenvector"])
+    def test_overflowing_weighted_statistic_rejected_before_any_noise(self, monkeypatch,
+                                                                      direction):
+        # x is finite at 3070 dB, but a weighted statistic is not: bock's
+        # sig . u**2 along the clean axis, tik1's sig_max ||u||**2 along both.
+        drawn = []
+        monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        cfg = ExperimentConfig(
+            scenario=("inline", "clean-axis", np.eye(3), np.diag([1e-3, 1.0, 1.0])),
+            estimators=[parse_estimator_spec(t) for t in ("ls", "bock", "tik1", "ebme:b=-1")],
+            snr_grid_db=[0.0, 3070.0], directions=[direction], trials=100, seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="snr_grid_db"):
+                run_experiment(cfg)
+        assert drawn == []
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_bad_worker_count_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers"):
@@ -297,11 +325,7 @@ class TestEigenbasisEngine:
 
     def _check(self, model, x, specs, seed):
         point = _point_squared_errors(model, x, specs, self.TRIALS, seed)
-        xls = np.concatenate([
-            (sim.normal_block(seed, np.arange(lo, hi), model.n) @ model.cw_sqrt + model.H @ x)
-            @ model.ls_op.T
-            for lo, hi in ((0, 4096), (4096, self.TRIALS))
-        ])
+        xls = chunked_xls(model, x, seed, self.TRIALS)
         results = {}
         for spec in specs:
             res = results[spec.kind] = estimate_from_ls(model, spec, xls)
@@ -437,6 +461,75 @@ class TestScalarStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * m * rows * 8
+
+
+class TestAffineEbme:
+    """Engine version 5: ``ebme`` in closed form on the trials its cutoff
+    leaves whole, and its reference gain on the gathered others."""
+
+    TRIALS = 5000  # two chunks
+
+    @staticmethod
+    def _cut_fraction(model, spec, xls):
+        plan = RULES["ebme"].plan(model, spec)
+        v = model.Qeig.basis.T @ xls.T
+        return float(np.mean(~(plan.weights @ (v * v) > plan.affine.t0)))
+
+    @pytest.mark.parametrize("model, b, snr_db, low, high", [
+        (fig5b_model(), -1.0, 0.0, 0.0, 0.0),    # no trial cut: closed form only
+        (fig5a_model(), 1.0, -10.0, 1.0, 1.0),   # every trial cut: reference only
+        (fig5a_model(), 1.0, 0.0, 0.3, 0.6),     # both, the cut trials gathered
+    ], ids=["fig5b-none-cut", "fig5a-all-cut", "fig5a-some-cut"])
+    def test_both_branches_match_public_ebme(self, model, b, snr_db, low, high):
+        spec = EstimatorSpec("ebme", b=b)
+        x = scale_to_snr(model, np.ones(model.m), snr_db)
+        point = _point_squared_errors(model, x, [spec], self.TRIALS, seed=9)
+        xls = chunked_xls(model, x, 9, self.TRIALS)
+        assert low <= self._cut_fraction(model, spec, xls) <= high
+        res = ebme(model, xls, b=b)
+        np.testing.assert_allclose(
+            point.squared_errors[spec.label], np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            point.gain_sums[spec.label], res.shrinkage.sum(axis=0), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("tags", [("tik1", "ebme:b=1"), ("ebme:b=1", "tik1")])
+    def test_gathered_rows_of_the_last_point(self, tags):
+        # At the last point a per-component rule adds u into v0 in place;
+        # the cut rows gathered after that must come from v, not v0 + u.
+        model = fig5a_model()
+        specs = [parse_estimator_spec(tag) for tag in tags]
+        xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in (-10.0, 5.0, 0.0)]
+        plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
+        kernel = sim._chunk_kernel(model, xs, plans, sim._Buffers(), lambda se: se)
+        z = sim.normal_block(4, np.arange(sim.CHUNK_TRIALS), model.n)
+        ebme_spec = specs[tags.index("ebme:b=1")]
+        for x, point in zip(xs, kernel(z)):
+            xls = (z @ model.cw_sqrt + model.H @ x) @ model.ls_op.T
+            for spec, (se, gain_sum) in zip(specs, point):
+                res = estimate_from_ls(model, spec, xls)
+                np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
+                np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
+        assert 0.3 <= self._cut_fraction(model, ebme_spec, xls) <= 0.6
+
+    def test_overflowing_closed_form_falls_back(self):
+        # An affine form whose arithmetic overflows sends every trial to the
+        # reference gain: the errors match the public rule, with no NaN and
+        # no warning.
+        model = fig5b_model()
+        spec = EstimatorSpec("ebme", b=-1.0)
+        plan = RULES["ebme"].plan(model, spec)
+        plan = plan._replace(affine=plan.affine._replace(r1=1e308))
+        x = scale_to_snr(model, np.ones(model.m), 0.0)
+        kernel = sim._chunk_kernel(model, [x], [plan], sim._Buffers(), lambda se: se)
+        z = sim.normal_block(5, np.arange(sim.CHUNK_TRIALS), model.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [[(se, gain_sum)]] = kernel(z)
+        res = ebme(model, (z @ model.cw_sqrt + model.H @ x) @ model.ls_op.T, b=-1.0)
+        np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
+        np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
 
 
 class TestResultsCsv:
