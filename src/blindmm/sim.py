@@ -13,9 +13,9 @@ noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
 ``v = v0 + U'x``. A rule sees ``v`` only through ``s = w . v**2``
 (``estimators.Plan``), so scalar rules cost O(rows) per point, and so does
-``ebme`` on the trials its cutoff leaves whole (``Plan.affine``); only
-``tik1`` and ``ebme``'s cut trials form ``v``. Chunks fold into
-per-(point, rule) moments.
+``ebme`` where its cutoff leaves a chunk's trials whole (``Plan.affine``);
+only ``tik1``, and ``ebme`` where it cuts a trial, form ``v``. Chunks fold
+into per-(point, rule) moments.
 """
 
 from __future__ import annotations
@@ -170,61 +170,45 @@ def _distinct(arrays):
     return np.array([np.frombuffer(k) for k in keys]), [keys.index(a.tobytes()) for a in arrays]
 
 
-def _affine_errors(affine, whole, l2, base0, cross2):
+def _affine_errors(affine, l2, base0, stat, base, w_u2):
     """``ebme``'s squared errors ``||v0||^2 - a cross2 + a**2 l2`` and gain
-    sum on the ``whole`` rows (``l2 > affine.t0``, no component cut), with
-    ``cross2 = 2 (w v0) . v`` for the affine weights ``w``, and the indices
-    of the other rows."""
-    # A row whose closed form overflows joins the rows left to the reference
-    # gain, which raises ebme's own error if it overflows too.
+    sum on rows its cutoff leaves whole (``l2 > affine.t0``). ``stat``,
+    ``base`` and ``w_u2`` are the affine weights' statistic, its ``w . v0**2``
+    and its ``w . u**2``, so ``cross2 = 2 (w v0) . v = stat + base - w_u2``.
+    ``None`` when the closed form leaves float64 range, which leaves every
+    row to the reference gain (and to its own error if that overflows too)."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = affine.r1 / (l2 + affine.r2)
-        se = base0 - a * (cross2 - a * l2)
-        whole &= np.isfinite(se)
-        cut = np.flatnonzero(~whole)
-        a_sum = a[whole].sum() if cut.size else a.sum()
-        gain_sum = (l2.shape[0] - cut.size) - affine.weights * a_sum
-    return se, gain_sum, cut
+        se = base0 - a * (stat + base - w_u2 - a * l2)
+        gain_sum = l2.shape[0] - affine.weights * a.sum()
+    return (se, gain_sum) if np.isfinite(se).all() and np.isfinite(gain_sum).all() else None
 
 
-def _spectral_errors(g, v, u):
-    """Squared errors ``||g v - u||^2`` of per-component gains ``g`` (overwritten)."""
-    g *= v
-    g -= u
-    return np.einsum("ij,ij->j", g, g)
+def _noise_free_terms(model: Model, xs, plans):
+    """The noise-free terms ``(us, w_mat, s_slot, a_slot, c_slot, cross_ops,
+    w_u2, u2)`` of the points ``xs`` under ``plans``, which ``_chunk_kernel``
+    adds to each chunk's statistics.
 
+    ``w_mat`` holds the distinct weight rows (``w = 1`` first: every scalar
+    error needs ``||v0||^2``), and each plan's statistic and affine form
+    read rows ``s_slot`` and ``a_slot`` of it (1 when it has none); ``c_slot``
+    indexes the distinct centers. Per point ``u = U'x`` (``us``) and
+    ``u' = u - U'x0``: ``cross_ops`` holds ``2 w u`` and then ``2 u'``,
+    ``w_u2`` holds ``w . u**2`` and ``u2`` holds ``||u'||^2``.
 
-def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
-    """The engine: ``eval_chunk(z)`` maps one noise block to, per point
-    ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
-    sum)``, where ``se`` holds the chunk's per-trial squared errors and the
-    gain sum is ``(m,)`` or, for a scalar rule, a scalar.
-
-    All points share the block's ``v0 = A' z'``; a point's statistics are
-    ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
-    ``u = U'x``, and a scalar rule's squared error is
-    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
-    A plan with an ``affine`` form (``ebme``) takes it on the rows its
-    cutoff leaves whole and its reference ``gain`` on the others only.
-
-    Raises ``SnrRangeError`` before any noise is drawn when a noise-free
-    statistic ``w . u**2``, or a rule's gain on it, leaves float64 range.
+    Raises ``SnrRangeError`` when any of these terms, or a rule's gain on
+    ``w . u**2``, leaves float64 range.
     """
     basis, m = model.Qeig.basis, model.m
-    a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T)
     us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
-    # w = 1 comes first: every scalar error needs ||v0||^2. Each plan then
-    # adds the weights of its statistic and of its affine form (1 if none).
     w_mat, w_slot = _distinct([np.ones(m)] + [
         np.ones(m) if w is None else w
         for p in plans for w in (p.weights, None if p.affine is None else p.affine.weights)])
     s_slot, a_slot = w_slot[1::2], w_slot[2::2]
     c_mat, c_slot = _distinct([np.zeros(m) if p.center is None else basis.T @ p.center
                                for p in plans])
-    n_w, last = w_mat.shape[0], len(us) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = us[:, None, :] - c_mat  # u' per (point, center)
-        # Per point: rows 2 w u (the statistics' cross terms), then 2 u' (the errors').
+        shifted = us[:, None, :] - c_mat
         cross_ops = 2.0 * np.concatenate([us[:, None, :] * w_mat, shifted], axis=1)
         w_u2 = (us * us) @ w_mat.T
         u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
@@ -238,6 +222,30 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
             f"||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's statistic w . (U'x)**2 "
             "leaves float64 range on this model"
         )
+    return us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2
+
+
+def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
+    """The engine: ``eval_chunk(z)`` maps one noise block to, per point
+    ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
+    sum)``, where ``se`` holds the chunk's per-trial squared errors and the
+    gain sum is ``(m,)`` or, for a scalar rule, a scalar.
+
+    All points share the block's ``v0 = A' z'``; a point's statistics are
+    ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
+    ``u = U'x``, and a scalar rule's squared error is
+    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
+    A plan with an ``affine`` form (``ebme``) takes it at a point where its
+    cutoff leaves every row of the chunk whole, and its reference ``gain``
+    on every row otherwise.
+
+    Raises ``SnrRangeError`` before any noise is drawn when a noise-free
+    term leaves float64 range (``_noise_free_terms``).
+    """
+    m = model.m
+    a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ model.Qeig.basis).T)
+    us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2 = _noise_free_terms(model, xs, plans)
+    n_w, last = w_mat.shape[0], len(us) - 1
 
     def eval_chunk(z):
         rows = z.shape[0]
@@ -258,25 +266,14 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
                 stats += w_u2[k, :, None]
             v, point = None, []
             for plan, j, ja, c in zip(plans, s_slot, a_slot, c_slot):
-                s = stats[j]
-                whole = None if plan.affine is None else s > plan.affine.t0
-                # Gathering the cut rows pays off while fewer than about half
-                # are cut (measured on fig5a, ebme:b=1); past that the
-                # reference gain on every row costs less.
-                if whole is not None and 2 * np.count_nonzero(whole) >= rows:
-                    se, gain_sum, cut = _affine_errors(
-                        plan.affine, whole, s, base[0], stats[ja] + base[ja] - w_u2[k, ja])
-                    if cut.size:  # the reference gain on the gathered cut rows
-                        # The last point may already have formed v in v0's place.
-                        vc = np.take(v0 if v is None else v, cut, axis=1,
-                                     out=buffers.get("vc", m, cut.size))
-                        if v is None:
-                            vc += u
-                        g, _ = plan.gain(s[cut], buffers.get("d", m, cut.size))
-                        gain_sum = gain_sum + g.sum(axis=-1)
-                        se[cut] = _spectral_errors(g, vc, u)
+                fit = None
+                if plan.affine is not None and np.all(stats[j] > plan.affine.t0):
+                    fit = _affine_errors(plan.affine, stats[j], base[0],
+                                         stats[ja], base[ja], w_u2[k, ja])
+                if fit is not None:
+                    se, gain_sum = fit
                 else:
-                    g, _ = plan.gain(s, d)  # a per-component g may be d itself
+                    g, _ = plan.gain(stats[j], d)  # a per-component g may be d itself
                     gain_sum = g.sum(axis=-1)
                     if g.ndim == 1:
                         h = g - 1.0
@@ -284,7 +281,9 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
                     else:
                         if v is None:  # the last point adds its u to v0 in place
                             v = np.add(v0, u, out=v0 if k == last else buffers.get("v", m, rows))
-                        se = _spectral_errors(g, v, u)
+                        g *= v
+                        g -= u
+                        se = np.einsum("ij,ij->j", g, g)
                 point.append((reduce(se), gain_sum))
             out.append(point)
         return out
@@ -407,7 +406,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
     trials = int(config.trials)
     snrs = [float(snr_db) for snr_db in config.snr_grid_db]
     groups = []
-    buffers = _Buffers()
     for case_idx, (case_key, model) in enumerate(cases):
         plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
         directions = resolve_directions(model, config.directions, seed)
@@ -417,16 +415,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
                 sweep_key = f"{case_key}:{dir_key}"
             try:
                 xs = [scale_to_snr(model, direction, snr_db) for snr_db in snrs]
-                kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
+                _noise_free_terms(model, xs, plans)  # bounds the group before any noise
             except SnrRangeError as exc:
                 raise ConfigError(f"snr_grid_db: {exc}") from exc
             # The group's stream is the one its first SNR point had alone.
             group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
-            groups.append((model, sweep_key, kernel, group_seed))
+            groups.append((model, plans, sweep_key, xs, group_seed))
 
     rows = []
+    buffers = _Buffers()
     with _thread_pool(workers) as pool:
-        for model, sweep_key, kernel, group_seed in groups:
+        for model, plans, sweep_key, xs, group_seed in groups:
+            kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
             chunks = _map_chunks(kernel, group_seed, trials, model.n, pool)
             for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
                 for spec, (moments, gains) in zip(config.estimators, point):

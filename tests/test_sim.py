@@ -464,54 +464,78 @@ class TestScalarStatistics:
 
 
 class TestAffineEbme:
-    """Engine version 5: ``ebme`` in closed form on the trials its cutoff
-    leaves whole, and its reference gain on the gathered others."""
+    """Engine version 5: ``ebme`` in closed form at a point where its cutoff
+    leaves every trial of a chunk whole, and its reference gain on every
+    trial of the chunk otherwise."""
 
     TRIALS = 5000  # two chunks
 
     @staticmethod
-    def _cut_fraction(model, spec, xls):
+    def _cut_fractions(model, spec, xls):
+        """Per engine chunk, the share of trials on which ebme's cutoff engages."""
         plan = RULES["ebme"].plan(model, spec)
         v = model.Qeig.basis.T @ xls.T
-        return float(np.mean(~(plan.weights @ (v * v) > plan.affine.t0)))
+        cut = ~(plan.weights @ (v * v) > plan.affine.t0)
+        return [float(np.mean(cut[lo:lo + sim.CHUNK_TRIALS]))
+                for lo in range(0, cut.size, sim.CHUNK_TRIALS)]
+
+    def _check(self, model, specs, snrs, seed, plans=None):
+        """Check the engine's errors and gain sums at each point against the
+        public rules; return, per spec, how many chunk-wide reference gain
+        calls the kernel made, and each point's ``xls``."""
+        plans = plans or [RULES[spec.kind].plan(model, spec) for spec in specs]
+        calls = [0] * len(specs)
+
+        def counted(i, plan):
+            def gain(s, out=None):
+                calls[i] += np.shape(s)[-1] > len(snrs)  # not the noise-free bound
+                return plan.gain(s, out)
+            return plan._replace(gain=gain)
+
+        xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in snrs]
+        kernel = sim._chunk_kernel(model, xs, [counted(i, p) for i, p in enumerate(plans)],
+                                   sim._Buffers(), lambda se: se)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunks = sim._map_chunks(kernel, seed, self.TRIALS, model.n)
+        xls_all = [chunked_xls(model, x, seed, self.TRIALS) for x in xs]
+        for k, (x, xls) in enumerate(zip(xs, xls_all)):
+            for i, spec in enumerate(specs):
+                se = np.concatenate([chunk[k][i][0] for chunk in chunks])
+                gain_sum = sum(chunk[k][i][1] for chunk in chunks)
+                res = estimate_from_ls(model, spec, xls)
+                np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
+                np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
+        return calls, xls_all
 
     @pytest.mark.parametrize("model, b, snr_db, low, high", [
         (fig5b_model(), -1.0, 0.0, 0.0, 0.0),    # no trial cut: closed form only
         (fig5a_model(), 1.0, -10.0, 1.0, 1.0),   # every trial cut: reference only
-        (fig5a_model(), 1.0, 0.0, 0.3, 0.6),     # both, the cut trials gathered
+        (fig5a_model(), 1.0, 0.0, 0.3, 0.6),     # some cut: reference on the whole ones too
     ], ids=["fig5b-none-cut", "fig5a-all-cut", "fig5a-some-cut"])
     def test_both_branches_match_public_ebme(self, model, b, snr_db, low, high):
         spec = EstimatorSpec("ebme", b=b)
-        x = scale_to_snr(model, np.ones(model.m), snr_db)
-        point = _point_squared_errors(model, x, [spec], self.TRIALS, seed=9)
-        xls = chunked_xls(model, x, 9, self.TRIALS)
-        assert low <= self._cut_fraction(model, spec, xls) <= high
-        res = ebme(model, xls, b=b)
-        np.testing.assert_allclose(
-            point.squared_errors[spec.label], np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            point.gain_sums[spec.label], res.shrinkage.sum(axis=0), rtol=1e-9
-        )
+        [calls], [xls] = self._check(model, [spec], [snr_db], seed=9)
+        fractions = self._cut_fractions(model, spec, xls)
+        assert len(fractions) == 2 and all(low <= f <= high for f in fractions)
+        # The reference gain runs on exactly the chunks that cut a trial.
+        assert calls == sum(f > 0 for f in fractions)
 
+    @pytest.mark.parametrize("last_snr", [0.0, 20.0], ids=["last-some-cut", "last-none-cut"])
     @pytest.mark.parametrize("tags", [("tik1", "ebme:b=1"), ("ebme:b=1", "tik1")])
-    def test_gathered_rows_of_the_last_point(self, tags):
+    def test_last_point_after_v_is_formed_in_place(self, tags, last_snr):
         # At the last point a per-component rule adds u into v0 in place;
-        # the cut rows gathered after that must come from v, not v0 + u.
+        # what ebme reads after that, on either branch, must still be v.
         model = fig5a_model()
         specs = [parse_estimator_spec(tag) for tag in tags]
-        xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in (-10.0, 5.0, 0.0)]
-        plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
-        kernel = sim._chunk_kernel(model, xs, plans, sim._Buffers(), lambda se: se)
-        z = sim.normal_block(4, np.arange(sim.CHUNK_TRIALS), model.n)
-        ebme_spec = specs[tags.index("ebme:b=1")]
-        for x, point in zip(xs, kernel(z)):
-            xls = (z @ model.cw_sqrt + model.H @ x) @ model.ls_op.T
-            for spec, (se, gain_sum) in zip(specs, point):
-                res = estimate_from_ls(model, spec, xls)
-                np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
-                np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
-        assert 0.3 <= self._cut_fraction(model, ebme_spec, xls) <= 0.6
+        i = tags.index("ebme:b=1")
+        calls, xls_all = self._check(model, specs, [-10.0, 5.0, last_snr], seed=4)
+        fractions = [self._cut_fractions(model, specs[i], xls) for xls in xls_all]
+        if last_snr == 0.0:
+            assert all(0.3 <= f <= 0.6 for f in fractions[-1])
+        else:
+            assert fractions[-1] == [0.0, 0.0]
+        assert calls[i] == sum(f > 0 for point in fractions for f in point)
 
     def test_overflowing_closed_form_falls_back(self):
         # An affine form whose arithmetic overflows sends every trial to the
@@ -521,15 +545,8 @@ class TestAffineEbme:
         spec = EstimatorSpec("ebme", b=-1.0)
         plan = RULES["ebme"].plan(model, spec)
         plan = plan._replace(affine=plan.affine._replace(r1=1e308))
-        x = scale_to_snr(model, np.ones(model.m), 0.0)
-        kernel = sim._chunk_kernel(model, [x], [plan], sim._Buffers(), lambda se: se)
-        z = sim.normal_block(5, np.arange(sim.CHUNK_TRIALS), model.n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            [[(se, gain_sum)]] = kernel(z)
-        res = ebme(model, (z @ model.cw_sqrt + model.H @ x) @ model.ls_op.T, b=-1.0)
-        np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
-        np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
+        [calls], _ = self._check(model, [spec], [0.0], seed=5, plans=[plan])
+        assert calls == 2
 
 
 class TestResultsCsv:
