@@ -1,12 +1,12 @@
-"""Reproducibility: keyed Philox chunks and worker-count invariance.
+"""Reproducibility: keyed Philox chunks and byte-identical reruns.
 
 Monte Carlo trials are cut into fixed chunks of ``CHUNK_TRIALS``. Each
 chunk's noise is one block from numpy's counter-based Philox generator,
 keyed through ``SeedSequence`` by (seed, first trial of the chunk). A chunk
-can therefore be regenerated in isolation, results do not depend on
-execution order, and the same experiment gives byte-identical CSVs no
-matter how many worker threads run it. Bit-reproducibility is promised for
-a given numpy build, not across platforms.
+can therefore be regenerated in isolation, and a rerun of the same
+experiment with the same seed gives a byte-identical CSV.
+Bit-reproducibility is promised for a given numpy build, not across
+platforms.
 
 There is one stream per direction, not per grid point: the SNR points of a
 direction differ only in the true parameter, so they share each chunk's
@@ -35,10 +35,10 @@ print("3-trial chunk is a row prefix:       ", np.array_equal(prefix, block[:3])
 other = normal_block(seed=42, trial_ids=np.arange(101, 111), count=8)
 print("chunk keyed at trial 101 differs:    ", not np.array_equal(other[:-1], block[1:]))
 
-# 3. Worker threads change nothing: the chunks (of CHUNK_TRIALS trials) are
-#    fixed, so each chunk's noise and the reduction order, and hence every
-#    output bit, are worker-independent. Both SNR points of a direction read
-#    the same blocks.
+# 3. A rerun with the same seed changes nothing: the chunks (of CHUNK_TRIALS
+#    trials) are fixed, so each chunk's noise and the reduction order, and
+#    hence every output bit, repeat. Both SNR points of a direction read the
+#    same blocks.
 config = ExperimentConfig(
     scenario="fig5b-range",
     estimators=[EstimatorSpec("ls"), EstimatorSpec("sbme")],
@@ -47,10 +47,10 @@ config = ExperimentConfig(
     trials=2 * CHUNK_TRIALS + 1000,
     seed=5,
 )
-serial = format_results_csv(run_experiment(config, workers=1))
-threaded = format_results_csv(run_experiment(config, workers=4))
-print(f"1 worker vs 4 workers, identical CSV: {serial == threaded} "
+first = format_results_csv(run_experiment(config))
+rerun = format_results_csv(run_experiment(config))
+print(f"same-seed rerun, identical CSV: {first == rerun} "
       f"({config.trials} trials, 3 chunks per direction, shared by its 2 SNR points)")
 
 print("\nresults preview:")
-print("\n".join(serial.strip().split("\n")[:4]))
+print("\n".join(first.strip().split("\n")[:4]))

@@ -35,7 +35,6 @@ from blindmm.estimators import (
 from blindmm.sim import (
     ExperimentConfig,
     MseRow,
-    monte_carlo_mse,
     run_experiment,
     stein_lemma_check,
     write_results_csv,
@@ -61,7 +60,6 @@ __all__ = [
     "effective_dimension",
     "estimate_from_ls",
     "ls_estimate",
-    "monte_carlo_mse",
     "off_center_sbme",
     "parse_estimator_spec",
     "positive_part_bme",

@@ -4,7 +4,9 @@ and report dominance diagnostics.
 Exit codes: 0 success, 2 usage/config error, 3 data/validation error,
 4 degenerate input (zero least-squares estimate where an estimator is
 undefined). The ``BLINDMM_SEED`` environment variable supplies a fallback
-default seed; explicit flags and config values win.
+default seed; explicit flags and config values win. Every Monte Carlo pass
+runs on the calling thread: ``--workers`` is still accepted, and a value
+below 1 is a usage error, but it has no other effect.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ def _env_seed() -> int:
         raise ConfigError(f"BLINDMM_SEED: expected an integer, got {raw!r}") from exc
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+_WORKERS_HELP = "no effect besides the check that it is >= 1: every run uses one thread"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results CSV path (written atomically)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--trials", type=int, default=None, help="override the config trial count")
-    p.add_argument("--workers", type=int, default=None, help="worker threads (result-invariant)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p = sub.add_parser("estimate", help="apply one estimator to CSV data")
     p.add_argument("--H", dest="h_path", required=True, help="design matrix CSV (n x m)")
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p = sub.add_parser("stein-check", help="Monte Carlo check of the Gaussian "
                        "integration-by-parts identity")
@@ -102,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(config, args):
     """Run a sweep, write its CSV and print the MSE table normalized by the
     least-squares risk of each row's case."""
-    workers = args.workers if args.workers is not None else _default_workers()
-    rows = run_experiment(config, workers=workers)
+    if args.workers < 1:
+        raise ConfigError("workers: must be >= 1")
+    rows = run_experiment(config)
     write_results_csv(args.out, rows)
     print(f"{'estimator':<16} {'snr_db':>7} {'sweep_key':<16} {'mse':>12} {'mse/eps0':>9}")
     for row in rows:

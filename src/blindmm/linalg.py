@@ -140,11 +140,7 @@ def psd_power(eig: EigDecomp, p: float) -> np.ndarray:
     w = np.maximum(w, 0.0)
     if p < 0.0 and np.any(w <= 0.0):
         raise SingularPowerError("psd_power: non-positive eigenvalue with negative power")
-    if p == 0.0:
-        wp = np.ones_like(w)
-    else:
-        wp = w**p
-    return (eig.basis * wp) @ eig.basis.T
+    return (eig.basis * w**p) @ eig.basis.T
 
 
 def condition_number(eig: EigDecomp) -> float:

@@ -47,7 +47,7 @@ class SnrRangeError(LinalgError):
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable problem instance; safe to share across workers."""
+    """Immutable problem instance."""
 
     H: np.ndarray
     Cw: np.ndarray

@@ -2,8 +2,8 @@
 
 Trials are cut into fixed chunks of ``CHUNK_TRIALS``; each chunk draws its
 noise from the Philox stream keyed by a sub-seed and the chunk's first
-trial, and results are reduced in chunk order, so they are bit-identical no
-matter how many workers run or in what order chunks finish. All estimators
+trial, and results are reduced in chunk order on the calling thread, so a
+rerun with the same seed is bit-identical. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
@@ -20,19 +20,16 @@ into per-(point, rule) moments.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 import os
-import threading
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from blindmm.estimators import RULES, EstimatorSpec, parse_estimator_spec
+from blindmm.estimators import RULES, parse_estimator_spec
 from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
 from blindmm.model import Model, SnrRangeError, scale_to_snr
 from blindmm.rng import derive_seed, generator, normal_block
@@ -40,8 +37,8 @@ from blindmm.rng import derive_seed, generator, normal_block
 # Unused here; bench/tracing.py wraps it under this name and drops a layer if it is gone.
 from blindmm.estimators import estimate_from_ls  # noqa: F401
 
-# Fixed chunk size decouples the noise and the summation order from the
-# worker count.
+# Fixed chunk size: the noise and the summation order depend only on the
+# seed and the trial count.
 CHUNK_TRIALS = 4096
 
 # Derivation tags keep the noise, direction and point sub-streams disjoint.
@@ -125,34 +122,26 @@ def _check_seed(seed) -> None:
         )
 
 
-def _thread_pool(workers: int):
-    """A context giving ``_map_chunks`` ``workers`` threads (``None`` for one)."""
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+def _csv_field(value, name: str) -> str:
+    """``value``, if it is a nonempty string that stands as one results-CSV field."""
+    if isinstance(value, str) and value and not set(value) & set(',"\r\n'):
+        return value
+    raise ConfigError(f"{name}: expected a nonempty string with no comma, quote or line "
+                      f"break, got {value!r}")
 
 
-def _map_chunks(fn, seed, trials: int, width: int, pool=None) -> list:
-    """``fn(z)`` for each ``CHUNK_TRIALS`` block of trials, in chunk order.
-
+def _map_chunks(fn, seed, trials: int, width: int) -> list:
+    """``fn(z)`` for each ``CHUNK_TRIALS`` block of trials, in chunk order;
     ``z`` holds the block's ``(rows, width)`` standard normals, keyed by
-    ``(seed, first trial)``; the threads of ``pool``, if any, evaluate the
-    blocks.
-    """
-
-    def run(lo):
-        return fn(normal_block(seed, np.arange(lo, min(lo + CHUNK_TRIALS, trials)), width))
-
-    starts = range(0, trials, CHUNK_TRIALS)
-    if pool is not None and len(starts) > 1:
-        return list(pool.map(run, starts))
-    return [run(lo) for lo in starts]
+    ``(seed, first trial)``."""
+    return [fn(normal_block(seed, np.arange(lo, min(lo + CHUNK_TRIALS, trials)), width))
+            for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-class _Buffers(threading.local):
-    """Per-thread work arrays, reused from chunk to chunk so the chunk loop
-    allocates no ``(m, rows)`` array of its own; each is a contiguous view
-    of a flat buffer that grows when a wider chunk asks for it."""
+class _Buffers:
+    """Work arrays, reused from chunk to chunk so the chunk loop allocates
+    no ``(m, rows)`` array of its own; each is a contiguous view of a flat
+    buffer that grows when a wider chunk asks for it."""
 
     def __init__(self):
         self.flat = {}
@@ -294,15 +283,13 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
 _Point = namedtuple("_Point", "squared_errors gain_sums")
 
 
-def _point_squared_errors(model: Model, x, specs, trials: int, seed, workers: int = 1):
+def _point_squared_errors(model: Model, x, specs, trials: int, seed):
     """Per-trial squared errors and gain-profile sums for every estimator at
     one grid point: a ``(squared_errors, gain_sums)`` pair of label dicts."""
     plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
     kernel = _chunk_kernel(model, [x], plans, _Buffers(), lambda se: se)
-    with _thread_pool(workers) as pool:
-        chunks = [c[0] for c in _map_chunks(kernel, seed, trials, model.n, pool)]
-    # Chunk-order concatenation and summation keep the reduction
-    # worker-independent; a scalar rule's gain sum covers every component.
+    chunks = [c[0] for c in _map_chunks(kernel, seed, trials, model.n)]
+    # A scalar rule's gain sum covers every component.
     squared_errors, gain_sums = {}, {}
     for spec, parts in zip(specs, zip(*chunks)):
         squared_errors[spec.label] = np.concatenate([se for se, _ in parts])
@@ -336,14 +323,6 @@ def _mean_stderr(count: int, total: float, m2: float):
     return total / count, stderr
 
 
-def monte_carlo_mse(model: Model, x, spec: EstimatorSpec, trials: int, seed, workers: int = 1):
-    """Mean and standard error of ``||xhat - x||^2`` over i.i.d. trials."""
-    if trials < 2:
-        raise ValueError("monte_carlo_mse: trials must be >= 2")
-    point = _point_squared_errors(model, x, [spec], trials, seed, workers)
-    return _mean_stderr(*_moments(point.squared_errors[spec.label]))
-
-
 # --- direction policies ----------------------------------------------------
 
 
@@ -372,36 +351,47 @@ def resolve_directions(model: Model, policies, seed):
                 rand_idx += 1
         elif isinstance(pol, tuple) and pol and pol[0] == "vector":
             vec = as_vector(pol[1], "directions.vector")
-            key = pol[2] if len(pol) > 2 and pol[2] else f"vec-{vec_idx:03d}"
+            key = pol[2] if len(pol) > 2 else None
+            key = f"vec-{vec_idx:03d}" if key is None else _csv_field(key, "directions.id")
             vec_idx += 1
             out.append((key, vec))
         else:
             raise ConfigError(f"directions: unknown policy {pol!r}")
-    if not out:
-        raise ConfigError("directions: resolved to an empty set")
+    keys = [key for key, _ in out]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"directions: expected distinct sweep keys, got "
+                          f"{max(keys, key=keys.count)!r} more than once")
     return out
 
 
 # --- experiment runner ------------------------------------------------------
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1):
+def run_experiment(config: ExperimentConfig):
     """Run a validated config and return its sorted ``MseRow`` list.
 
     The scenario resolves to one or more ``(case_key, model)`` cases (the
     condition-number sweep has one case per condition; everything else has
     a single unkeyed case). Every grid point is resolved, and its rules'
     statistics bounded, before any noise is drawn; each model's rule plans
-    are built once, and one thread pool serves the whole run. The SNR
-    points of one (case, direction) pair form a group that shares its noise:
-    one chunk pass serves the group, and each chunk is folded into
-    per-(point, rule) moments in chunk order.
+    are built once. The SNR points of one (case, direction) pair form a
+    group that shares its noise: one chunk pass on the calling thread serves
+    the group, and each chunk is folded into per-(point, rule) moments in
+    chunk order.
     """
     from blindmm import scenarios  # late import: scenarios builds on this module
 
-    config = _fill_from_preset(config)
+    if isinstance(config.scenario, str):  # a named scenario fills the fields left empty
+        preset = scenarios.preset(config.scenario)
+        config = replace(
+            config,
+            estimators=list(config.estimators or preset.estimators),
+            snr_grid_db=list(config.snr_grid_db or preset.snr_grid_db),
+            directions=list(config.directions or preset.directions),
+        )
     config.validate()
     cases, scenario_name = scenarios.resolve_cases(config.scenario)
+    _csv_field(scenario_name, "scenario.name")
     seed = int(config.seed)
     trials = int(config.trials)
     snrs = [float(snr_db) for snr_db in config.snr_grid_db]
@@ -424,37 +414,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1):
 
     rows = []
     buffers = _Buffers()
-    with _thread_pool(workers) as pool:
-        for model, plans, sweep_key, xs, group_seed in groups:
-            kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
-            chunks = _map_chunks(kernel, group_seed, trials, model.n, pool)
-            for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
-                for spec, (moments, gains) in zip(config.estimators, point):
-                    mean, stderr = _mean_stderr(*moments)
-                    rows.append(MseRow(
-                        scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
-                        sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
-                        seed=seed, gain_mean=np.broadcast_to(gains, (model.m,)) / trials,
-                        eps0=model.eps0,
-                    ))
+    for model, plans, sweep_key, xs, group_seed in groups:
+        kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
+        chunks = _map_chunks(kernel, group_seed, trials, model.n)
+        for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
+            for spec, (moments, gains) in zip(config.estimators, point):
+                mean, stderr = _mean_stderr(*moments)
+                rows.append(MseRow(
+                    scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
+                    sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
+                    seed=seed, gain_mean=np.broadcast_to(gains, (model.m,)) / trials,
+                    eps0=model.eps0,
+                ))
     rows.sort(key=MseRow.sort_key)
     return rows
-
-
-def _fill_from_preset(config: ExperimentConfig) -> ExperimentConfig:
-    """A copy of ``config`` in which a named scenario lends its defaults to
-    any field left empty."""
-    from blindmm import scenarios
-
-    if not isinstance(config.scenario, str):
-        return config
-    preset = scenarios.preset(config.scenario)
-    return replace(
-        config,
-        estimators=list(config.estimators or preset.estimators),
-        snr_grid_db=list(config.snr_grid_db or preset.snr_grid_db),
-        directions=list(config.directions or preset.directions),
-    )
 
 
 # --- config file loading ----------------------------------------------------
@@ -574,8 +547,8 @@ def _parse_inline_model(obj):
             return np.asarray(spec, dtype=np.float64)
         raise ConfigError(f"scenario.{field_name}: expected nested lists, diag or identity")
 
-    name = obj.get("name", "custom")
-    return ("inline", str(name), mat(obj["H"], "H"), mat(obj["Cw"], "Cw"))
+    name = _csv_field(obj.get("name", "custom"), "scenario.name")
+    return ("inline", name, mat(obj["H"], "H"), mat(obj["Cw"], "Cw"))
 
 
 # --- results CSV -------------------------------------------------------------

@@ -375,10 +375,24 @@ class TestExperiment:
         ({"directions": [{"random-sphere": None}]}, "directions.random-sphere"),
         ({"directions": [{"random-sphere": 2.7}]}, "directions.random-sphere"),
         ({"scenario": {"H": {"identity": 3}, "Cw": {"diag": 3}}}, "scenario.Cw.diag"),
-    ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number"])
+        ({"directions": [{"vector": [1.0] + [0.0] * 14, "id": 7}]}, "directions.id"),
+        ({"directions": [{"vector": [1.0] + [0.0] * 14, "id": [1]}]}, "directions.id"),
+        ({"directions": [{"vector": [1.0] + [0.0] * 14, "id": ""}]}, "directions.id"),
+        ({"directions": [{"vector": [1.0] + [0.0] * 14, "id": "a,b"}]}, "directions.id"),
+        ({"directions": [{"vector": [1.0] + [0.0] * 14, "id": "a\nb"}]}, "directions.id"),
+        ({"scenario": {"name": "x,y", "H": {"identity": 2}, "Cw": {"identity": 2}},
+          "directions": [{"vector": [1.0, 0.0]}]}, "scenario.name"),
+        ({"scenario": {"name": 3, "H": {"identity": 2}, "Cw": {"identity": 2}},
+          "directions": [{"vector": [1.0, 0.0]}]}, "scenario.name"),
+        ({"directions": ["max-eigenvector", {"vector": [1.0] + [0.0] * 14, "id": "max-eig"}]},
+         "directions"),
+    ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
+            "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
+            "repeated-key"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
-        # (exit 1) or a silently truncated count.
+        # (exit 1) or a silently truncated count; an id or name that is not
+        # one CSV field, or a repeated sweep key, would break the results CSV.
         cfg = self._write_config(tmp_path, **overrides)
         out = tmp_path / "o.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
@@ -423,25 +437,20 @@ class TestExperiment:
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0].decode().strip().split("\n")) == 1 + 4 * 4 * 3
 
-    def test_one_thread_pool_per_run(self, tmp_path, monkeypatch):
-        import blindmm.sim
+    def test_no_thread_started(self, tmp_path, monkeypatch):
+        import threading
 
-        pools = []
-        real = blindmm.sim.ThreadPoolExecutor
+        def refuse(self):
+            raise AssertionError("a thread was started")
 
-        def counted(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(blindmm.sim, "ThreadPoolExecutor", counted)
-        # 13 grid points of two chunks each, so every point uses the pool.
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        # 13 grid points of two chunks each: --workers is accepted, and unused.
         cfg = self._write_config(
             tmp_path, snr_grid_db=[-10.0 + 2.5 * i for i in range(13)], trials=4100
         )
         out = tmp_path / "o.csv"
-        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 0
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--workers", "4"]) == 0
         assert len(out.read_text().strip().split("\n")) == 1 + 2 * 13
-        assert pools == [{"max_workers": 2}]
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_bad_workers_exit_2(self, tmp_path, capsys, workers):

@@ -1,8 +1,9 @@
 """Property tests for the Monte Carlo engine's scalar rules: the per-trial
 squared errors and gains it computes from each chunk's statistics equal the
-explicit ``||xhat - x||^2`` of the public rules on random dense models; and
-for ``stein_lemma_check``: its component-major chunk sums and moment fold
-equal a row-major float64 reference over the same draws."""
+explicit ``||xhat - x||^2`` of the public rules on random dense models; the
+shrinking rules' mean gains from ``run_experiment`` lie in [0, 1], with every
+row finite; and for ``stein_lemma_check``: its component-major chunk sums and
+moment fold equal a row-major float64 reference over the same draws."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from blindmm import sim  # noqa: E402
-from blindmm.estimators import RULES, EstimatorSpec, estimate_from_ls  # noqa: E402
+from blindmm.estimators import (  # noqa: E402
+    RULES, EstimatorSpec, estimate_from_ls, parse_estimator_spec,
+)
 from blindmm.model import build_model, scale_to_snr  # noqa: E402
 
 TRIALS = 257
 SCALAR_TAGS = [tag for tag, rule in RULES.items() if not (rule.per_component or rule.param)]
+# Rules whose every gain lies in [0, 1] (bbm and bock may go negative).
+SHRINKING_TAGS = ["sbme", "pbm", "ebme:b=-1", "tik1", "tik2"]
 
 
 @st.composite
@@ -28,7 +33,20 @@ def cases(draw):
         "snr_db": draw(st.floats(-20.0, 60.0)),
         "c": draw(st.floats(0.0, 10.0)),
         "centered": draw(st.booleans()),
+        "trials": draw(st.integers(2, 2 * sim.CHUNK_TRIALS + 1)),
     }
+
+
+def dense_model(case, rng):
+    """Dense H and Cw with bounded spectra: the explicit error rebuilds xls
+    through ls_op, whose rounding an ill-conditioned H would amplify."""
+    m, n = case["m"], case["n"]
+    left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    h = (left[:, :m] * rng.uniform(0.5, 2.0, m)) @ right
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cw = (q * rng.uniform(0.1, 10.0, n)) @ q.T
+    return h, (cw + cw.T) / 2.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -36,14 +54,7 @@ def cases(draw):
 def test_scalar_rules_match_explicit_error(case):
     m, n, seed = case["m"], case["n"], case["seed"]
     rng = np.random.default_rng(seed)
-    # Dense H and Cw with bounded spectra: the explicit error rebuilds xls
-    # through ls_op, whose rounding an ill-conditioned H would amplify.
-    left, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    right, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    h = (left[:, :m] * rng.uniform(0.5, 2.0, m)) @ right
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    cw = (q * rng.uniform(0.1, 10.0, n)) @ q.T
-    model = build_model(h, (cw + cw.T) / 2.0)
+    model = build_model(*dense_model(case, rng))
     x = scale_to_snr(model, rng.standard_normal(m), case["snr_db"])
     specs = [EstimatorSpec(tag) for tag in SCALAR_TAGS] + [EstimatorSpec("shrinkc", c=case["c"])]
     if case["centered"]:
@@ -61,6 +72,26 @@ def test_scalar_rules_match_explicit_error(case):
         np.testing.assert_allclose(
             point.gain_sums[spec.label], res.shrinkage.sum(axis=0), rtol=1e-9, err_msg=spec.label
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_shrinking_rules_mean_gains_in_unit_interval(case):
+    rng = np.random.default_rng(case["seed"])
+    h, cw = dense_model(case, rng)
+    specs = [parse_estimator_spec(tag) for tag in SHRINKING_TAGS]
+    specs.append(EstimatorSpec("offcenter", x0=rng.standard_normal(case["m"])))
+    config = sim.ExperimentConfig(
+        scenario=("inline", "dense", h, cw), estimators=specs, snr_grid_db=[case["snr_db"]],
+        directions=[("vector", rng.standard_normal(case["m"]), "d")], trials=case["trials"],
+        seed=case["seed"],
+    )
+    rows = sim.run_experiment(config)
+    assert [row.estimator for row in rows] == sorted(spec.label for spec in specs)
+    for row in rows:
+        assert np.isfinite([row.mse_mean, row.mse_stderr, row.eps0]).all(), row
+        assert np.isfinite(row.gain_mean).all() and row.gain_mean.shape == (case["m"],), row
+        assert np.all((row.gain_mean >= 0.0) & (row.gain_mean <= 1.0)), (row, row.gain_mean)
 
 
 @st.composite

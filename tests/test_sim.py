@@ -1,6 +1,7 @@
 """Monte Carlo engine: reproducibility, calibration, the experiment runner,
 config parsing, CSV output, and the integration-by-parts identity check."""
 
+import json
 import os
 import tracemalloc
 import warnings
@@ -29,7 +30,6 @@ from blindmm.sim import (
     MseRow,
     format_results_csv,
     load_config,
-    monte_carlo_mse,
     resolve_directions,
     run_experiment,
     stein_lemma_check,
@@ -51,36 +51,30 @@ def chunked_xls(model, x, seed, trials):
     ])
 
 
+def ls_mse(model, x, trials, seed):
+    """Mean and standard error of least squares' squared error at ``x``."""
+    point = _point_squared_errors(model, x, [EstimatorSpec("ls")], trials, seed)
+    return sim._mean_stderr(*sim._moments(point.squared_errors["ls"]))
+
+
 class TestMonteCarloMse:
     def test_ls_matches_eps0(self):
         m = fig4_model()
         x = scale_to_snr(m, np.ones(15), 5.0)
-        mean, stderr = monte_carlo_mse(m, x, EstimatorSpec("ls"), 20000, seed=3)
+        mean, stderr = ls_mse(m, x, 20000, seed=3)
         assert abs(mean - m.eps0) <= 5.0 * stderr
 
     def test_two_trials_reproducible(self):
         m = iid_model(4)
         x = np.ones(4)
-        a = monte_carlo_mse(m, x, EstimatorSpec("ls"), 2, seed=9)
-        b = monte_carlo_mse(m, x, EstimatorSpec("ls"), 2, seed=9)
+        a = ls_mse(m, x, 2, seed=9)
+        b = ls_mse(m, x, 2, seed=9)
         assert a == b
 
     def test_zero_noise_limit(self):
         m = build_model(np.eye(4), 1e-20 * np.eye(4))
-        mean, _ = monte_carlo_mse(m, np.ones(4), EstimatorSpec("ls"), 100, seed=1)
+        mean, _ = ls_mse(m, np.ones(4), 100, seed=1)
         assert mean < 1e-15
-
-    def test_requires_two_trials(self):
-        with pytest.raises(ValueError):
-            monte_carlo_mse(iid_model(3), np.ones(3), EstimatorSpec("ls"), 1, seed=0)
-
-    def test_worker_count_bit_invariant(self):
-        m = fig4_model()
-        x = scale_to_snr(m, np.ones(15), 0.0)
-        spec = EstimatorSpec("sbme")
-        base = monte_carlo_mse(m, x, spec, 9000, seed=4, workers=1)
-        for workers in (2, 3):
-            assert monte_carlo_mse(m, x, spec, 9000, seed=4, workers=workers) == base
 
     def test_common_random_numbers_across_estimators(self):
         m = fig4_model()
@@ -131,6 +125,22 @@ class TestDirections:
         with pytest.raises(ConfigError):
             resolve_directions(iid_model(2), ["sideways"], 0)
 
+    @pytest.mark.parametrize("key", [7, [1], "", "a,b", 'a"b', "a\nb", "a\rb"])
+    def test_id_must_be_one_csv_field(self, key):
+        # A non-string id used to crash the row sort; a comma split the row.
+        with pytest.raises(ConfigError, match="directions.id"):
+            resolve_directions(iid_model(2), [("vector", [1.0, 0.0], key)], 0)
+
+    @pytest.mark.parametrize("policies", [
+        ["max-eigenvector", ("vector", [0.0, 1.0], "max-eig")],
+        [("random-sphere", 2), ("vector", [0.0, 1.0], "rand-001")],
+        [("vector", [1.0, 0.0], "e"), ("vector", [0.0, 1.0], "e")],
+        [("vector", [1.0, 0.0], None), ("vector", [0.0, 1.0], "vec-000")],
+    ])
+    def test_repeated_sweep_key_rejected(self, policies):
+        with pytest.raises(ConfigError, match="distinct sweep keys"):
+            resolve_directions(iid_model(2), policies, 0)
+
 
 class TestRunExperiment:
     def _tiny_config(self, seed=0, trials=64):
@@ -155,18 +165,31 @@ class TestRunExperiment:
         b = run_experiment(self._tiny_config())
         assert a == b
 
-    def test_worker_invariance(self):
-        cfg = self._tiny_config(trials=9000)
-        rows1 = run_experiment(cfg, workers=1)
-        rows3 = run_experiment(self._tiny_config(trials=9000), workers=3)
-        assert rows1 == rows3
+    @staticmethod
+    def _reverse_chunk_order(monkeypatch):
+        """Evaluate a run's chunks last to first, as another schedule would;
+        the list still comes back in chunk order."""
+        real = sim._map_chunks
 
-    def test_gain_profiles_worker_invariant(self):
+        def reversed_map(fn, seed, trials, width):
+            blocks = real(lambda z: z, seed, trials, width)
+            return [fn(z) for z in blocks[::-1]][::-1]
+
+        monkeypatch.setattr(sim, "_map_chunks", reversed_map)
+
+    def test_worker_invariance(self, monkeypatch):
+        # Chunks share only the reused work buffers, so rows do not depend on
+        # the order their chunks are evaluated in (three chunks, a short last).
+        rows = run_experiment(self._tiny_config(trials=9000))
+        self._reverse_chunk_order(monkeypatch)
+        assert run_experiment(self._tiny_config(trials=9000)) == rows
+
+    def test_gain_profiles_worker_invariant(self, monkeypatch):
         cfg = self._tiny_config(trials=9000)
         cfg.estimators = cfg.estimators + [EstimatorSpec("ebme", b=-1.0)]
-        rows1 = run_experiment(cfg, workers=1)
-        rows3 = run_experiment(cfg, workers=3)
-        for a, b in zip(rows1, rows3):
+        rows = run_experiment(cfg)
+        self._reverse_chunk_order(monkeypatch)
+        for a, b in zip(rows, run_experiment(cfg)):
             assert a.gain_mean.shape == (15,)
             assert np.array_equal(a.gain_mean, b.gain_mean)
             assert a.eps0 == b.eps0 == fig4_model().eps0
@@ -264,14 +287,6 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="snr_grid_db"):
                 run_experiment(cfg)
         assert drawn == []
-
-    @pytest.mark.parametrize("workers", [0, -4])
-    def test_bad_worker_count_rejected(self, workers):
-        with pytest.raises(ConfigError, match="workers"):
-            run_experiment(self._tiny_config(), workers=workers)
-        m = fig4_model()
-        with pytest.raises(ConfigError, match="workers"):
-            monte_carlo_mse(m, np.ones(15), EstimatorSpec("ls"), 100, seed=0, workers=workers)
 
     def test_caller_config_unchanged(self):
         cfg = ExperimentConfig(scenario="fig4-snr", trials=8, seed=0)
@@ -656,6 +671,20 @@ class TestConfigLoading:
             p.write_text(body)
             with pytest.raises(ConfigError):
                 load_config(p)
+
+    @pytest.mark.parametrize("name", [7, "", "a,b", 'say "hi"', "a\nb"])
+    def test_inline_model_name_must_be_one_csv_field(self, tmp_path, name):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": {"name": name, "H": {"identity": 2},
+                                              "Cw": {"identity": 2}}}))
+        with pytest.raises(ConfigError, match="scenario.name"):
+            load_config(p)
+        # The Python API checks the name too.
+        cfg = ExperimentConfig(scenario=("inline", name, np.eye(2), np.eye(2)),
+                               estimators=[EstimatorSpec("ls")], snr_grid_db=[0.0],
+                               directions=["max-eigenvector"], trials=4, seed=0)
+        with pytest.raises(ConfigError, match="scenario.name"):
+            run_experiment(cfg)
 
     def test_unknown_estimator_tag(self, tmp_path):
         from blindmm.estimators import UnknownEstimatorError
