@@ -97,10 +97,18 @@ def _ratio_gain(s, c, e, out=None):
     and to ``(s - e) / s`` at ``c = 0``.
     """
     denom = c + s
-    zero = denom == 0.0
     g = np.add(s, c - e, out=out)  # the same floats as (c - e) + s
-    g[zero], denom[zero] = 0.0, 1.0
+    if not c > 0.0:  # s >= 0, so c > 0 leaves no zero denominator
+        zero = denom == 0.0
+        if zero.any():
+            g[zero], denom[zero] = 0.0, 1.0
     return np.divide(g, denom, out=g)
+
+
+def unit_gain(s, out=None):
+    """``ls``'s gain: 1 on every row. The Monte Carlo engine recognises it
+    by identity and takes ``ls``'s squared error as ``||v0||^2``."""
+    return np.ones_like(s), False
 
 
 # --- gain kernels -----------------------------------------------------------
@@ -401,7 +409,7 @@ class Rule:
 
 
 RULES = {
-    "ls": Rule(lambda model, spec: Plan(lambda s, out=None: (np.ones_like(s), False))),
+    "ls": Rule(lambda model, spec: Plan(unit_gain)),
     "sbme": Rule(lambda model, spec: _ratio_plan(model.eps0, model.eps0)),
     "bbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, zero_flag=True)),
     "pbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, clamp=True)),

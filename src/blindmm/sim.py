@@ -7,15 +7,17 @@ rerun with the same seed is bit-identical. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine (version 5, see the README) works in the eigenbasis ``U`` of
+The engine (version 6, see the README) works in the eigenbasis ``U`` of
 ``Q``. The SNR points of one (case, direction) pair share each chunk's
 noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
 ``v = v0 + U'x``. A rule sees ``v`` only through ``s = w . v**2``
 (``estimators.Plan``), so scalar rules cost O(rows) per point, and so does
 ``ebme`` where its cutoff leaves a chunk's trials whole (``Plan.affine``);
-only ``tik1``, and ``ebme`` where it cuts a trial, form ``v``. Chunks fold
-into per-(point, rule) moments.
+only ``tik1``, and ``ebme`` where it cuts a trial, form ``v``. ``ls``'s
+error ``||v0||^2`` does not depend on the point and is reduced once per
+chunk; each group's noise-free terms are formed once. Chunks fold into
+per-(point, rule) moments.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from blindmm.estimators import RULES, parse_estimator_spec
+from blindmm.estimators import RULES, parse_estimator_spec, unit_gain
 from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
 from blindmm.model import Model, SnrRangeError, scale_to_snr
 from blindmm.rng import derive_seed, generator, normal_block
@@ -97,6 +99,7 @@ class ExperimentConfig:
     def validate(self):
         if not self.estimators:
             raise ConfigError("estimators: must be a nonempty list")
+        _check_labels(self.estimators)
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db: must be a nonempty list")
         snr = np.asarray(self.snr_grid_db, dtype=np.float64)
@@ -106,6 +109,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "snr_grid_db: entries must be finite, with 10**(snr/10) within float64 range"
             )
+        _check_distinct(snr.tolist(), "snr_grid_db", "values")
         if not self.directions:
             raise ConfigError("directions: must be a nonempty list")
         if int(self.trials) < 1:
@@ -128,6 +132,20 @@ def _csv_field(value, name: str) -> str:
         return value
     raise ConfigError(f"{name}: expected a nonempty string with no comma, quote or line "
                       f"break, got {value!r}")
+
+
+def _check_distinct(values: list, name: str, what: str) -> None:
+    """``ConfigError`` when two entries of ``values`` are equal (``0 == -0.0``):
+    the results CSV could not tell their rows apart."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name}: expected distinct {what}, got "
+                          f"{max(values, key=values.count)!r} more than once")
+
+
+def _check_labels(specs) -> None:
+    """Each estimator's label must stand as one results-CSV field, and name one estimator."""
+    _check_distinct([_csv_field(spec.label, "estimators") for spec in specs], "estimators",
+                    "labels")
 
 
 def _map_chunks(fn, seed, trials: int, width: int) -> list:
@@ -214,9 +232,10 @@ def _noise_free_terms(model: Model, xs, plans):
     return us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2
 
 
-def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
+def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
     """The engine: ``eval_chunk(z)`` maps one noise block to, per point
-    ``x`` of ``xs`` (in order) and per plan, the pair ``(reduce(se), gain
+    ``x`` (in the order of the ``xs`` whose ``_noise_free_terms`` under
+    ``plans`` are ``terms``) and per plan, the pair ``(reduce(se), gain
     sum)``, where ``se`` holds the chunk's per-trial squared errors and the
     gain sum is ``(m,)`` or, for a scalar rule, a scalar.
 
@@ -226,15 +245,14 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
     ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
     A plan with an ``affine`` form (``ebme``) takes it at a point where its
     cutoff leaves every row of the chunk whole, and its reference ``gain``
-    on every row otherwise.
-
-    Raises ``SnrRangeError`` before any noise is drawn when a noise-free
-    term leaves float64 range (``_noise_free_terms``).
+    on every row otherwise. ``ls`` (``unit_gain``) has the error
+    ``||v0||^2`` at every point, reduced once per chunk.
     """
     m = model.m
     a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ model.Qeig.basis).T)
-    us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2 = _noise_free_terms(model, xs, plans)
+    us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2 = terms
     n_w, last = w_mat.shape[0], len(us) - 1
+    has_ls = any(plan.gain is unit_gain for plan in plans)
 
     def eval_chunk(z):
         rows = z.shape[0]
@@ -247,6 +265,7 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
             base = w_mat @ np.multiply(v0, v0, out=d)
         if not np.all(np.isfinite(base)):
             raise NonFiniteError("xls: entries must be finite")
+        ls = (reduce(base[0]), float(rows)) if has_ls else None
         out = []
         for k, u in enumerate(us[:, :, None]):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -255,8 +274,11 @@ def _chunk_kernel(model: Model, xs, plans, buffers: _Buffers, reduce):
                 stats += w_u2[k, :, None]
             v, point = None, []
             for plan, j, ja, c in zip(plans, s_slot, a_slot, c_slot):
+                if plan.gain is unit_gain:
+                    point.append(ls)
+                    continue
                 fit = None
-                if plan.affine is not None and np.all(stats[j] > plan.affine.t0):
+                if plan.affine is not None and stats[j].min() > plan.affine.t0:
                     fit = _affine_errors(plan.affine, stats[j], base[0],
                                          stats[ja], base[ja], w_u2[k, ja])
                 if fit is not None:
@@ -287,7 +309,8 @@ def _point_squared_errors(model: Model, x, specs, trials: int, seed):
     """Per-trial squared errors and gain-profile sums for every estimator at
     one grid point: a ``(squared_errors, gain_sums)`` pair of label dicts."""
     plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
-    kernel = _chunk_kernel(model, [x], plans, _Buffers(), lambda se: se)
+    terms = _noise_free_terms(model, [x], plans)
+    kernel = _chunk_kernel(model, terms, plans, _Buffers(), lambda se: se)
     chunks = [c[0] for c in _map_chunks(kernel, seed, trials, model.n)]
     # A scalar rule's gain sum covers every component.
     squared_errors, gain_sums = {}, {}
@@ -357,10 +380,7 @@ def resolve_directions(model: Model, policies, seed):
             out.append((key, vec))
         else:
             raise ConfigError(f"directions: unknown policy {pol!r}")
-    keys = [key for key, _ in out]
-    if len(set(keys)) < len(keys):
-        raise ConfigError(f"directions: expected distinct sweep keys, got "
-                          f"{max(keys, key=keys.count)!r} more than once")
+    _check_distinct([key for key, _ in out], "directions", "sweep keys")
     return out
 
 
@@ -374,7 +394,7 @@ def run_experiment(config: ExperimentConfig):
     condition-number sweep has one case per condition; everything else has
     a single unkeyed case). Every grid point is resolved, and its rules'
     statistics bounded, before any noise is drawn; each model's rule plans
-    are built once. The SNR points of one (case, direction) pair form a
+    and each group's noise-free terms are built once. The SNR points of one (case, direction) pair form a
     group that shares its noise: one chunk pass on the calling thread serves
     the group, and each chunk is folded into per-(point, rule) moments in
     chunk order.
@@ -405,17 +425,17 @@ def run_experiment(config: ExperimentConfig):
                 sweep_key = f"{case_key}:{dir_key}"
             try:
                 xs = [scale_to_snr(model, direction, snr_db) for snr_db in snrs]
-                _noise_free_terms(model, xs, plans)  # bounds the group before any noise
+                terms = _noise_free_terms(model, xs, plans)  # bounds the group before any noise
             except SnrRangeError as exc:
                 raise ConfigError(f"snr_grid_db: {exc}") from exc
             # The group's stream is the one its first SNR point had alone.
             group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
-            groups.append((model, plans, sweep_key, xs, group_seed))
+            groups.append((model, plans, sweep_key, terms, group_seed))
 
     rows = []
     buffers = _Buffers()
-    for model, plans, sweep_key, xs, group_seed in groups:
-        kernel = _chunk_kernel(model, xs, plans, buffers, _moments)
+    for model, plans, sweep_key, terms, group_seed in groups:
+        kernel = _chunk_kernel(model, terms, plans, buffers, _moments)
         chunks = _map_chunks(kernel, group_seed, trials, model.n)
         for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
             for spec, (moments, gains) in zip(config.estimators, point):
@@ -465,6 +485,7 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(ent, str):
             raise ConfigError(f"estimators: expected tag strings, got {ent!r}")
         estimators.append(parse_estimator_spec(ent, vector_loader=loader))
+    _check_labels(estimators)
 
     snr_grid = _numbers(_as_list(raw.get("snr_grid_db", []), "snr_grid_db"), "snr_grid_db")
 

@@ -386,13 +386,22 @@ class TestExperiment:
           "directions": [{"vector": [1.0, 0.0]}]}, "scenario.name"),
         ({"directions": ["max-eigenvector", {"vector": [1.0] + [0.0] * 14, "id": "max-eig"}]},
          "directions"),
+        ({"estimators": ["offcenter:file=a,b.csv", "sbme"]}, "estimators"),
+        ({"estimators": ["ls", "sbme", "sbme"]}, "estimators"),
+        ({"estimators": ["offcenter:file=a,b.csv", "sbme", "sbme"]}, "estimators"),
+        ({"estimators": ["shrinkc:c=1", "shrinkc:c=1.0"]}, "estimators"),
+        ({"snr_grid_db": [0.0, 0, 5.0]}, "snr_grid_db"),
+        ({"snr_grid_db": [-0.0, 0.0]}, "snr_grid_db"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
-            "repeated-key"])
+            "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
+            "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
-        # (exit 1) or a silently truncated count; an id or name that is not
-        # one CSV field, or a repeated sweep key, would break the results CSV.
+        # (exit 1) or a silently truncated count; an id, name or estimator
+        # label that is not one CSV field, or a repeated sweep key, label or
+        # SNR, would break the results CSV or repeat its rows.
+        (tmp_path / "a,b.csv").write_text("1.0\n" * 15)  # a center for fig4-snr's m = 15
         cfg = self._write_config(tmp_path, **overrides)
         out = tmp_path / "o.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2

@@ -2,8 +2,9 @@
 squared errors and gains it computes from each chunk's statistics equal the
 explicit ``||xhat - x||^2`` of the public rules on random dense models; the
 shrinking rules' mean gains from ``run_experiment`` lie in [0, 1], with every
-row finite; and for ``stein_lemma_check``: its component-major chunk sums and
-moment fold equal a row-major float64 reference over the same draws."""
+row finite; for ``stein_lemma_check``: its component-major chunk sums and
+moment fold equal a row-major float64 reference over the same draws; and
+``_ratio_gain`` equals its masked reference bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from blindmm import sim  # noqa: E402
+from blindmm import estimators, sim  # noqa: E402
 from blindmm.estimators import (  # noqa: E402
     RULES, EstimatorSpec, estimate_from_ls, parse_estimator_spec,
 )
@@ -141,3 +142,27 @@ def test_stein_sums_match_row_major_reference(case):
         bound = 1e-12 * (np.abs(want) + terms.mean(axis=0))
         assert np.all(np.abs(got - want) <= bound), (got, want, bound)
     np.testing.assert_allclose(res.stderr, stderr, rtol=1e-9)
+
+
+@st.composite
+def ratio_cases(draw):
+    s = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)), min_size=1, max_size=12))
+    return {
+        "s": np.array(s),
+        "c": draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6))),
+        "e": draw(st.floats(-1e6, 1e6)),
+        "alias": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ratio_cases())
+def test_ratio_gain_matches_masked_reference(case):
+    # c > 0 skips the zero-denominator mask; c = 0 masks only when s has a zero.
+    s, c, e = case["s"], case["c"], case["e"]
+    arg = s.copy()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # s = 5e-324 overflows
+        want = np.where(c + s == 0.0, 0.0, ((c - e) + s) / (c + s))
+        got = estimators._ratio_gain(arg, c, e, out=arg if case["alias"] else None)
+    assert (got is arg) == case["alias"]
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -259,6 +259,16 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match="snr_grid_db"):
                 cfg.validate()
 
+    @pytest.mark.parametrize("grid", [[0.0, 0, 5.0], [5.0, -0.0, 0.0], [1e-3, 2.5, 0.001]])
+    def test_repeated_snr_rejected(self, grid):
+        # Numerically equal entries would write identical rows twice.
+        cfg = self._tiny_config()
+        cfg.snr_grid_db = grid
+        with pytest.raises(ConfigError, match="snr_grid_db: expected distinct values"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="snr_grid_db: expected distinct values"):
+            run_experiment(cfg)
+
     def test_overflowing_snr_rejected_before_any_noise(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
@@ -508,7 +518,8 @@ class TestAffineEbme:
             return plan._replace(gain=gain)
 
         xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in snrs]
-        kernel = sim._chunk_kernel(model, xs, [counted(i, p) for i, p in enumerate(plans)],
+        plans = [counted(i, p) for i, p in enumerate(plans)]
+        kernel = sim._chunk_kernel(model, sim._noise_free_terms(model, xs, plans), plans,
                                    sim._Buffers(), lambda se: se)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -562,6 +573,41 @@ class TestAffineEbme:
         plan = plan._replace(affine=plan.affine._replace(r1=1e308))
         [calls], _ = self._check(model, [spec], [0.0], seed=5, plans=[plan])
         assert calls == 2
+
+
+class TestPointInvariantWork:
+    """Engine version 6: work that does not depend on the SNR point runs once
+    per chunk (``ls``'s squared errors) or once per group (the noise-free
+    terms)."""
+
+    SNRS = [-10.0 + 2.5 * i for i in range(13)]
+
+    def _config(self, tags, directions=("max-eigenvector",)):
+        return ExperimentConfig(
+            scenario="fig5b-range", estimators=[parse_estimator_spec(t) for t in tags],
+            snr_grid_db=self.SNRS, directions=list(directions), trials=5000, seed=3,
+        )
+
+    @pytest.mark.parametrize("tags, per_chunk", [
+        (["ls"], 1), (["ls", "sbme", "ebme:b=-1"], 1 + 2 * 13), (["sbme", "ls"], 1 + 13),
+    ])
+    def test_ls_reduced_once_per_chunk(self, monkeypatch, tags, per_chunk):
+        calls, real = [], sim._moments
+        monkeypatch.setattr(sim, "_moments", lambda se: calls.append(1) or real(se))
+        rows = run_experiment(self._config(tags))
+        assert len(calls) == 2 * per_chunk  # two chunks, however many points
+        # ls's squared error is ||v0||**2 at every point: one mean along the grid.
+        ls = [row for row in rows if row.estimator == "ls"]
+        assert len(ls) == 13 and len({(r.mse_mean, r.mse_stderr) for r in ls}) == 1
+        assert all(np.array_equal(r.gain_mean, np.ones(10)) for r in ls)
+
+    def test_noise_free_terms_once_per_group(self, monkeypatch):
+        calls, real = [], sim._noise_free_terms
+        monkeypatch.setattr(sim, "_noise_free_terms",
+                            lambda *args: calls.append(len(args[1])) or real(*args))
+        run_experiment(self._config(["ls", "sbme", "tik1"],
+                                    directions=["max-eigenvector", ("random-sphere", 2)]))
+        assert calls == [13, 13, 13]  # three groups of 13 points
 
 
 class TestResultsCsv:
@@ -685,6 +731,32 @@ class TestConfigLoading:
                                directions=["max-eigenvector"], trials=4, seed=0)
         with pytest.raises(ConfigError, match="scenario.name"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("tags, match", [
+        (["offcenter:file=a,b.csv", "sbme"], "estimators: expected a nonempty string"),
+        (["sbme", "ls", "sbme"], "estimators: expected distinct labels, got 'sbme'"),
+        (["offcenter:file=x0.csv", "offcenter:file=x0.csv"], "expected distinct labels"),
+        (["ebme:b=-1", "ebme:b=-1.0000001"], "expected distinct labels, got 'ebme:b=-1'"),
+    ], ids=["comma", "repeat", "repeated-center", "same-label-other-b"])
+    def test_estimator_labels_must_be_distinct_csv_fields(self, tmp_path, monkeypatch, tags,
+                                                          match):
+        for name in ("a,b.csv", "x0.csv"):
+            (tmp_path / name).write_text("1.0\n0.0\n")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "fig4-snr", "estimators": tags}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+        # The Python API checks the labels too, before any noise is drawn.
+        drawn = []
+        monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        loader = lambda rel: np.array([1.0, 0.0])  # noqa: E731
+        cfg = ExperimentConfig(scenario=("inline", "tiny", np.eye(2), np.eye(2)),
+                               estimators=[parse_estimator_spec(t, loader) for t in tags],
+                               snr_grid_db=[0.0], directions=["max-eigenvector"], trials=4,
+                               seed=0)
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg)
+        assert drawn == []
 
     def test_unknown_estimator_tag(self, tmp_path):
         from blindmm.estimators import UnknownEstimatorError
