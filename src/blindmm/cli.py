@@ -4,9 +4,10 @@ and report dominance diagnostics.
 Exit codes: 0 success, 2 usage/config error, 3 data/validation error,
 4 degenerate input (zero least-squares estimate where an estimator is
 undefined). The ``BLINDMM_SEED`` environment variable supplies a fallback
-default seed; explicit flags and config values win. Every Monte Carlo pass
-runs on the calling thread: ``--workers`` is still accepted, and a value
-below 1 is a usage error, but it has no other effect.
+default seed; explicit flags and config values win. A Monte Carlo pass
+evaluates its chunks on the calling thread, while one helper thread draws
+the next chunk's noise: ``--workers`` is still accepted, and a value below
+1 is a usage error, but it has no other effect.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _env_seed() -> int:
         raise ConfigError(f"BLINDMM_SEED: expected an integer, got {raw!r}") from exc
 
 
-_WORKERS_HELP = "no effect besides the check that it is >= 1: every run uses one thread"
+_WORKERS_HELP = ("no effect besides the check that it is >= 1: chunks are evaluated on one "
+                 "thread while a helper thread draws the next chunk's noise")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -389,10 +389,17 @@ class Param:
     suffix: Callable
 
 
+def _label_number(x) -> str:
+    """``x`` in ``:g`` form where that reads back as ``x``, in full otherwise,
+    so that two parameters never share a label."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 _B = Param("b", _number("b"), lambda spec: _finite(spec.b), "a finite exponent b",
-           lambda spec: f"b={spec.b:g}")
+           lambda spec: f"b={_label_number(spec.b)}")
 _C = Param("c", _number("c"), lambda spec: _finite(spec.c) and spec.c >= 0.0,
-           "a finite c >= 0", lambda spec: f"c={spec.c:g}")
+           "a finite c >= 0", lambda spec: f"c={_label_number(spec.c)}")
 _FILE = Param("file", _center_file, lambda spec: spec.x0 is not None, "a center vector x0",
               lambda spec: f"file={spec.x0_name}" if spec.x0_name else None)
 

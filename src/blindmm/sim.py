@@ -2,12 +2,13 @@
 
 Trials are cut into fixed chunks of ``CHUNK_TRIALS``; each chunk draws its
 noise from the Philox stream keyed by a sub-seed and the chunk's first
-trial, and results are reduced in chunk order on the calling thread, so a
-rerun with the same seed is bit-identical. All estimators
+trial, and chunks are evaluated and reduced in chunk order on the calling
+thread, while one helper thread draws the next chunk's noise, so a rerun
+with the same seed is bit-identical. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine (version 6, see the README) works in the eigenbasis ``U`` of
+The engine (version 7, see the README) works in the eigenbasis ``U`` of
 ``Q``. The SNR points of one (case, direction) pair share each chunk's
 noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
@@ -34,7 +35,7 @@ import numpy as np
 from blindmm.estimators import RULES, parse_estimator_spec, unit_gain
 from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
 from blindmm.model import Model, SnrRangeError, scale_to_snr
-from blindmm.rng import derive_seed, generator, normal_block
+from blindmm.rng import FillThread, derive_seed, generator, normal_block, normal_fill
 
 # Unused here; bench/tracing.py wraps it under this name and drops a layer if it is gone.
 from blindmm.estimators import estimate_from_ls  # noqa: F401
@@ -151,9 +152,38 @@ def _check_labels(specs) -> None:
 def _map_chunks(fn, seed, trials: int, width: int) -> list:
     """``fn(z)`` for each ``CHUNK_TRIALS`` block of trials, in chunk order;
     ``z`` holds the block's ``(rows, width)`` standard normals, keyed by
-    ``(seed, first trial)``."""
-    return [fn(normal_block(seed, np.arange(lo, min(lo + CHUNK_TRIALS, trials)), width))
-            for lo in range(0, trials, CHUNK_TRIALS)]
+    ``(seed, first trial)``. ``z`` is a reused buffer: ``fn`` may overwrite
+    it, and must keep no reference to it.
+
+    Blocks alternate between two slots. One helper thread draws block
+    ``i + 1`` into one slot while the calling thread draws block 0, or
+    runs ``fn`` on block ``i``, in the other. The calling thread does the
+    id check, the keying and the slot view of every block; the helper runs
+    only numpy's fill, which releases the GIL. The helper lives for one
+    pass and is joined before this returns, on error too.
+    """
+    bounds = [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
+    if len(bounds) < 2:
+        return [fn(normal_block(seed, np.arange(lo, hi), width)) for lo, hi in bounds]
+    slots, out = np.empty((2, CHUNK_TRIALS, width)), []
+
+    def post(i):
+        lo, hi = bounds[i]
+        block, fill = normal_fill(seed, np.arange(lo, hi), width, slots[i % 2, : hi - lo])
+        helper.post(fill)
+        return block
+
+    with FillThread() as helper:
+        nxt = post(1)
+        z = normal_block(seed, np.arange(*bounds[0]), width, out=slots[0])
+        for i in range(1, len(bounds)):
+            out.append(fn(z))
+            helper.wait()
+            z = nxt  # block i
+            if i + 1 < len(bounds):
+                nxt = post(i + 1)
+        out.append(fn(z))
+    return out
 
 
 class _Buffers:
@@ -257,7 +287,7 @@ def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
     def eval_chunk(z):
         rows = z.shape[0]
         v0 = np.matmul(a_t, z.T, out=buffers.get("v0", m, rows))
-        d = buffers.get("d", m, rows)
+        d = z.reshape(-1)[: m * rows].reshape(m, rows)  # the spent block (n >= m) holds squares
         cross = buffers.get("cross", cross_ops.shape[1], rows)
         stats = cross[:n_w]
         # Overflow gives inf, which the check below rejects for every weight row.

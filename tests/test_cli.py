@@ -2,6 +2,7 @@
 output, and determinism across reruns and worker counts."""
 
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +11,35 @@ import pytest
 from blindmm.cli import main
 from blindmm.linalg import read_vector_csv, write_matrix_csv
 from blindmm.scenarios import FIG4_NOISE_PROFILE, fig6_model
+
+
+def _count_keyed_blocks(monkeypatch, *modules):
+    """Record each chunk's keyed noise block: ``normal_block`` draws the
+    first of a pass, ``normal_fill`` keys the others for the helper thread."""
+    import blindmm.sim
+
+    calls = []
+    targets = [(blindmm.sim, "normal_block"), (blindmm.sim, "normal_fill")]
+    targets += [(module, "normal_block") for module in modules]
+    for module, name in targets:
+        def counted(*args, _real=getattr(module, name), **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _record_started_threads(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 @pytest.fixture
@@ -213,17 +243,11 @@ class TestScenario:
         import blindmm.scenarios
         import blindmm.sim
 
-        calls = []
-        for module in (blindmm.sim, blindmm.scenarios):
-            def counted(*args, _real=module.normal_block, **kwargs):
-                calls.append(args)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, "normal_block", counted)
+        calls = _count_keyed_blocks(monkeypatch, blindmm.scenarios)
         out = tmp_path / "dct.csv"
         assert main(["scenario", "fig2-dct", "--out", str(out), "--trials", "9000",
                      "--seed", "1", "--workers", "1"]) == 0
-        assert len(calls) == 3  # one block per 4096-trial chunk, no second pass
+        assert len(calls) == 3  # one keyed block per 4096-trial chunk, no second pass
 
     def test_condition_sweep_normalized_per_case(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
@@ -409,15 +433,7 @@ class TestExperiment:
         assert not out.exists()
 
     def test_range_sweep_one_noise_block_per_chunk(self, tmp_path, monkeypatch):
-        import blindmm.sim
-
-        calls = []
-
-        def counted(*args, _real=blindmm.sim.normal_block, **kwargs):
-            calls.append(args)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(blindmm.sim, "normal_block", counted)
+        calls = _count_keyed_blocks(monkeypatch)
         # One direction x 13 SNRs x two chunks: the 13 points share each chunk's block.
         cfg = self._write_config(
             tmp_path, scenario="fig5b-range", estimators=["ls", "sbme", "ebme:b=-1", "bock"],
@@ -446,20 +462,21 @@ class TestExperiment:
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0].decode().strip().split("\n")) == 1 + 4 * 4 * 3
 
-    def test_no_thread_started(self, tmp_path, monkeypatch):
-        import threading
-
-        def refuse(self):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        # 13 grid points of two chunks each: --workers is accepted, and unused.
+    def test_one_helper_thread_per_pass(self, tmp_path, monkeypatch):
+        # Two directions x 13 grid points of two chunks each: each direction's
+        # pass starts one helper thread, which draws its second chunk's noise
+        # and is joined before the pass returns. --workers is accepted, and unused.
+        started = _record_started_threads(monkeypatch)
+        before = threading.enumerate()
         cfg = self._write_config(
-            tmp_path, snr_grid_db=[-10.0 + 2.5 * i for i in range(13)], trials=4100
+            tmp_path, snr_grid_db=[-10.0 + 2.5 * i for i in range(13)],
+            directions=["max-eigenvector", "min-eigenvector"], trials=4100,
         )
         out = tmp_path / "o.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out), "--workers", "4"]) == 0
-        assert len(out.read_text().strip().split("\n")) == 1 + 2 * 13
+        assert len(out.read_text().strip().split("\n")) == 1 + 2 * 2 * 13
+        assert len(started) == 2
+        assert threading.enumerate() == before
 
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_bad_workers_exit_2(self, tmp_path, capsys, workers):
@@ -491,6 +508,15 @@ class TestSteinCheckCommand:
                      "--trials", "10000", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_one_helper_thread_per_pass(self, monkeypatch, capsys):
+        # Three chunks: one helper draws the second and third, and is joined.
+        started = _record_started_threads(monkeypatch)
+        before = threading.enumerate()
+        assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",
+                     "--seed", "0"]) == 0
+        assert len(started) == 1
+        assert threading.enumerate() == before
 
     def test_bad_vector_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,x", "--sigma", "1", "--trials", "10000"]) == 2

@@ -4,7 +4,7 @@ sanity of the chunk blocks."""
 import numpy as np
 import pytest
 
-from blindmm.rng import derive_seed, generator, normal_block
+from blindmm.rng import derive_seed, generator, normal_block, normal_fill
 
 
 def _corr(a, b):
@@ -50,6 +50,23 @@ class TestDeterminism:
         seeds = {derive_seed(1), derive_seed(2), derive_seed(1, 0), derive_seed(1, 1), derive_seed(1, 0, 0)}
         assert len(seeds) == 5
         assert derive_seed(1, 0) == derive_seed(1, 0)
+
+    @pytest.mark.parametrize("ids", [np.arange(5, 45), np.arange(4096, 8192), np.arange(0)])
+    def test_out_equals_allocated_block(self, ids):
+        out = np.full((ids.size, 7), np.nan)
+        assert normal_block(123, ids, 7, out=out) is out
+        assert np.array_equal(out, normal_block(123, ids, 7))
+
+    def test_fill_draws_only_when_called(self):
+        out = np.full((40, 7), np.nan)
+        block, fill = normal_fill(123, np.arange(5, 45), 7, out)
+        assert block is out and np.isnan(out).all()
+        fill()
+        assert np.array_equal(out, normal_block(123, np.arange(5, 45), 7))
+
+    def test_out_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="out: expected shape"):
+            normal_block(1, np.arange(3), 4, out=np.empty((3, 5)))
 
     def test_zero_count(self):
         assert normal_block(1, [0, 1], 0).shape == (2, 0)

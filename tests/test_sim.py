@@ -3,6 +3,8 @@ config parsing, CSV output, and the integration-by-parts identity check."""
 
 import json
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -172,7 +174,7 @@ class TestRunExperiment:
         real = sim._map_chunks
 
         def reversed_map(fn, seed, trials, width):
-            blocks = real(lambda z: z, seed, trials, width)
+            blocks = real(lambda z: z.copy(), seed, trials, width)  # z is a reused slot
             return [fn(z) for z in blocks[::-1]][::-1]
 
         monkeypatch.setattr(sim, "_map_chunks", reversed_map)
@@ -378,14 +380,22 @@ class TestEigenbasisEngine:
     def test_degenerate_inputs(self, tmp_path, monkeypatch):
         # Zero noise rows at x = 0 give xls = 0, where bbm and bock are
         # undefined and return zero by convention.
-        real = sim.normal_block
+        real_block, real_fill = sim.normal_block, sim.normal_fill
 
-        def with_zero_rows(seed, trial_ids, count):
-            z = real(seed, trial_ids, count)
+        def zero_rows(z, trial_ids):
             z[np.asarray(trial_ids) % 7 == 0] = 0.0
             return z
 
+        def with_zero_rows(seed, trial_ids, count, out=None):
+            return zero_rows(real_block(seed, trial_ids, count, out), trial_ids)
+
+        def fill_with_zero_rows(seed, trial_ids, count, out):
+            z, fill = real_fill(seed, trial_ids, count, out)
+            return z, lambda: zero_rows(fill(), trial_ids)
+
+        # normal_block draws a pass's first chunk, normal_fill keys the others.
         monkeypatch.setattr(sim, "normal_block", with_zero_rows)
+        monkeypatch.setattr(sim, "normal_fill", fill_with_zero_rows)
         for idx, model in enumerate(self._models()):
             results = self._check(model, np.zeros(model.m), self._specs(model, tmp_path), idx)
             assert results["bbm"].degenerate and results["bock"].degenerate
@@ -467,10 +477,11 @@ class TestScalarStatistics:
     statistics, so an SNR point costs O(rows), not O(m * rows)."""
 
     def test_scalar_rules_form_no_per_point_array(self):
-        # One chunk of a 13-SNR group at m = 100: the traced peak holds the
-        # noise block, v0 and its squares (three m x rows arrays) plus small
-        # change. Forming v or g * v - u for a point would add at least one
-        # more; the engine before version 4 peaked at about five.
+        # One chunk of a 13-SNR group at m = n = 100: the traced peak holds
+        # the noise block, which then holds v0's squares, and v0 (two
+        # m x rows arrays) plus small change. Forming v or g * v - u for a
+        # point would add at least one more; the engine before version 4
+        # peaked at about five, and before version 7 at three.
         m, rows = 100, sim.CHUNK_TRIALS
         specs = [parse_estimator_spec(tag)
                  for tag in ("ls", "sbme", "bbm", "pbm", "bock", "tik2", "shrinkc:c=1")]
@@ -485,7 +496,7 @@ class TestScalarStatistics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * m * rows * 8
+        assert peak < 2.5 * m * rows * 8
 
 
 class TestAffineEbme:
@@ -610,6 +621,114 @@ class TestPointInvariantWork:
         assert calls == [13, 13, 13]  # three groups of 13 points
 
 
+class TestNoisePipeline:
+    """Engine version 7: while a chunk is evaluated, one helper thread per
+    pass draws the next chunk's noise into the other of two reused slots."""
+
+    @staticmethod
+    def _spend(z):
+        """A chunk result that copies the block, then overwrites it, as the engine does."""
+        out = z.copy()
+        z[:] = np.nan
+        return out
+
+    @pytest.mark.parametrize("width", [2, 10, 100])
+    @pytest.mark.parametrize("trials", [1, 4096, 4097, 9000])
+    def test_matches_serial_blocks(self, trials, width):
+        got = sim._map_chunks(self._spend, 17, trials, width)
+        want = [normal_block(17, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), width)
+                for lo in range(0, trials, sim.CHUNK_TRIALS)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_concurrent_passes_under_fast_switching(self):
+        # Four passes at once, each with its own helper (eight threads on a
+        # small machine), switching threads every few microseconds: every
+        # pass still sees its own serial blocks, bit for bit.
+        trials, results = 9 * sim.CHUNK_TRIALS + 5, {}
+
+        def run(seed):
+            results[seed] = sim._map_chunks(self._spend, seed, trials, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in range(4):
+            want = [normal_block(seed, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), 3)
+                    for lo in range(0, trials, sim.CHUNK_TRIALS)]
+            assert all(np.array_equal(a, b) for a, b in zip(results[seed], want, strict=True))
+
+    @staticmethod
+    def _failing_fill(monkeypatch, at_trial):
+        """Make the fill of the chunk that starts at ``at_trial`` raise."""
+        real = sim.normal_fill
+
+        def normal_fill(seed, trial_ids, count, out):
+            z, fill = real(seed, trial_ids, count, out)
+            if trial_ids[0] != at_trial:
+                return z, fill
+
+            def broken():
+                raise MemoryError("fill failed")
+
+            return z, broken
+
+        monkeypatch.setattr(sim, "normal_fill", normal_fill)
+
+    def test_helper_joined_when_fn_raises(self):
+        # fn fails on the second chunk while the helper draws the third.
+        before = threading.enumerate()
+        seen = []
+
+        def fn(z):
+            seen.append(z.shape[0])
+            if len(seen) == 2:
+                raise KeyError("chunk failed")
+            return z.sum()
+
+        with pytest.raises(KeyError, match="chunk failed"):
+            sim._map_chunks(fn, 3, 9000, 4)
+        assert seen == [4096, 4096]
+        assert threading.enumerate() == before
+
+    def test_helper_joined_when_fill_raises(self, monkeypatch):
+        before = threading.enumerate()
+        self._failing_fill(monkeypatch, 2 * sim.CHUNK_TRIALS)
+        seen = []
+        with pytest.raises(MemoryError, match="fill failed"):
+            sim._map_chunks(lambda z: seen.append(z.shape[0]), 3, 9000, 4)
+        assert seen == [4096, 4096]  # the third chunk is never evaluated
+        assert threading.enumerate() == before
+        cfg = ExperimentConfig(scenario="fig4-snr", estimators=[EstimatorSpec("sbme")],
+                               snr_grid_db=[0.0, 5.0], directions=["max-eigenvector"],
+                               trials=9000, seed=1)
+        with pytest.raises(MemoryError, match="fill failed"):
+            run_experiment(cfg)
+        assert threading.enumerate() == before
+        with pytest.raises(MemoryError, match="fill failed"):
+            stein_lemma_check([1.0, 2.0], [1.0, 4.0], 1.0, 10**4, 5)
+        assert threading.enumerate() == before
+
+    def test_one_helper_per_pass(self, monkeypatch):
+        started, real_start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or real_start(thread))
+        before = threading.enumerate()
+        assert len(sim._map_chunks(np.sum, 3, 4096, 4)) == 1
+        assert started == []  # one chunk: nothing to draw ahead
+        assert len(sim._map_chunks(np.sum, 3, 5 * 4096 + 1, 4)) == 6
+        assert len(started) == 1
+        assert threading.enumerate() == before
+
+
 class TestResultsCsv:
     def _rows(self):
         return [
@@ -732,12 +851,25 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="scenario.name"):
             run_experiment(cfg)
 
+    def test_close_parameters_get_distinct_labels(self, tmp_path):
+        # A parameter that ":g" would round to six digits is labelled in
+        # full, so both estimators of each pair run and keep their own rows.
+        tags = ["ebme:b=-1", "ebme:b=-1.0000001", "shrinkc:c=1e-7", "shrinkc:c=1.00000001e-7",
+                "ebme:b=0.25"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"scenario": "fig4-snr", "estimators": tags, "snr_grid_db": [0.0],
+                                 "directions": ["max-eigenvector"], "trials": 8, "seed": 0}))
+        rows = run_experiment(load_config(p))
+        assert [row.estimator for row in rows] == [
+            "ebme:b=-1", "ebme:b=-1.0000001", "ebme:b=0.25", "shrinkc:c=1.00000001e-07",
+            "shrinkc:c=1e-07",
+        ]
+
     @pytest.mark.parametrize("tags, match", [
         (["offcenter:file=a,b.csv", "sbme"], "estimators: expected a nonempty string"),
         (["sbme", "ls", "sbme"], "estimators: expected distinct labels, got 'sbme'"),
         (["offcenter:file=x0.csv", "offcenter:file=x0.csv"], "expected distinct labels"),
-        (["ebme:b=-1", "ebme:b=-1.0000001"], "expected distinct labels, got 'ebme:b=-1'"),
-    ], ids=["comma", "repeat", "repeated-center", "same-label-other-b"])
+    ], ids=["comma", "repeat", "repeated-center"])
     def test_estimator_labels_must_be_distinct_csv_fields(self, tmp_path, monkeypatch, tags,
                                                           match):
         for name in ("a,b.csv", "x0.csv"):

@@ -1,0 +1,70 @@
+"""The benchmark's span tracer (``bench/tracing.py``, imported read-only)
+around one small experiment and one stein-check: every target it wraps
+still resolves, and the noise helper thread never enters its span stack,
+which is single-threaded, so spans nest and self times add up to the root."""
+
+import contextlib
+import importlib.util
+import io
+import math
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from blindmm.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def experiment_argv(tmp_path):
+    # One group of three chunks, so the helper thread draws while tracing.
+    config = tmp_path / "cfg.json"
+    config.write_text('{"scenario": "fig5b-range", "estimators": ["ls", "sbme", "ebme:b=-1"],'
+                      ' "snr_grid_db": [-10.0, 0.0, 10.0], "directions": [{"random-sphere": 1}],'
+                      ' "trials": 9000, "seed": 7}')
+    return ["experiment", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+
+
+STEIN_ARGV = ["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("command", ["experiment", "stein-check"])
+def test_traced_call_is_consistent(tracing, experiment_argv, command):
+    assert tracing.missing_layers() == {}
+    argv = experiment_argv if command == "experiment" else STEIN_ARGV
+    threads = set()
+
+    class Tracer(tracing.Tracer):
+        def span(self, name, layer):
+            threads.add(threading.get_ident())
+            return super().span(name, layer)
+
+    tracer = Tracer()
+    with tracing.installed(tracer):
+        with tracer.span(tracing.ROOT_NAME, "cli"), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert threads == {threading.get_ident()}
+    # The helper thread runs only numpy's fill: the one traced draw is the first chunk's.
+    assert tracer.counts["rng.calls"] == 1
+    spans = tracer.spans
+    root = spans[0]
+    assert root.parent is None and all(s.parent is not None for s in spans[1:])
+    for s in spans[1:]:  # each span lies inside its parent
+        parent = spans[s.parent]
+        assert parent.start <= s.start <= s.end <= parent.end
+    self_times = tracing.self_times(spans)
+    assert all(t >= 0.0 for t in self_times)
+    assert math.isclose(sum(self_times), root.end - root.start, rel_tol=1e-9)
+    assert tracer.counts["rng.normals"] > 0 and tracer.counts["sim.points"] >= 1
