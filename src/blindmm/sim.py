@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import os
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,21 +185,6 @@ def _map_chunks(fn, seed, trials: int, width: int) -> list:
     return out
 
 
-class _Buffers:
-    """Work arrays, reused from chunk to chunk so the chunk loop allocates
-    no ``(m, rows)`` array of its own; each is a contiguous view of a flat
-    buffer that grows when a wider chunk asks for it."""
-
-    def __init__(self):
-        self.flat = {}
-
-    def get(self, name: str, m: int, rows: int) -> np.ndarray:
-        buf = self.flat.get(name)
-        if buf is None or buf.size < m * rows:
-            buf = self.flat[name] = np.empty(m * rows)
-        return buf[: m * rows].reshape(m, rows)
-
-
 def _distinct(arrays):
     """The distinct rows among ``arrays`` in first-seen order, and each input's index among them."""
     keys = list(dict.fromkeys(a.tobytes() for a in arrays))
@@ -262,12 +246,15 @@ def _noise_free_terms(model: Model, xs, plans):
     return us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2
 
 
-def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
+def _chunk_kernel(model: Model, terms, plans, reduce):
     """The engine: ``eval_chunk(z)`` maps one noise block to, per point
     ``x`` (in the order of the ``xs`` whose ``_noise_free_terms`` under
     ``plans`` are ``terms``) and per plan, the pair ``(reduce(se), gain
     sum)``, where ``se`` holds the chunk's per-trial squared errors and the
     gain sum is ``(m,)`` or, for a scalar rule, a scalar.
+
+    The kernel owns its work arrays: each is a flat array of ``k *
+    CHUNK_TRIALS`` floats, made on first use and viewed as ``(k, rows)``.
 
     All points share the block's ``v0 = A' z'``; a point's statistics are
     ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
@@ -283,12 +270,18 @@ def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
     us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2 = terms
     n_w, last = w_mat.shape[0], len(us) - 1
     has_ls = any(plan.gain is unit_gain for plan in plans)
+    work = {}
+
+    def work_array(name, k, rows):
+        if name not in work:
+            work[name] = np.empty(k * CHUNK_TRIALS)
+        return work[name][: k * rows].reshape(k, rows)
 
     def eval_chunk(z):
         rows = z.shape[0]
-        v0 = np.matmul(a_t, z.T, out=buffers.get("v0", m, rows))
+        v0 = np.matmul(a_t, z.T, out=work_array("v0", m, rows))
         d = z.reshape(-1)[: m * rows].reshape(m, rows)  # the spent block (n >= m) holds squares
-        cross = buffers.get("cross", cross_ops.shape[1], rows)
+        cross = work_array("cross", cross_ops.shape[1], rows)
         stats = cross[:n_w]
         # Overflow gives inf, which the check below rejects for every weight row.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +314,7 @@ def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
                         se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
                     else:
                         if v is None:  # the last point adds its u to v0 in place
-                            v = np.add(v0, u, out=v0 if k == last else buffers.get("v", m, rows))
+                            v = np.add(v0, u, out=v0 if k == last else work_array("v", m, rows))
                         g *= v
                         g -= u
                         se = np.einsum("ij,ij->j", g, g)
@@ -330,24 +323,6 @@ def _chunk_kernel(model: Model, terms, plans, buffers: _Buffers, reduce):
         return out
 
     return eval_chunk
-
-
-_Point = namedtuple("_Point", "squared_errors gain_sums")
-
-
-def _point_squared_errors(model: Model, x, specs, trials: int, seed):
-    """Per-trial squared errors and gain-profile sums for every estimator at
-    one grid point: a ``(squared_errors, gain_sums)`` pair of label dicts."""
-    plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
-    terms = _noise_free_terms(model, [x], plans)
-    kernel = _chunk_kernel(model, terms, plans, _Buffers(), lambda se: se)
-    chunks = [c[0] for c in _map_chunks(kernel, seed, trials, model.n)]
-    # A scalar rule's gain sum covers every component.
-    squared_errors, gain_sums = {}, {}
-    for spec, parts in zip(specs, zip(*chunks)):
-        squared_errors[spec.label] = np.concatenate([se for se, _ in parts])
-        gain_sums[spec.label] = np.broadcast_to(sum(g for _, g in parts), (model.m,))
-    return _Point(squared_errors, gain_sums)
 
 
 def _moments(se: np.ndarray):
@@ -398,7 +373,7 @@ def resolve_directions(model: Model, policies, seed):
         elif isinstance(pol, tuple) and pol and pol[0] == "random-sphere":
             count = int(pol[1])
             if count < 1:
-                raise ConfigError("directions: random-sphere count must be >= 1")
+                raise ConfigError(f"directions.random-sphere: expected a count >= 1, got {count}")
             for _ in range(count):
                 out.append((f"rand-{rand_idx:03d}", _random_unit_vector(seed, rand_idx, model.m)))
                 rand_idx += 1
@@ -463,9 +438,8 @@ def run_experiment(config: ExperimentConfig):
             groups.append((model, plans, sweep_key, terms, group_seed))
 
     rows = []
-    buffers = _Buffers()
     for model, plans, sweep_key, terms, group_seed in groups:
-        kernel = _chunk_kernel(model, terms, plans, buffers, _moments)
+        kernel = _chunk_kernel(model, terms, plans, _moments)  # its work arrays live for one pass
         chunks = _map_chunks(kernel, group_seed, trials, model.n)
         for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
             for spec, (moments, gains) in zip(config.estimators, point):
@@ -653,7 +627,7 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     array, the residual ``v - v_hat`` is exactly ``-z``, and the per-draw
     differences fold into the engine's moments in chunk order. Terms that
     overflow, or a zero ``stderr`` under a nonzero discrepancy (underflow),
-    raise ``ConfigError`` naming ``v``.
+    raise ``ConfigError`` naming ``v``, ``sigma`` and ``c`` together.
     """
     v = as_vector(v, "v")
     sigma = as_vector(sigma, "sigma")
@@ -696,7 +670,7 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     stderr = np.array([_mean_stderr(*mo)[1] for mo in moments])
     finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(stderr)
     if not np.all(finite & ((stderr > 0.0) | (discrepancy == 0.0))):
-        raise ConfigError("v: entries too large for this sigma, terms leave float64 range")
+        raise ConfigError("v, sigma, c: the identity's terms leave float64 range at these values")
     return SteinCheckResult(
         lhs=lhs, rhs=rhs, discrepancy=discrepancy, stderr=stderr, trials=trials
     )

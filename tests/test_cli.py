@@ -416,15 +416,20 @@ class TestExperiment:
         ({"estimators": ["shrinkc:c=1", "shrinkc:c=1.0"]}, "estimators"),
         ({"snr_grid_db": [0.0, 0, 5.0]}, "snr_grid_db"),
         ({"snr_grid_db": [-0.0, 0.0]}, "snr_grid_db"),
+        ({"directions": [{"random-sphere": 0}]}, "directions.random-sphere"),
+        ({"seed": None}, "BLINDMM_SEED"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
-            "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr"])
-    def test_malformed_entry_exit_2(self, tmp_path, capsys, overrides, field):
+            "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
+            "env-seed-text"])
+    def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator
         # label that is not one CSV field, or a repeated sweep key, label or
-        # SNR, would break the results CSV or repeat its rows.
+        # SNR, would break the results CSV or repeat its rows. BLINDMM_SEED
+        # is read only when the config has no seed.
+        monkeypatch.setenv("BLINDMM_SEED", "abc")
         (tmp_path / "a,b.csv").write_text("1.0\n" * 15)  # a center for fig4-snr's m = 15
         cfg = self._write_config(tmp_path, **overrides)
         out = tmp_path / "o.csv"
@@ -529,20 +534,25 @@ class TestSteinCheckCommand:
         assert "c must be finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("v, sigma, name", [
-        ("1e308,1", "1,4", "v"),
-        ("1e150,1", "1,4", "v"),
-        ("1,2", "1e-320,1", "sigma"),
-        (",", "1,4", "--v"),
-    ], ids=["v-overflow", "v-underflow", "sigma-subnormal", "v-empty"])
-    def test_unusable_vector_exit_2(self, capsys, v, sigma, name):
-        # Overflow gives a typed error naming the input, not a NaN row
+    @pytest.mark.parametrize("v, sigma, extra, name", [
+        ("1e308,1", "1,4", [], "v"),
+        ("1e150,1", "1,4", [], "v"),
+        ("1,2", "1,4", ["--c", "1e308"], "v, sigma, c:"),
+        ("1,2", "1e-320,1", [], "sigma"),
+        (",", "1,4", [], "--v"),
+        ("1,2", "1,4", ["--trials", "9999"], "stein_lemma_check: trials must be >= 10^4"),
+    ], ids=["v-overflow", "v-underflow", "c-underflow", "sigma-subnormal", "v-empty",
+            "too-few-trials"])
+    def test_unusable_vector_exit_2(self, capsys, v, sigma, extra, name):
+        # Overflow gives a typed error naming the inputs, not a NaN row
         # behind RuntimeWarnings, and so does a coordinate whose per-draw
         # differences underflow to a zero stderr under a nonzero
-        # discrepancy; an empty list is a usage error.
+        # discrepancy, whether a large v or a large c makes them; an empty
+        # list, and too few trials (a plain ValueError), are usage errors.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["stein-check", "--v", v, "--sigma", sigma, "--trials", "10000"]) == 2
+            assert main(["stein-check", "--v", v, "--sigma", sigma, "--trials", "10000"]
+                        + extra) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name}")
         assert captured.out == ""
@@ -556,6 +566,14 @@ class TestSteinCheckCommand:
                          "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert out.rstrip().endswith("PASS")
+
+    def test_undefined_g_exit_3(self, capsys):
+        # g = v / (c + v' diag(sigma)^-1 v) is undefined at c = 0 with v = 0.
+        assert main(["stein-check", "--v", "0,0", "--sigma", "1,4", "--c", "0",
+                     "--trials", "10000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: g is undefined at c=0 with v=0")
+        assert captured.out == ""
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",

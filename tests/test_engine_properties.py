@@ -17,6 +17,7 @@ from blindmm.estimators import (  # noqa: E402
     RULES, EstimatorSpec, estimate_from_ls, parse_estimator_spec,
 )
 from blindmm.model import build_model, scale_to_snr  # noqa: E402
+from engine_points import point_squared_errors  # noqa: E402
 
 TRIALS = 257
 SCALAR_TAGS = [tag for tag, rule in RULES.items() if not (rule.per_component or rule.param)]
@@ -61,7 +62,7 @@ def test_scalar_rules_match_explicit_error(case):
     if case["centered"]:
         specs.append(EstimatorSpec("offcenter", x0=rng.standard_normal(m)))
 
-    point = sim._point_squared_errors(model, x, specs, TRIALS, seed)
+    point = point_squared_errors(model, x, specs, TRIALS, seed)
     z = sim.normal_block(seed, np.arange(TRIALS), n)
     xls = (z @ model.cw_sqrt + model.H @ x) @ model.ls_op.T
     for spec in specs:

@@ -36,8 +36,8 @@ from blindmm.sim import (
     run_experiment,
     stein_lemma_check,
     write_results_csv,
-    _point_squared_errors,
 )
+from engine_points import point_squared_errors
 
 
 def iid_model(m):
@@ -55,7 +55,7 @@ def chunked_xls(model, x, seed, trials):
 
 def ls_mse(model, x, trials, seed):
     """Mean and standard error of least squares' squared error at ``x``."""
-    point = _point_squared_errors(model, x, [EstimatorSpec("ls")], trials, seed)
+    point = point_squared_errors(model, x, [EstimatorSpec("ls")], trials, seed)
     return sim._mean_stderr(*sim._moments(point.squared_errors["ls"]))
 
 
@@ -81,8 +81,8 @@ class TestMonteCarloMse:
     def test_common_random_numbers_across_estimators(self):
         m = fig4_model()
         x = scale_to_snr(m, np.ones(15), 0.0)
-        solo = _point_squared_errors(m, x, [EstimatorSpec("ls")], 500, seed=8)
-        joint = _point_squared_errors(
+        solo = point_squared_errors(m, x, [EstimatorSpec("ls")], 500, seed=8)
+        joint = point_squared_errors(
             m, x, [EstimatorSpec("ls"), EstimatorSpec("sbme")], 500, seed=8
         )
         assert np.array_equal(solo.squared_errors["ls"], joint.squared_errors["ls"])
@@ -180,8 +180,9 @@ class TestRunExperiment:
         monkeypatch.setattr(sim, "_map_chunks", reversed_map)
 
     def test_worker_invariance(self, monkeypatch):
-        # Chunks share only the reused work buffers, so rows do not depend on
-        # the order their chunks are evaluated in (three chunks, a short last).
+        # Chunks share only the kernel's work arrays, so rows do not depend on
+        # the order their chunks are evaluated in (three chunks, a short last,
+        # which the reversed order evaluates first).
         rows = run_experiment(self._tiny_config(trials=9000))
         self._reverse_chunk_order(monkeypatch)
         assert run_experiment(self._tiny_config(trials=9000)) == rows
@@ -200,7 +201,7 @@ class TestRunExperiment:
         m = fig4_model()
         x = scale_to_snr(m, np.ones(15), 0.0)
         specs = [EstimatorSpec("ls"), EstimatorSpec("sbme"), EstimatorSpec("ebme", b=-1.0)]
-        point = _point_squared_errors(m, x, specs, 5000, seed=6)
+        point = point_squared_errors(m, x, specs, 5000, seed=6)
         assert np.array_equal(point.gain_sums["ls"], np.full(15, 5000.0))
         xls = np.concatenate([
             (normal_block(6, np.arange(lo, hi), m.n) @ m.cw_sqrt + m.H @ x) @ m.ls_op.T
@@ -225,18 +226,24 @@ class TestRunExperiment:
         assert min(r.snr_db for r in rows) == -10.0
         assert max(r.snr_db for r in rows) == 20.0
 
-    def test_condition_sweep_cases(self):
+    @pytest.mark.parametrize("directions, suffixes", [
+        (["min-eigenvector"], [""]),
+        (["max-eigenvector", "min-eigenvector"], [":max-eig", ":min-eig"]),
+    ], ids=["one-direction", "two-directions"])
+    def test_condition_sweep_cases(self, directions, suffixes):
+        # With more than one direction, a case's key names the direction too.
         cfg = ExperimentConfig(
             scenario="fig6-cond",
             estimators=[EstimatorSpec("bock")],
             snr_grid_db=[0.0],
-            directions=["min-eigenvector"],
+            directions=directions,
             trials=16,
             seed=0,
         )
         rows = run_experiment(cfg)
         assert [r.sweep_key for r in rows] == sorted(
-            f"cond={c:g}" for c in (1, 3.16, 10, 31.6, 100, 316, 1000)
+            f"cond={c:g}{suffix}" for c in (1, 3.16, 10, 31.6, 100, 316, 1000)
+            for suffix in suffixes
         )
 
     def test_inline_model(self):
@@ -351,7 +358,7 @@ class TestEigenbasisEngine:
         return [parse_estimator_spec(tag) for tag in tags]
 
     def _check(self, model, x, specs, seed):
-        point = _point_squared_errors(model, x, specs, self.TRIALS, seed)
+        point = point_squared_errors(model, x, specs, self.TRIALS, seed)
         xls = chunked_xls(model, x, seed, self.TRIALS)
         results = {}
         for spec in specs:
@@ -420,7 +427,7 @@ class TestSharedNoise:
     def test_moment_merge_matches_concatenated(self, trials):
         m = fig5b_model()
         x = scale_to_snr(m, np.ones(m.m), 0.0)
-        point = _point_squared_errors(m, x, self.SPECS, trials, seed=5)
+        point = point_squared_errors(m, x, self.SPECS, trials, seed=5)
         for se in point.squared_errors.values():
             chunks = [se[lo:lo + sim.CHUNK_TRIALS] for lo in range(0, trials, sim.CHUNK_TRIALS)]
             folded = sim._moments(chunks[0])
@@ -445,7 +452,7 @@ class TestSharedNoise:
             point_seed = derive_seed(cfg.seed, sim._TAG_POINT, 0, dir_idx, 0)
             for snr_db in cfg.snr_grid_db:
                 x = scale_to_snr(m, direction, snr_db)
-                point = _point_squared_errors(m, x, self.SPECS, trials, point_seed)
+                point = point_squared_errors(m, x, self.SPECS, trials, point_seed)
                 for spec in self.SPECS:
                     (row,) = [r for r in rows if (r.sweep_key, r.snr_db, r.estimator)
                               == (key, snr_db, spec.label)]
@@ -476,19 +483,21 @@ class TestScalarStatistics:
     """Engine version 4: scalar rules are evaluated from per-chunk
     statistics, so an SNR point costs O(rows), not O(m * rows)."""
 
-    def test_scalar_rules_form_no_per_point_array(self):
-        # One chunk of a 13-SNR group at m = n = 100: the traced peak holds
-        # the noise block, which then holds v0's squares, and v0 (two
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_scalar_rules_form_no_per_point_array(self, groups):
+        # One chunk of each 13-SNR group at m = n = 100: the traced peak
+        # holds the noise block, which then holds v0's squares, and v0 (two
         # m x rows arrays) plus small change. Forming v or g * v - u for a
         # point would add at least one more; the engine before version 4
-        # peaked at about five, and before version 7 at three.
+        # peaked at about five, and before version 7 at three. Each group's
+        # work arrays go with its pass, so more groups do not add to it.
         m, rows = 100, sim.CHUNK_TRIALS
         specs = [parse_estimator_spec(tag)
                  for tag in ("ls", "sbme", "bbm", "pbm", "bock", "tik2", "shrinkc:c=1")]
         cfg = ExperimentConfig(
             scenario=("inline", "wide", np.eye(m), np.diag(np.linspace(1.0, 0.01, m))),
             estimators=specs, snr_grid_db=TestSharedNoise.SNRS,
-            directions=[("random-sphere", 1)], trials=rows, seed=3,
+            directions=[("random-sphere", groups)], trials=rows, seed=3,
         )
         tracemalloc.start()
         try:
@@ -531,7 +540,7 @@ class TestAffineEbme:
         xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in snrs]
         plans = [counted(i, p) for i, p in enumerate(plans)]
         kernel = sim._chunk_kernel(model, sim._noise_free_terms(model, xs, plans), plans,
-                                   sim._Buffers(), lambda se: se)
+                                   lambda se: se)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chunks = sim._map_chunks(kernel, seed, self.TRIALS, model.n)
