@@ -9,38 +9,42 @@ exactly those components and removes most of the error.
 
 import numpy as np
 
-from blindmm.scenarios import dct_demo_signal, fig2_model, run_dct_demo
+from blindmm.scenarios import dct_demo_signal, fig2_model
+from blindmm.sim import ExperimentConfig, run_experiment
 
 # The bundled demo signal is a sum of three low-frequency cosines.
-x = dct_demo_signal(100)
+x = dct_demo_signal()
 print(f"signal: 100 samples, ||x||^2 = {float(x @ x):.3f}")
 
-model, _ = fig2_model(snr_db=5.0)
+model, _ = fig2_model()
 print(f"measurement noise: 90 quiet channels, 10 loud ones (ratio 1000)")
 print(f"condition number of the information matrix: "
       f"{model.Qeig.eigenvalues[0] / model.Qeig.eigenvalues[-1]:.0f}")
 print(f"least-squares risk eps0 = {model.eps0:.4f}\n")
 
-# Average reconstruction error over 1000 independent noise draws.
-report = run_dct_demo(seed=0, draws=1000, snr_db=5.0)
-ls_mse = report.mse["ls"][0]
+# Average reconstruction error over 1000 independent noise draws: the
+# fig2-dct scenario at 5 dB, one row per estimator.
+rows = run_experiment(ExperimentConfig(scenario="fig2-dct", trials=1000, seed=0))
+rows = {row.estimator: row for row in rows}
+ls_mse = rows["ls"].mse_mean
 print(f"{'estimator':<12} {'mean sq. error':>15} {'vs least squares':>18}")
 for label in ("ls", "sbme", "ebme:b=-1"):
-    mse, stderr = report.mse[label]
+    mse = rows[label].mse_mean
     rel = 100.0 * (1.0 - mse / ls_mse)
     print(f"{label:<12} {mse:>15.4f} {rel:>16.1f}%")
 
-print(f"\nscalar gain chosen by sbme (mean): {report.sbme_gain_mean:.3f}")
+gains = rows["ebme:b=-1"].gain_mean
+print(f"\nscalar gain chosen by sbme (mean): {rows['sbme'].gain_mean[0]:.3f}")
 print(
     "spectral gains chosen by ebme:     "
-    f"{report.ebme_gain_max:.3f} on quiet channels down to "
-    f"{report.ebme_gain_min:.3f} on loud ones"
+    f"{gains.max():.3f} on quiet channels down to "
+    f"{gains.min():.3f} on loud ones"
 )
 
 # The gain profile is monotone: the noisier the component, the harder the
 # shrinkage. Print a compressed view (components grouped by noise level).
-quiet = report.ebme_gain_mean[:-10]
-loud = report.ebme_gain_mean[-10:]
+quiet = gains[:-10]
+loud = gains[-10:]
 print(f"mean gain, quiet group: {quiet.mean():.3f}; loud group: {loud.mean():.3f}")
-assert np.all(np.diff(report.ebme_gain_mean) <= 1e-12)
+assert np.all(np.diff(gains) <= 1e-12)
 print("gain profile is monotone non-increasing in noise variance")

@@ -108,7 +108,7 @@ def _ratio_gain(s, c, e, out=None):
 def unit_gain(s, out=None):
     """``ls``'s gain: 1 on every row. The Monte Carlo engine recognises it
     by identity and takes ``ls``'s squared error as ``||v0||^2``."""
-    return np.ones_like(s), False
+    return np.ones_like(s)
 
 
 # --- gain kernels -----------------------------------------------------------
@@ -128,9 +128,9 @@ class Affine(NamedTuple):
 class Plan(NamedTuple):
     """A rule for one model: ``gain(s, out=None)`` maps the statistic
     ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
-    ``s = ||xls||^2``) to ``(g, degenerate)``. ``g`` is ``(rows,)`` or, per
-    component, ``(m, rows)``, and may be written into the work array ``out``;
-    ``degenerate`` flags rows where the rule is undefined (gain 0 there).
+    ``s = ||xls||^2``) to gains ``g``, ``(rows,)`` or, per component,
+    ``(m, rows)``, that may be written into the work array ``out``.
+    ``undefined_at_zero`` marks a rule undefined where ``s == 0`` (gain 0 there).
     ``center`` is the point shrunk toward (``None``: the origin). ``affine``
     (``ebme`` only) is the closed form of ``gain`` on the rows its cutoff
     leaves whole, which the Monte Carlo engine evaluates from per-row
@@ -140,22 +140,23 @@ class Plan(NamedTuple):
     weights: np.ndarray | None = None
     center: np.ndarray | None = None
     affine: Affine | None = None
+    undefined_at_zero: bool = False
 
 
 def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, center=None):
     """Gain ``_ratio_gain(s, c, e)`` with ``s = ||xls||^2``, or
     ``||xls||^2_Q`` when ``weights`` holds ``Q``'s eigenvalues. An ``(m, 1)``
     ``spread`` makes it per component, ``s_i = spread_i * s``; ``clamp``
-    takes the positive part and ``zero_flag`` flags ``s == 0``."""
+    takes the positive part and ``zero_flag`` sets ``undefined_at_zero``."""
 
     def gain(s, out=None):
         spread_s = s if spread is None else np.multiply(spread, s, out=out)
         g = _ratio_gain(spread_s, c, e, out=None if spread is None else spread_s)
         if clamp:
             np.maximum(g, 0.0, out=g)
-        return g, zero_flag and s == 0.0
+        return g
 
-    return Plan(gain, weights, center)
+    return Plan(gain, weights, center, undefined_at_zero=zero_flag)
 
 
 def _center_plan(model: Model, x0) -> Plan:
@@ -213,7 +214,7 @@ def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
                 np.copyto(g, 0.0, where=l2 <= 0.0)
         if not np.all(np.isfinite(g)):
             raise UnknownEstimatorError(_OVERFLOW.format(b=b))
-        return g, False
+        return g
 
     # t0 >= 0, so a zero row (every component cut) is never affine.
     t0 = float(max(t_ascending[-1], 0.0))
@@ -230,7 +231,7 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     # Overflow raises after the gain, so ebme raises its own error first.
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.einsum("ij,ij->i", rows, rows) if v is None else plan.weights @ (v * v)
-        g, degenerate = plan.gain(s)
+        g = plan.gain(s)
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(g))):
         raise NonFiniteError("xls: entries must be finite")
     if g.ndim == 1:
@@ -244,9 +245,8 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
         # Adding +0.0 turns the -0.0 a rotation can leave at xls = 0 into +0.0.
         xhat = (g * v).T @ basis.T + 0.0
         shrinkage = g.T
-    return EstimateResult(
-        xhat.reshape(xls.shape), shrinkage.reshape(xls.shape), bool(np.any(degenerate))
-    )
+    degenerate = bool(plan.undefined_at_zero and np.any(s == 0.0))
+    return EstimateResult(xhat.reshape(xls.shape), shrinkage.reshape(xls.shape), degenerate)
 
 
 def sbme(model: Model, xls) -> EstimateResult:

@@ -77,6 +77,11 @@ class FillThread:
     ``post(fill)`` hands it a fill and ``wait()`` returns once that fill
     is done, re-raising any exception it raised. Leaving the ``with`` block
     waits for a posted fill and joins the thread, on error too.
+
+    Written by hand: ``concurrent.futures.ThreadPoolExecutor(1)`` in its
+    place, with the same fills and slots, lost 6 of 6 alternating 10 s
+    stein-narrow benchmark pairs (median 10.78M -> 8.86M trials/s, 2 vCPU),
+    and its import of ``logging`` raised median setup from 0.134 to 0.162 s.
     """
 
     def __init__(self):

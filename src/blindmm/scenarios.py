@@ -20,7 +20,7 @@ from noisy transform-domain measurements:
   estimators.
 * ``fig2-dct``      -- reconstruct a smooth 100-sample signal from its
   orthonormal DCT-II coefficients where the 10 highest-frequency
-  measurements are 1000x noisier; 5 dB total SNR by default.
+  measurements are 1000x noisier; 5 dB total SNR.
 """
 
 from __future__ import annotations
@@ -42,17 +42,8 @@ from blindmm.rng import normal_block  # noqa: F401
 DEFAULT_SNR_GRID_DB = tuple(float(s) for s in np.arange(-10.0, 20.0 + 1e-9, 2.5))
 FIG6_CONDITIONS = (1.0, 3.16, 10.0, 31.6, 100.0, 316.0, 1000.0)
 FIG4_NOISE_PROFILE = (1, 1, 1, 1, 0.5, 0.2, 0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05)
+_EXTREMES = ("max-eigenvector", "min-eigenvector")
 DCT_ESTIMATORS = ("ls", "sbme", "ebme:b=-1")
-
-SCENARIO_NAMES = (
-    "fig2-dct",
-    "fig3-pp",
-    "fig4-snr",
-    "fig5a-range",
-    "fig5b-range",
-    "fig6-cond",
-    "fig7-tikhonov",
-)
 
 
 class UnknownScenarioError(LinalgError):
@@ -103,79 +94,83 @@ def dct_matrix(n: int) -> np.ndarray:
     return h
 
 
-def dct_demo_signal(n: int = 100) -> np.ndarray:
-    """Smooth test signal: a few low-frequency DCT components."""
-    coeffs = np.zeros(n)
-    coeffs[2] = 1.0
-    coeffs[5] = 0.6
-    coeffs[9] = 0.35
-    return dct_matrix(n).T @ coeffs
+def dct_demo_signal() -> np.ndarray:
+    """Smooth 100-sample test signal: a few low-frequency DCT components."""
+    coeffs = np.zeros(100)
+    coeffs[[2, 5, 9]] = (1.0, 0.6, 0.35)
+    return dct_matrix(100).T @ coeffs
 
 
-def fig2_model(snr_db: float = 5.0, ratio: float = 1000.0, n: int = 100, n_noisy: int = 10):
+def fig2_model():
     """DCT reconstruction model and its true signal.
 
-    The ``n_noisy`` highest-frequency measurements carry ``ratio`` times the
-    variance of the rest; the low-frequency variance is set so the total SNR
-    of the bundled signal equals ``snr_db``.
+    The 10 highest-frequency of the 100 measurements carry 1000 times the
+    variance of the rest; the low-frequency variance is set so the total
+    SNR of the bundled signal is 5 dB.
     """
-    x = dct_demo_signal(n)
-    var_lo = float(x @ x) / (10.0 ** (snr_db / 10.0) * ((n - n_noisy) + n_noisy * ratio))
-    variances = np.full(n, var_lo)
-    variances[n - n_noisy:] = var_lo * ratio
-    model = build_model(dct_matrix(n), np.diag(variances))
-    return model, x
+    x = dct_demo_signal()
+    var_lo = float(x @ x) / (10.0 ** (5.0 / 10.0) * (90 + 10 * 1000.0))
+    variances = np.full(100, var_lo)
+    variances[90:] = var_lo * 1000.0
+    return build_model(dct_matrix(100), np.diag(variances)), x
+
+
+def _fig2_preset(name: str) -> Preset:
+    model, x = fig2_model()
+    return Preset(
+        name=name,
+        cases=((None, model),),
+        directions=(("vector", list(x), "dct-smooth"),),
+        estimators=tuple(map(parse_estimator_spec, DCT_ESTIMATORS)),
+        snr_grid_db=(5.0,),
+        trials=1000,
+    )
+
+
+def _range_preset(name: str, model: Model) -> Preset:
+    return Preset(
+        name=name, cases=((None, model),), directions=(("random-sphere", 200),) + _EXTREMES
+    )
+
+
+# Each built-in scenario's builder, called with its name, in the order the CLI lists them.
+_PRESETS = {
+    "fig2-dct": _fig2_preset,
+    "fig3-pp": lambda name: Preset(
+        name=name,
+        cases=((None, fig4_model()),),
+        directions=("max-eigenvector",),
+        estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "bbm", "pbm"))),
+    ),
+    "fig4-snr": lambda name: Preset(name=name, cases=((None, fig4_model()),), directions=_EXTREMES),
+    "fig5a-range": lambda name: _range_preset(name, fig5a_model()),
+    "fig5b-range": lambda name: _range_preset(name, fig5b_model()),
+    "fig6-cond": lambda name: Preset(
+        name=name,
+        cases=tuple((f"cond={c:g}", fig6_model(c)) for c in FIG6_CONDITIONS),
+        # Direction of the largest eigenvalue of Q (least-noisy axis),
+        # where the quadratic-norm shrinkage rule degenerates.
+        directions=("min-eigenvector",),
+        snr_grid_db=(0.0,),
+    ),
+    "fig7-tikhonov": lambda name: Preset(
+        name=name,
+        cases=((None, fig7_model()),),
+        directions=(("vector", [1.0] + [0.0] * 14, "high-noise-axis"),),
+        estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "tik1", "tik2"))),
+    ),
+}
+SCENARIO_NAMES = tuple(_PRESETS)
 
 
 @lru_cache(maxsize=None)
 def preset(name: str) -> Preset:
     """Look up a built-in scenario; unknown names list the valid ones."""
-    extremes = ("max-eigenvector", "min-eigenvector")
-    if name == "fig4-snr":
-        return Preset(name=name, cases=((None, fig4_model()),), directions=extremes)
-    if name == "fig3-pp":
-        return Preset(
-            name=name,
-            cases=((None, fig4_model()),),
-            directions=("max-eigenvector",),
-            estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "bbm", "pbm"))),
+    if name not in _PRESETS:
+        raise UnknownScenarioError(
+            f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         )
-    if name in ("fig5a-range", "fig5b-range"):
-        model = fig5a_model() if name == "fig5a-range" else fig5b_model()
-        return Preset(
-            name=name, cases=((None, model),), directions=(("random-sphere", 200),) + extremes
-        )
-    if name == "fig6-cond":
-        return Preset(
-            name=name,
-            cases=tuple((f"cond={c:g}", fig6_model(c)) for c in FIG6_CONDITIONS),
-            # Direction of the largest eigenvalue of Q (least-noisy axis),
-            # where the quadratic-norm shrinkage rule degenerates.
-            directions=("min-eigenvector",),
-            snr_grid_db=(0.0,),
-        )
-    if name == "fig7-tikhonov":
-        return Preset(
-            name=name,
-            cases=((None, fig7_model()),),
-            directions=(("vector", [1.0] + [0.0] * 14, "high-noise-axis"),),
-            estimators=tuple(
-                map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "tik1", "tik2"))
-            ),
-        )
-    if name == "fig2-dct":
-        model, x = fig2_model()
-        return Preset(
-            name=name,
-            cases=((None, model),),
-            directions=(("vector", list(x), "dct-smooth"),),
-            estimators=tuple(map(parse_estimator_spec, DCT_ESTIMATORS)),
-            snr_grid_db=(5.0,),
-            trials=1000,
-        )
-    raise UnknownScenarioError(
-        f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
-    )
+    return _PRESETS[name](name)
 
 
 def resolve_cases(scenario):
@@ -189,44 +184,7 @@ def resolve_cases(scenario):
     raise UnknownScenarioError(f"cannot resolve scenario {scenario!r}")
 
 
-@dataclass(frozen=True)
-class DctDemoReport:
-    """Average reconstruction errors and gain profiles for ``fig2-dct``."""
-
-    draws: int
-    snr_db: float
-    mse: dict
-    sbme_gain_mean: float
-    ebme_gain_mean: np.ndarray
-    ebme_gain_min: float
-    ebme_gain_max: float
-    component_noise_var: np.ndarray
-    eps0: float
-
-
-def run_dct_demo(seed=0, draws: int = 1000, snr_db: float = 5.0, ratio: float = 1000.0) -> DctDemoReport:
-    """Reconstruct the demo signal over many noise draws and report both the
-    per-estimator mean squared error and the shrinkage each rule applied.
-    ``draws < 1`` raises ``ConfigError`` (a ``ValueError``)."""
-    model, x = fig2_model(snr_db=snr_db, ratio=ratio)
-    config = ExperimentConfig(
-        scenario=("inline", "fig2-dct", model.H, model.Cw),
-        estimators=list(map(parse_estimator_spec, DCT_ESTIMATORS)),
-        snr_grid_db=[snr_db],
-        directions=[("vector", list(x), "dct-smooth")],
-        trials=draws,
-        seed=seed,
-    )
-    rows = {row.estimator: row for row in run_experiment(config)}
-    gain_profile = rows["ebme:b=-1"].gain_mean
-    return DctDemoReport(
-        draws=draws,
-        snr_db=snr_db,
-        mse={label: (row.mse_mean, row.mse_stderr) for label, row in rows.items()},
-        sbme_gain_mean=float(rows["sbme"].gain_mean[0]),
-        ebme_gain_mean=gain_profile,
-        ebme_gain_min=float(gain_profile.min()),
-        ebme_gain_max=float(gain_profile.max()),
-        component_noise_var=1.0 / model.Qeig.eigenvalues,
-        eps0=model.eps0,
-    )
+def run_dct_demo(seed=0, draws: int = 1000):
+    """The ``fig2-dct`` rows at ``draws`` trials; kept only because
+    ``bench/tracing.py`` wraps this name, like the ``# noqa`` imports above."""
+    return run_experiment(ExperimentConfig(scenario="fig2-dct", trials=draws, seed=seed))

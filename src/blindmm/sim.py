@@ -235,7 +235,7 @@ def _noise_free_terms(model: Model, xs, plans):
         u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
         finite = [np.isfinite(cross_ops).all(axis=(1, 2)), np.isfinite(w_u2).all(axis=1),
                   np.isfinite(u2).all(axis=1)]
-        finite += [np.isfinite(plan.gain(w_u2[:, j])[0]).reshape(-1, len(xs)).all(axis=0)
+        finite += [np.isfinite(plan.gain(w_u2[:, j])).reshape(-1, len(xs)).all(axis=0)
                    for plan, j in zip(plans, s_slot)]
     bad = np.flatnonzero(~np.logical_and.reduce(finite))
     if bad.size:
@@ -307,7 +307,7 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
                 if fit is not None:
                     se, gain_sum = fit
                 else:
-                    g, _ = plan.gain(stats[j], d)  # a per-component g may be d itself
+                    g = plan.gain(stats[j], d)  # a per-component g may be d itself
                     gain_sum = g.sum(axis=-1)
                     if g.ndim == 1:
                         h = g - 1.0
@@ -643,9 +643,9 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
         raise DegenerateGError("g is undefined at c=0 with v=0")
     _check_seed(seed)
     if trials < 10**4:
-        raise ValueError("stein_lemma_check: trials must be >= 10^4")
+        raise ConfigError("trials: must be >= 10^4")
     if g not in ("shrink", "linear"):
-        raise ValueError(f"unknown test function {g!r}")
+        raise ConfigError(f"g: unknown test function {g!r}")
 
     def chunk_stats(z):
         """Per coordinate: the moments of ``dg_i/dv_i - g_i z_i`` and the sums of both terms."""

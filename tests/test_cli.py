@@ -540,7 +540,7 @@ class TestSteinCheckCommand:
         ("1,2", "1,4", ["--c", "1e308"], "v, sigma, c:"),
         ("1,2", "1e-320,1", [], "sigma"),
         (",", "1,4", [], "--v"),
-        ("1,2", "1,4", ["--trials", "9999"], "stein_lemma_check: trials must be >= 10^4"),
+        ("1,2", "1,4", ["--trials", "9999"], "trials: must be >= 10^4"),
     ], ids=["v-overflow", "v-underflow", "c-underflow", "sigma-subnormal", "v-empty",
             "too-few-trials"])
     def test_unusable_vector_exit_2(self, capsys, v, sigma, extra, name):
@@ -548,7 +548,7 @@ class TestSteinCheckCommand:
         # behind RuntimeWarnings, and so does a coordinate whose per-draw
         # differences underflow to a zero stderr under a nonzero
         # discrepancy, whether a large v or a large c makes them; an empty
-        # list, and too few trials (a plain ValueError), are usage errors.
+        # list, and too few trials, are usage errors.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["stein-check", "--v", v, "--sigma", sigma, "--trials", "10000"]

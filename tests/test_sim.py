@@ -24,7 +24,14 @@ from blindmm.estimators import (
 from blindmm.linalg import write_matrix_csv
 from blindmm.model import build_model, scale_to_snr
 from blindmm.rng import derive_seed, normal_block
-from blindmm.scenarios import fig4_model, fig5a_model, fig5b_model, fig6_model, fig7_model
+from blindmm.scenarios import (
+    fig4_model,
+    fig5a_model,
+    fig5b_model,
+    fig6_model,
+    fig7_model,
+    preset,
+)
 from blindmm.sim import (
     ConfigError,
     DegenerateGError,
@@ -933,8 +940,12 @@ class TestSteinIdentity:
             stein_lemma_check([0.0, 0.0], [1.0, 1.0], 0.0, 10**4, seed=0)
 
     def test_minimum_trials_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^trials: must be >= 10\^4$"):
             stein_lemma_check([1.0], [1.0], 1.0, 100, seed=0)
+
+    def test_unknown_test_function_rejected(self):
+        with pytest.raises(ConfigError, match="^g: unknown test function 'cubic'$"):
+            stein_lemma_check([1.0], [1.0], 1.0, 10**4, seed=0, g="cubic")
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):
@@ -1008,24 +1019,26 @@ class TestPairedDominanceChecks:
 
 
 class TestDctDemo:
-    def test_report_gains_bounded_and_monotone(self):
-        from blindmm.scenarios import run_dct_demo
+    @staticmethod
+    def _rows(seed, trials):
+        rows = run_experiment(ExperimentConfig(scenario="fig2-dct", trials=trials, seed=seed))
+        return {row.estimator: row for row in rows}
 
-        report = run_dct_demo(seed=3, draws=64)
-        assert 0.0 < report.sbme_gain_mean < 1.0
-        assert 0.0 < report.ebme_gain_min <= report.ebme_gain_max < 1.0
+    def test_report_gains_bounded_and_monotone(self):
+        rows = self._rows(3, 64)
+        sbme_gain, ebme_gains = rows["sbme"].gain_mean, rows["ebme:b=-1"].gain_mean
+        assert np.all((0.0 < sbme_gain) & (sbme_gain < 1.0))
+        assert 0.0 < ebme_gains.min() <= ebme_gains.max() < 1.0
         # Components are ordered by increasing noise variance; the adaptive
         # gain must not increase along that ordering.
-        assert np.all(np.diff(report.component_noise_var) >= 0)
-        assert np.all(np.diff(report.ebme_gain_mean) <= 1e-12)
+        component_noise_var = 1.0 / preset("fig2-dct").cases[0][1].Qeig.eigenvalues
+        assert np.all(np.diff(component_noise_var) >= 0)
+        assert np.all(np.diff(ebme_gains) <= 1e-12)
 
     def test_report_deterministic(self):
-        from blindmm.scenarios import run_dct_demo
-
-        a = run_dct_demo(seed=4, draws=16)
-        b = run_dct_demo(seed=4, draws=16)
-        assert a.mse == b.mse
-        assert np.array_equal(a.ebme_gain_mean, b.ebme_gain_mean)
+        a, b = self._rows(4, 16), self._rows(4, 16)
+        assert a == b
+        assert all(np.array_equal(a[k].gain_mean, b[k].gain_mean) for k in a)
 
 
 class TestBockPathology:
