@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 usage/config error, 3 data/validation error,
 4 degenerate input (zero least-squares estimate where an estimator is
 undefined). The ``BLINDMM_SEED`` environment variable supplies a fallback
 default seed; explicit flags and config values win. A Monte Carlo pass
-evaluates its chunks on the calling thread, while one helper thread draws
-the next chunk's noise: ``--workers`` is still accepted, and a value below
-1 is a usage error, but it has no other effect.
+evaluates its chunks on the calling thread, which shares the drawing of
+the noise with one helper thread: ``--workers`` is still accepted, and a
+value below 1 is a usage error, but it has no other effect.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _env_seed() -> int:
 
 
 _WORKERS_HELP = ("no effect besides the check that it is >= 1: chunks are evaluated on one "
-                 "thread while a helper thread draws the next chunk's noise")
+                 "thread while a helper thread draws noise ahead")
 
 
 def _build_parser() -> argparse.ArgumentParser:

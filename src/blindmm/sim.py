@@ -3,12 +3,12 @@
 Trials are cut into fixed chunks of ``CHUNK_TRIALS``; each chunk draws its
 noise from the Philox stream keyed by a sub-seed and the chunk's first
 trial, and chunks are evaluated and reduced in chunk order on the calling
-thread, while one helper thread draws the next chunk's noise, so a rerun
-with the same seed is bit-identical. All estimators
+thread, while it and one helper thread draw the next chunks' noise, so a
+rerun with the same seed is bit-identical. All estimators
 see the same noise draw within a trial (common random numbers), which
 tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine (version 7, see the README) works in the eigenbasis ``U`` of
+The engine (version 8, see the README) works in the eigenbasis ``U`` of
 ``Q``. The SNR points of one (case, direction) pair share each chunk's
 noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
@@ -154,33 +154,33 @@ def _map_chunks(fn, seed, trials: int, width: int) -> list:
     ``(seed, first trial)``. ``z`` is a reused buffer: ``fn`` may overwrite
     it, and must keep no reference to it.
 
-    Blocks alternate between two slots. One helper thread draws block
-    ``i + 1`` into one slot while the calling thread draws block 0, or
-    runs ``fn`` on block ``i``, in the other. The calling thread does the
-    id check, the keying and the slot view of every block; the helper runs
-    only numpy's fill, which releases the GIL. The helper lives for one
-    pass and is joined before this returns, on error too.
+    A pass of more than one chunk cycles its blocks through
+    ``min(3, chunks)`` slots. The calling thread keys every block and posts
+    its fill, in chunk order and up to two blocks ahead, to a
+    ``FillThread``, and draws block 0 itself. When the next block is not
+    ready, it draws the oldest posted block the helper has not started,
+    then waits. A fill is numpy's, which releases the GIL. The helper lives
+    for one pass and is joined before this returns, on error too.
     """
     bounds = [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
     if len(bounds) < 2:
         return [fn(normal_block(seed, np.arange(lo, hi), width)) for lo, hi in bounds]
-    slots, out = np.empty((2, CHUNK_TRIALS, width)), []
+    slots, out = np.empty((min(3, len(bounds)), CHUNK_TRIALS, width)), []
 
     def post(i):
         lo, hi = bounds[i]
-        block, fill = normal_fill(seed, np.arange(lo, hi), width, slots[i % 2, : hi - lo])
-        helper.post(fill)
-        return block
+        block, fill = normal_fill(seed, np.arange(lo, hi), width, slots[i % len(slots), : hi - lo])
+        return block, helper.post(fill)
 
     with FillThread() as helper:
-        nxt = post(1)
+        ahead = [post(i) for i in range(1, len(slots))]
         z = normal_block(seed, np.arange(*bounds[0]), width, out=slots[0])
         for i in range(1, len(bounds)):
-            out.append(fn(z))
-            helper.wait()
-            z = nxt  # block i
-            if i + 1 < len(bounds):
-                nxt = post(i + 1)
+            out.append(fn(z))  # block i - 1, whose slot now takes block i + len(slots) - 1
+            if i + len(slots) - 1 < len(bounds):
+                ahead.append(post(i + len(slots) - 1))
+            z, job = ahead.pop(0)  # block i
+            helper.wait(job)
         out.append(fn(z))
     return out
 

@@ -15,7 +15,7 @@ from blindmm.scenarios import FIG4_NOISE_PROFILE, fig6_model
 
 def _count_keyed_blocks(monkeypatch, *modules):
     """Record each chunk's keyed noise block: ``normal_block`` draws the
-    first of a pass, ``normal_fill`` keys the others for the helper thread."""
+    first of a pass, and ``normal_fill`` keys the others, which either thread may draw."""
     import blindmm.sim
 
     calls = []

@@ -638,8 +638,10 @@ class TestPointInvariantWork:
 
 
 class TestNoisePipeline:
-    """Engine version 7: while a chunk is evaluated, one helper thread per
-    pass draws the next chunk's noise into the other of two reused slots."""
+    """Engine version 8: a pass cycles its noise blocks through up to three
+    reused slots. One helper thread draws posted blocks ahead of the chunk
+    being evaluated, and the calling thread draws any posted block that the
+    helper has not started when the next block is not ready."""
 
     @staticmethod
     def _spend(z):
@@ -648,12 +650,17 @@ class TestNoisePipeline:
         z[:] = np.nan
         return out
 
+    @staticmethod
+    def _serial(seed, trials, width):
+        """Each chunk's block drawn on its own, in chunk order."""
+        return [normal_block(seed, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), width)
+                for lo in range(0, trials, sim.CHUNK_TRIALS)]
+
     @pytest.mark.parametrize("width", [2, 10, 100])
-    @pytest.mark.parametrize("trials", [1, 4096, 4097, 9000])
+    @pytest.mark.parametrize("trials", [1, 4096, 4097, 9000, 20000])
     def test_matches_serial_blocks(self, trials, width):
         got = sim._map_chunks(self._spend, 17, trials, width)
-        want = [normal_block(17, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), width)
-                for lo in range(0, trials, sim.CHUNK_TRIALS)]
+        want = self._serial(17, trials, width)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -678,26 +685,77 @@ class TestNoisePipeline:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for seed in range(4):
-            want = [normal_block(seed, np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), 3)
-                    for lo in range(0, trials, sim.CHUNK_TRIALS)]
+            want = self._serial(seed, trials, 3)
             assert all(np.array_equal(a, b) for a, b in zip(results[seed], want, strict=True))
 
     @staticmethod
-    def _failing_fill(monkeypatch, at_trial):
-        """Make the fill of the chunk that starts at ``at_trial`` raise."""
-        real = sim.normal_fill
+    def _schedule_fills(monkeypatch, block2_on, fail=False):
+        """Fix which thread draws block 2 of each 3-chunk pass. Return a list
+        that gets the ``(seed, block, thread id)`` of every fill run, and the
+        current pass's events that mark the start of blocks 1 and 2.
+
+        Block 0 (``sim.normal_block``, drawn on the calling thread after
+        blocks 1 and 2 are posted) waits until the helper has started the
+        fill of block 2 (``block2_on="helper"``) or of block 1
+        (``"caller"``). In the second case block 1's fill holds the helper
+        until block 2's fill starts, which leaves block 2 to the calling
+        thread. With ``fail``, block 2's fill raises. Every wait has a
+        timeout, so that a regression fails instead of hanging.
+        """
+        real_block, real_fill, runs, started = sim.normal_block, sim.normal_fill, [], {}
 
         def normal_fill(seed, trial_ids, count, out):
-            z, fill = real(seed, trial_ids, count, out)
-            if trial_ids[0] != at_trial:
-                return z, fill
+            z, fill = real_fill(seed, trial_ids, count, out)
+            block = int(trial_ids[0]) // sim.CHUNK_TRIALS
+            if block == 1:  # a new pass: blocks are keyed in chunk order
+                started.update({1: threading.Event(), 2: threading.Event()})
+            events = dict(started)
 
-            def broken():
-                raise MemoryError("fill failed")
+            def scheduled():
+                runs.append((seed, block, threading.get_ident()))
+                events[block].set()
+                if block == 1 and block2_on == "caller":
+                    assert events[2].wait(timeout=30), "block 2's fill never started"
+                if block == 2 and fail:
+                    raise MemoryError("fill failed")
+                fill()
 
-            return z, broken
+            return z, scheduled
+
+        def normal_block(seed, trial_ids, count, out=None):
+            assert started[1 if block2_on == "caller" else 2].wait(timeout=30)
+            return real_block(seed, trial_ids, count, out)
 
         monkeypatch.setattr(sim, "normal_fill", normal_fill)
+        monkeypatch.setattr(sim, "normal_block", normal_block)
+        return runs, started
+
+    def test_caller_draws_when_helper_is_held(self, monkeypatch):
+        runs, _ = self._schedule_fills(monkeypatch, "caller")
+        got = sim._map_chunks(self._spend, 17, 9000, 10)
+        drawn_by = {block: thread for _, block, thread in runs}
+        assert drawn_by[2] == threading.get_ident() != drawn_by[1]
+        want = self._serial(17, 9000, 10)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    def test_three_slots_per_pass(self):
+        # A 3-chunk pass at m = n = 100: three noise slots, then v0's
+        # m x rows array in the chunk kernel, plus small change. A fourth
+        # slot, or a block allocated per chunk, adds one more block.
+        m, rows = 100, sim.CHUNK_TRIALS
+        specs = [parse_estimator_spec(tag) for tag in ("ls", "sbme", "bock", "tik2")]
+        cfg = ExperimentConfig(
+            scenario=("inline", "wide", np.eye(m), np.diag(np.linspace(1.0, 0.01, m))),
+            estimators=specs, snr_grid_db=TestSharedNoise.SNRS,
+            directions=[("random-sphere", 1)], trials=3 * rows, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * m * rows * 8
 
     def test_helper_joined_when_fn_raises(self):
         # fn fails on the second chunk while the helper draws the third.
@@ -715,14 +773,19 @@ class TestNoisePipeline:
         assert seen == [4096, 4096]
         assert threading.enumerate() == before
 
-    def test_helper_joined_when_fill_raises(self, monkeypatch):
+    @pytest.mark.parametrize("block2_on", ["helper", "caller"])
+    def test_helper_joined_when_fill_raises(self, monkeypatch, block2_on):
+        # Block 2's fill raises on either thread; the error comes at its turn.
         before = threading.enumerate()
-        self._failing_fill(monkeypatch, 2 * sim.CHUNK_TRIALS)
+        runs, _ = self._schedule_fills(monkeypatch, block2_on, fail=True)
         seen = []
         with pytest.raises(MemoryError, match="fill failed"):
             sim._map_chunks(lambda z: seen.append(z.shape[0]), 3, 9000, 4)
         assert seen == [4096, 4096]  # the third chunk is never evaluated
         assert threading.enumerate() == before
+        drawn_by = {block: thread for _, block, thread in runs}
+        assert (drawn_by[2] == threading.get_ident()) == (block2_on == "caller")
+        ran = len(runs)
         cfg = ExperimentConfig(scenario="fig4-snr", estimators=[EstimatorSpec("sbme")],
                                snr_grid_db=[0.0, 5.0], directions=["max-eigenvector"],
                                trials=9000, seed=1)
@@ -732,6 +795,23 @@ class TestNoisePipeline:
         with pytest.raises(MemoryError, match="fill failed"):
             stein_lemma_check([1.0, 2.0], [1.0, 4.0], 1.0, 10**4, 5)
         assert threading.enumerate() == before
+        assert ran == 2 and sum(seed == 3 for seed, _, _ in runs) == ran  # no fill ran late
+
+    def test_unstarted_fill_dropped_on_error(self, monkeypatch):
+        # fn fails on chunk 0 while the helper is held in block 1's fill and
+        # block 2's fill waits in the queue. The helper is let go only when
+        # the pass joins it, so block 2's fill runs only if it was not dropped.
+        runs, started = self._schedule_fills(monkeypatch, "caller")
+        real_join = threading.Thread.join
+        monkeypatch.setattr(threading.Thread, "join",
+                            lambda thread, *args: started[2].set() or real_join(thread, *args))
+
+        def fn(z):
+            raise KeyError("chunk failed")
+
+        with pytest.raises(KeyError, match="chunk failed"):
+            sim._map_chunks(fn, 3, 9000, 4)
+        assert [block for _, block, _ in runs] == [1]
 
     def test_one_helper_per_pass(self, monkeypatch):
         started, real_start = [], threading.Thread.start

@@ -61,7 +61,8 @@ def test_traced_call_is_consistent(tracing, experiment_argv, command):
         with tracer.span(tracing.ROOT_NAME, "cli"), contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
     assert threads == {threading.get_ident()}
-    # The helper thread runs only numpy's fill: the one traced draw is the first chunk's.
+    # Later blocks are numpy fills keyed by normal_fill, drawn by either
+    # thread: the one traced draw is the first chunk's.
     assert tracer.counts["rng.calls"] == 1
     spans = tracer.spans
     root = spans[0]
