@@ -43,7 +43,7 @@ config = ExperimentConfig(
     scenario="fig5b-range",
     estimators=[EstimatorSpec("ls"), EstimatorSpec("sbme")],
     snr_grid_db=[0.0, 10.0],
-    directions=[("random-sphere", 2)],
+    directions=[{"random-sphere": 2}],
     trials=2 * CHUNK_TRIALS + 1000,
     seed=5,
 )

@@ -72,12 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", dest="h_path", required=True, help="design matrix CSV (n x m)")
     p.add_argument("--Cw", dest="cw_path", required=True, help="noise covariance CSV (n x n)")
     p.add_argument("--y", dest="y_path", required=True, help="measurement vector CSV (single column)")
-    p.add_argument(
-        "--estimator",
-        required=True,
-        help="ls | sbme | bbm | pbm | bock | tik1 | tik2 | ebme:b=-1 | "
-        "shrinkc:c=2.5 | offcenter:file=x0.csv",
-    )
+    p.add_argument("--estimator", required=True, help=" | ".join(
+        tag if rule.param is None else f"{tag}:{rule.param.key}=..."
+        for tag, rule in RULES.items()))
     p.add_argument("--out", required=True, help="estimate output CSV (single column)")
 
     p = sub.add_parser("check", help="print dominance diagnostics for a model")
@@ -104,7 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(config, args):
     """Run a sweep, write its CSV and print the MSE table normalized by the
-    least-squares risk of each row's case."""
+    least-squares risk of each row's case. The seed is ``--seed``, then the
+    config's, then ``BLINDMM_SEED``; trials are ``--trials``, then the
+    config's, then the scenario's."""
+    if args.seed is not None:
+        config.seed = args.seed
+    elif config.seed is None:
+        config.seed = _env_seed()
+    if args.trials is not None:
+        config.trials = args.trials
     if args.workers < 1:
         raise ConfigError("workers: must be >= 1")
     rows = run_experiment(config)
@@ -119,14 +124,7 @@ def _run(config, args):
 
 
 def _cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    elif config.seed is None:
-        config.seed = _env_seed()
-    if args.trials is not None:
-        config.trials = args.trials
-    rows = _run(config, args)
+    rows = _run(load_config(args.config), args)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -175,20 +173,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    p = scenarios.preset(args.name)
-    config = ExperimentConfig(  # run_experiment fills the other fields from the preset
-        scenario=args.name,
-        trials=args.trials if args.trials is not None else p.trials,
-        seed=args.seed if args.seed is not None else _env_seed(),
-    )
-    rows = _run(config, args)
-    if args.name == "fig2-dct":
-        gains = {row.estimator: row.gain_mean for row in rows}
-        print(f"mean scalar gain (sbme): {gains['sbme'][0]:.4f}")
-        print(
-            f"adaptive gain range (ebme:b=-1): "
-            f"[{gains['ebme:b=-1'].min():.4f}, {gains['ebme:b=-1'].max():.4f}]"
-        )
+    rows = _run(ExperimentConfig(scenario=args.name, seed=None), args)
+    gains = {row.estimator: row.gain_mean for row in rows}
+    for label in scenarios.preset(args.name).summary:
+        if RULES[parse_estimator_spec(label).kind].per_component:
+            print(f"adaptive gain range ({label}): "
+                  f"[{gains[label].min():.4f}, {gains[label].max():.4f}]")
+        else:
+            print(f"mean scalar gain ({label}): {gains[label][0]:.4f}")
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

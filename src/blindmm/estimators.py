@@ -22,9 +22,10 @@ Every rule but ``ls`` and ``ebme`` applies the gain ``1 - e / (c + s)``
 * ``tikhonov2``    -- ``s = ||xls||^2_Q``, ``c = e = m``;
 * ``tikhonov1``    -- per component, ``s_i = sig_i ||xls||^2``, ``c = e = m``.
 
-``off_center_sbme`` shrinks toward a fixed point ``x0`` with the ``sbme``
-gain. ``ebme`` applies ``(1 - alpha * sig**(b/2))_+`` per component,
-shrinking noisy components harder.
+``off_center_sbme`` is ``sbme`` about a fixed point ``x0``: its
+``s = ||xls - x0||^2`` and it shrinks ``xls - x0``. ``ebme`` applies
+``(1 - alpha * sig**(b/2))_+`` per component, shrinking noisy components
+harder.
 
 ``sbme_dominance_holds`` / ``ebme_dominance_holds`` evaluate the sufficient
 conditions under which the corresponding estimators beat least squares for
@@ -131,7 +132,8 @@ class Plan(NamedTuple):
     ``s = ||xls||^2``) to gains ``g``, ``(rows,)`` or, per component,
     ``(m, rows)``, that may be written into the work array ``out``.
     ``undefined_at_zero`` marks a rule undefined where ``s == 0`` (gain 0 there).
-    ``center`` is the point shrunk toward (``None``: the origin). ``affine``
+    ``center`` is the point shrunk toward and the one ``s`` is taken about
+    (``None``: the origin). ``affine``
     (``ebme`` only) is the closed form of ``gain`` on the rows its cutoff
     leaves whole, which the Monte Carlo engine evaluates from per-row
     statistics; ``gain`` stays the reference on every row."""
@@ -226,6 +228,8 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     or per-component rule rotates the rows into ``Q``'s eigenbasis."""
     xls = _check_ls(model, xls)
     rows = xls.reshape(-1, model.m)
+    if plan.center is not None:
+        rows = rows - plan.center
     basis = model.Qeig.basis
     v = None if plan.weights is None else basis.T @ rows.T  # (m, rows), as in the engine
     # Overflow raises after the gain, so ebme raises its own error first.
@@ -237,7 +241,7 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     if g.ndim == 1:
         xhat = g[:, None] * rows
         if plan.center is not None:
-            xhat += (1.0 - g)[:, None] * plan.center
+            xhat += plan.center
         shrinkage = np.repeat(g[:, None], model.m, axis=1)
     else:
         if v is None:
@@ -266,8 +270,9 @@ def shrink_c(model: Model, xls, c: float) -> EstimateResult:
 
 
 def off_center_sbme(model: Model, xls, x0) -> EstimateResult:
-    """Spherical rule centered on ``x0`` instead of the origin: returns
-    ``g * xls + (1 - g) * x0`` with the ``sbme`` gain ``g``."""
+    """Spherical rule about ``x0`` instead of the origin (James-Stein toward
+    a point): returns ``x0 + g * (xls - x0)`` with ``sbme``'s gain ``g`` on
+    ``||xls - x0||^2``."""
     return estimate_from_ls(model, EstimatorSpec("offcenter", x0=x0), xls)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from blindmm.estimators import parse_estimator_spec
 from blindmm.linalg import LinalgError
 from blindmm.model import Model, build_model
-from blindmm.sim import ExperimentConfig, run_experiment
+from blindmm.sim import DEFAULT_TRIALS, ExperimentConfig, run_experiment
 
 # Unused here; bench/tracing.py wraps them under these names and drops a layer if one is gone.
 from blindmm.estimators import estimate_from_ls  # noqa: F401
@@ -53,14 +53,16 @@ class UnknownScenarioError(LinalgError):
 @dataclass(frozen=True)
 class Preset:
     """A scenario: one or more (case_key, model) pairs plus sweep defaults
-    (by default the four-rule comparison over ``DEFAULT_SNR_GRID_DB``)."""
+    (by default the four-rule comparison over ``DEFAULT_SNR_GRID_DB``), with
+    directions in ``ExperimentConfig``'s forms. ``summary`` names the rules
+    of a one-point preset whose mean gains ``blindmm scenario`` prints."""
 
-    name: str
     cases: tuple
     directions: tuple
     estimators: tuple = tuple(map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "bock")))
     snr_grid_db: tuple = DEFAULT_SNR_GRID_DB
-    trials: int = 10000
+    trials: int = DEFAULT_TRIALS
+    summary: tuple = ()
 
 
 def fig4_model() -> Model:
@@ -115,48 +117,43 @@ def fig2_model():
     return build_model(dct_matrix(100), np.diag(variances)), x
 
 
-def _fig2_preset(name: str) -> Preset:
+def _fig2_preset() -> Preset:
     model, x = fig2_model()
     return Preset(
-        name=name,
         cases=((None, model),),
-        directions=(("vector", list(x), "dct-smooth"),),
+        directions=({"vector": x.tolist(), "id": "dct-smooth"},),
         estimators=tuple(map(parse_estimator_spec, DCT_ESTIMATORS)),
         snr_grid_db=(5.0,),
         trials=1000,
+        summary=("sbme", "ebme:b=-1"),
     )
 
 
-def _range_preset(name: str, model: Model) -> Preset:
-    return Preset(
-        name=name, cases=((None, model),), directions=(("random-sphere", 200),) + _EXTREMES
-    )
+def _range_preset(model: Model) -> Preset:
+    return Preset(cases=((None, model),), directions=({"random-sphere": 200},) + _EXTREMES)
 
 
-# Each built-in scenario's builder, called with its name, in the order the CLI lists them.
+# Each built-in scenario's preset, made on first use, in the order the CLI lists them.
 _PRESETS = {
     "fig2-dct": _fig2_preset,
-    "fig3-pp": lambda name: Preset(
-        name=name,
+    "fig3-pp": lambda: Preset(
         cases=((None, fig4_model()),),
         directions=("max-eigenvector",),
         estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "bbm", "pbm"))),
     ),
-    "fig4-snr": lambda name: Preset(name=name, cases=((None, fig4_model()),), directions=_EXTREMES),
-    "fig5a-range": lambda name: _range_preset(name, fig5a_model()),
-    "fig5b-range": lambda name: _range_preset(name, fig5b_model()),
-    "fig6-cond": lambda name: Preset(
-        name=name,
+    "fig4-snr": lambda: Preset(cases=((None, fig4_model()),), directions=_EXTREMES),
+    "fig5a-range": lambda: _range_preset(fig5a_model()),
+    "fig5b-range": lambda: _range_preset(fig5b_model()),
+    "fig6-cond": lambda: Preset(
         cases=tuple((f"cond={c:g}", fig6_model(c)) for c in FIG6_CONDITIONS),
         # Direction of the largest eigenvalue of Q (least-noisy axis),
         # where the quadratic-norm shrinkage rule degenerates.
         directions=("min-eigenvector",),
         snr_grid_db=(0.0,),
     ),
-    "fig7-tikhonov": lambda name: Preset(
-        name=name,
+    "fig7-tikhonov": lambda: Preset(
         cases=((None, fig7_model()),),
-        directions=(("vector", [1.0] + [0.0] * 14, "high-noise-axis"),),
+        directions=({"vector": [1.0] + [0.0] * 14, "id": "high-noise-axis"},),
         estimators=tuple(map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "tik1", "tik2"))),
     ),
 }
@@ -170,18 +167,12 @@ def preset(name: str) -> Preset:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         )
-    return _PRESETS[name](name)
+    return _PRESETS[name]()
 
 
-def resolve_cases(scenario):
-    """Map a config's scenario field to ``(cases, display_name)``."""
-    if isinstance(scenario, str):
-        p = preset(scenario)
-        return list(p.cases), p.name
-    if isinstance(scenario, tuple) and scenario and scenario[0] == "inline":
-        _, name, h, cw = scenario
-        return [(None, build_model(h, cw))], name
-    raise UnknownScenarioError(f"cannot resolve scenario {scenario!r}")
+def resolve_cases(name: str):
+    """A built-in scenario's ``(cases, name)``; ``sim`` resolves inline models."""
+    return list(preset(name).cases), name
 
 
 def run_dct_demo(seed=0, draws: int = 1000):

@@ -33,7 +33,7 @@ import numpy as np
 
 from blindmm.estimators import RULES, parse_estimator_spec, unit_gain
 from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
-from blindmm.model import Model, SnrRangeError, scale_to_snr
+from blindmm.model import Model, SnrRangeError, build_model, scale_to_snr
 from blindmm.rng import FillThread, derive_seed, generator, normal_block, normal_fill
 
 # Unused here; bench/tracing.py wraps it under this name and drops a layer if it is gone.
@@ -42,6 +42,9 @@ from blindmm.estimators import estimate_from_ls  # noqa: F401
 # Fixed chunk size: the noise and the summation order depend only on the
 # seed and the trial count.
 CHUNK_TRIALS = 4096
+
+# Trials of an inline model, and of a preset that sets none, when the config gives none.
+DEFAULT_TRIALS = 10000
 
 # Derivation tags keep the noise, direction and point sub-streams disjoint.
 _TAG_POINT = 0x504F494E
@@ -79,21 +82,23 @@ class MseRow:
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one sweep.
+    """Declarative description of one sweep, in the JSON config's own forms.
 
     ``scenario`` is either a built-in scenario name or an inline model
-    ``{"H": ..., "Cw": ...}``; ``directions`` is a list of policies:
-    ``"max-eigenvector"`` / ``"min-eigenvector"`` (extreme eigenvectors of
-    ``Q^-1``, i.e. the most/least noisy parameter directions),
-    ``("random-sphere", count)`` for uniformly random unit directions, or
-    ``("vector", values, id)`` for explicit directions.
+    ``{"H": ..., "Cw": ..., "name": ...}`` (``_inline_cases``); ``directions``
+    is a list of policies: ``"max-eigenvector"`` / ``"min-eigenvector"``
+    (extreme eigenvectors of ``Q^-1``, i.e. the most/least noisy parameter
+    directions), ``{"random-sphere": count}`` for uniformly random unit
+    directions, or ``{"vector": [...], "id": key}`` for explicit directions.
+    ``run_experiment`` fills the fields left empty from a named scenario's
+    preset, and ``trials`` of an inline model with ``DEFAULT_TRIALS``.
     """
 
     scenario: object
     estimators: list = field(default_factory=list)
     snr_grid_db: list = field(default_factory=list)
     directions: list = field(default_factory=list)
-    trials: int = 10000
+    trials: int | None = None
     seed: int = 0
 
     def validate(self):
@@ -112,7 +117,7 @@ class ExperimentConfig:
         _check_distinct(snr.tolist(), "snr_grid_db", "values")
         if not self.directions:
             raise ConfigError("directions: must be a nonempty list")
-        if int(self.trials) < 1:
+        if self.trials is None or int(self.trials) < 1:
             raise ConfigError("trials: must be >= 1")
         _check_seed(self.seed)
         return self
@@ -218,7 +223,7 @@ def _noise_free_terms(model: Model, xs, plans):
     ``w_u2`` holds ``w . u**2`` and ``u2`` holds ``||u'||^2``.
 
     Raises ``SnrRangeError`` when any of these terms, or a rule's gain on
-    ``w . u**2``, leaves float64 range.
+    ``w . u**2`` (``||u'||^2`` for a centred plan), leaves float64 range.
     """
     basis, m = model.Qeig.basis, model.m
     us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
@@ -235,8 +240,8 @@ def _noise_free_terms(model: Model, xs, plans):
         u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
         finite = [np.isfinite(cross_ops).all(axis=(1, 2)), np.isfinite(w_u2).all(axis=1),
                   np.isfinite(u2).all(axis=1)]
-        finite += [np.isfinite(plan.gain(w_u2[:, j])).reshape(-1, len(xs)).all(axis=0)
-                   for plan, j in zip(plans, s_slot)]
+        finite += [np.isfinite(plan.gain(w_u2[:, j] if plan.center is None else u2[:, c]))
+                   .reshape(-1, len(xs)).all(axis=0) for plan, j, c in zip(plans, s_slot, c_slot)]
     bad = np.flatnonzero(~np.logical_and.reduce(finite))
     if bad.size:
         raise SnrRangeError(
@@ -259,7 +264,8 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
     All points share the block's ``v0 = A' z'``; a point's statistics are
     ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
     ``u = U'x``, and a scalar rule's squared error is
-    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``.
+    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``,
+    about which a centred plan takes its statistic ``||v0 + u'||^2``.
     A plan with an ``affine`` form (``ebme``) takes it at a point where its
     cutoff leaves every row of the chunk whole, and its reference ``gain``
     on every row otherwise. ``ls`` (``unit_gain``) has the error
@@ -307,7 +313,8 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
                 if fit is not None:
                     se, gain_sum = fit
                 else:
-                    g = plan.gain(stats[j], d)  # a per-component g may be d itself
+                    s = stats[j] if plan.center is None else base[0] + cross[n_w + c] + u2[k, c]
+                    g = plan.gain(s, d)  # a per-component g may be d itself
                     gain_sum = g.sum(axis=-1)
                     if g.ndim == 1:
                         h = g - 1.0
@@ -360,26 +367,28 @@ def _random_unit_vector(seed, index: int, m: int) -> np.ndarray:
 
 
 def resolve_directions(model: Model, policies, seed):
-    """Expand direction policies into ``(sweep_key, unit_vector)`` pairs."""
+    """Check the direction policies and expand them into ``(sweep_key,
+    unit_vector)`` pairs (the forms are ``ExperimentConfig``'s)."""
     out = []
     rand_idx = 0
     vec_idx = 0
     for pol in policies:
+        keys = set(pol) if isinstance(pol, dict) else None
         if pol == "max-eigenvector":
             # Largest eigenvalue of Q^-1: last column of the descending-Q basis.
             out.append(("max-eig", model.Qeig.basis[:, -1].copy()))
         elif pol == "min-eigenvector":
             out.append(("min-eig", model.Qeig.basis[:, 0].copy()))
-        elif isinstance(pol, tuple) and pol and pol[0] == "random-sphere":
-            count = int(pol[1])
+        elif keys == {"random-sphere"}:
+            count = _count(pol["random-sphere"], "directions.random-sphere")
             if count < 1:
                 raise ConfigError(f"directions.random-sphere: expected a count >= 1, got {count}")
             for _ in range(count):
                 out.append((f"rand-{rand_idx:03d}", _random_unit_vector(seed, rand_idx, model.m)))
                 rand_idx += 1
-        elif isinstance(pol, tuple) and pol and pol[0] == "vector":
-            vec = as_vector(pol[1], "directions.vector")
-            key = pol[2] if len(pol) > 2 else None
+        elif keys in ({"vector"}, {"vector", "id"}):
+            vec = as_vector(_numbers(pol["vector"], "directions.vector"), "directions.vector")
+            key = pol.get("id")
             key = f"vec-{vec_idx:03d}" if key is None else _csv_field(key, "directions.id")
             vec_idx += 1
             out.append((key, vec))
@@ -406,17 +415,20 @@ def run_experiment(config: ExperimentConfig):
     """
     from blindmm import scenarios  # late import: scenarios builds on this module
 
-    if isinstance(config.scenario, str):  # a named scenario fills the fields left empty
+    named = isinstance(config.scenario, str)
+    cases, scenario_name = (scenarios.resolve_cases if named else _inline_cases)(config.scenario)
+    if named:  # the preset fills the fields left empty
         preset = scenarios.preset(config.scenario)
         config = replace(
             config,
             estimators=list(config.estimators or preset.estimators),
             snr_grid_db=list(config.snr_grid_db or preset.snr_grid_db),
             directions=list(config.directions or preset.directions),
+            trials=preset.trials if config.trials is None else config.trials,
         )
+    elif config.trials is None:
+        config = replace(config, trials=DEFAULT_TRIALS)
     config.validate()
-    cases, scenario_name = scenarios.resolve_cases(config.scenario)
-    _csv_field(scenario_name, "scenario.name")
     seed = int(config.seed)
     trials = int(config.trials)
     snrs = [float(snr_db) for snr_db in config.snr_grid_db]
@@ -440,10 +452,15 @@ def run_experiment(config: ExperimentConfig):
     rows = []
     for model, plans, sweep_key, terms, group_seed in groups:
         kernel = _chunk_kernel(model, terms, plans, _moments)  # its work arrays live for one pass
-        chunks = _map_chunks(kernel, group_seed, trials, model.n)
-        for snr_db, point in zip(snrs, map(_fold, zip(*chunks))):
+        # Errors beyond float64 range are checked once, on each row's moments.
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = list(map(_fold, zip(*_map_chunks(kernel, group_seed, trials, model.n))))
+        for snr_db, point in zip(snrs, points):
             for spec, (moments, gains) in zip(config.estimators, point):
                 mean, stderr = _mean_stderr(*moments)
+                if not (math.isfinite(mean) and math.isfinite(stderr)):
+                    raise NonFiniteError(
+                        f"{spec.label}: squared errors leave float64 range on this model")
                 rows.append(MseRow(
                     scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
                     sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
@@ -460,10 +477,11 @@ def run_experiment(config: ExperimentConfig):
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file.
 
-    Fields: ``scenario`` (name or ``{"H":..., "Cw":...}``), ``estimators``
-    (list of tag strings), ``snr_grid_db``, ``directions``, ``trials``,
-    ``seed``. ``offcenter:file=`` paths and inline models resolve relative
-    to the config file's directory.
+    Fields: ``scenario`` (name or inline model), ``estimators`` (list of
+    tag strings), ``snr_grid_db``, ``directions``, ``trials``, ``seed``.
+    ``scenario`` and ``directions`` pass through in ``ExperimentConfig``'s
+    forms, which ``run_experiment`` checks. ``offcenter:file=`` paths
+    resolve relative to the config file's directory.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -492,24 +510,13 @@ def load_config(path) -> ExperimentConfig:
     _check_labels(estimators)
 
     snr_grid = _numbers(_as_list(raw.get("snr_grid_db", []), "snr_grid_db"), "snr_grid_db")
-
-    directions = [_parse_direction(ent) for ent in _as_list(raw.get("directions", []), "directions")]
-
-    trials = _count(raw.get("trials", 10000), "trials")
-    seed = raw.get("seed")  # None defers to --seed or BLINDMM_SEED
-    seed = None if seed is None else _count(seed, "seed")
-
-    scenario = raw["scenario"]
-    if isinstance(scenario, dict):
-        scenario = _parse_inline_model(scenario)
-    elif not isinstance(scenario, str):
-        raise ConfigError("scenario: expected a name or an inline model object")
-
+    # None defers trials to the scenario, and seed to --seed or BLINDMM_SEED.
+    trials, seed = (None if raw.get(k) is None else _count(raw[k], k) for k in ("trials", "seed"))
     return ExperimentConfig(
-        scenario=scenario,
+        scenario=raw["scenario"],
         estimators=estimators,
         snr_grid_db=snr_grid,
-        directions=directions,
+        directions=_as_list(raw.get("directions", []), "directions"),
         trials=trials,
         seed=seed,
     )
@@ -535,28 +542,12 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _parse_direction(ent):
-    if isinstance(ent, str):
-        if ent in ("max-eigenvector", "min-eigenvector"):
-            return ent
-        raise ConfigError(f"directions: unknown policy {ent!r}")
-    if isinstance(ent, dict):
-        if "random-sphere" in ent:
-            extra = set(ent) - {"random-sphere"}
-            if extra:
-                raise ConfigError(f"directions: unknown keys {sorted(extra)}")
-            return ("random-sphere", _count(ent["random-sphere"], "directions.random-sphere"))
-        if "vector" in ent:
-            extra = set(ent) - {"vector", "id"}
-            if extra:
-                raise ConfigError(f"directions: unknown keys {sorted(extra)}")
-            return ("vector", _numbers(ent["vector"], "directions.vector"), ent.get("id"))
-    raise ConfigError(f"directions: unknown policy {ent!r}")
-
-
-def _parse_inline_model(obj):
-    """Inline model spec: H and Cw as nested lists, {"diag": [...]} or
-    {"identity": n}; returns a ("inline", name, H, Cw) tuple."""
+def _inline_cases(obj):
+    """An inline model's cases and name, as ``scenarios.resolve_cases`` gives
+    a named one's: ``obj`` is ``{"H": ..., "Cw": ..., "name": ...}`` with
+    ``H`` and ``Cw`` as nested lists, ``{"diag": [...]}`` or ``{"identity": n}``."""
+    if not isinstance(obj, dict):
+        raise ConfigError("scenario: expected a name or an inline model object")
     extra = set(obj) - {"H", "Cw", "name"}
     if extra:
         raise ConfigError(f"scenario: unknown inline-model keys {sorted(extra)}")
@@ -573,7 +564,7 @@ def _parse_inline_model(obj):
         raise ConfigError(f"scenario.{field_name}: expected nested lists, diag or identity")
 
     name = _csv_field(obj.get("name", "custom"), "scenario.name")
-    return ("inline", name, mat(obj["H"], "H"), mat(obj["Cw"], "Cw"))
+    return [(None, build_model(mat(obj["H"], "H"), mat(obj["Cw"], "Cw")))], name
 
 
 # --- results CSV -------------------------------------------------------------

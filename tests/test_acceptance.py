@@ -59,12 +59,12 @@ def fig4_rows():
 
 @pytest.fixture(scope="module")
 def fig5a_rows():
-    return _sweep("fig5a-range", BME_SET, [("random-sphere", 20)])
+    return _sweep("fig5a-range", BME_SET, [{"random-sphere": 20}])
 
 
 @pytest.fixture(scope="module")
 def fig5b_rows():
-    return _sweep("fig5b-range", BME_SET, [("random-sphere", 20)])
+    return _sweep("fig5b-range", BME_SET, [{"random-sphere": 20}])
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ def fig7_rows():
     return _sweep(
         "fig7-tikhonov",
         ("ls", "sbme", "ebme:b=-1", "tik1", "tik2"),
-        [("vector", [1.0] + [0.0] * 14, "high-noise-axis")],
+        [{"vector": [1.0] + [0.0] * 14, "id": "high-noise-axis"}],
     )
 
 

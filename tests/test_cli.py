@@ -340,17 +340,41 @@ class TestExperiment:
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_squared_errors_exit_3(self, tmp_path, capsys):
+        # Each noise entry is about 1e80, so ||v0||^2 is finite but the
+        # deviations' squares in the fold leave float64 range.
+        cfg = self._write_config(
+            tmp_path, scenario={"H": {"identity": 3}, "Cw": {"diag": [1e160] * 3}},
+            estimators=["ls"], snr_grid_db=[0.0], trials=100, seed=1,
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "ls: squared errors leave float64 range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_named_scenario_trials_fall_back_to_preset(self, tmp_path):
+        # Trials: --trials, then the config's, then the preset's (1000 for fig2-dct).
+        for extra, flags, trials in (({}, [], "1000"), ({"trials": 40}, [], "40"),
+                                     ({"trials": 40}, ["--trials", "30"], "30")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenario": "fig2-dct", "seed": 2, **extra}))
+            out = tmp_path / "o.csv"
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)] + flags) == 0
+            assert {row.split(",")[6] for row in out.read_text().split()[1:]} == {trials}
+
     def test_inline_model_built_once(self, tmp_path, monkeypatch):
-        import blindmm.scenarios
+        import blindmm.sim
 
         built = []
-        real = blindmm.scenarios.build_model
+        real = blindmm.sim.build_model
 
         def counted(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr(blindmm.scenarios, "build_model", counted)
+        monkeypatch.setattr(blindmm.sim, "build_model", counted)
         cfg = self._write_config(
             tmp_path,
             scenario={"H": {"identity": 3}, "Cw": {"diag": [1.0, 2.0, 3.0]}},
@@ -418,11 +442,12 @@ class TestExperiment:
         ({"snr_grid_db": [-0.0, 0.0]}, "snr_grid_db"),
         ({"directions": [{"random-sphere": 0}]}, "directions.random-sphere"),
         ({"seed": None}, "BLINDMM_SEED"),
+        ({"scenario": 5}, "scenario"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
             "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
-            "env-seed-text"])
+            "env-seed-text", "scenario-number"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator

@@ -84,8 +84,9 @@ def test_shrinking_rules_mean_gains_in_unit_interval(case):
     specs = [parse_estimator_spec(tag) for tag in SHRINKING_TAGS]
     specs.append(EstimatorSpec("offcenter", x0=rng.standard_normal(case["m"])))
     config = sim.ExperimentConfig(
-        scenario=("inline", "dense", h, cw), estimators=specs, snr_grid_db=[case["snr_db"]],
-        directions=[("vector", rng.standard_normal(case["m"]), "d")], trials=case["trials"],
+        scenario={"name": "dense", "H": h.tolist(), "Cw": cw.tolist()}, estimators=specs,
+        snr_grid_db=[case["snr_db"]], trials=case["trials"],
+        directions=[{"vector": rng.standard_normal(case["m"]).tolist(), "id": "d"}],
         seed=case["seed"],
     )
     rows = sim.run_experiment(config)

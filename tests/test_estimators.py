@@ -131,13 +131,22 @@ class TestOffCenter:
             off_center_sbme(m, xls, np.zeros(15)).xhat, sbme(m, xls).xhat
         )
 
-    def test_zero_ls_returns_center(self):
+    def test_ls_at_center_returns_center(self):
         m = iid_model(4)
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(off_center_sbme(m, np.zeros(4), x0).xhat, x0)
+        np.testing.assert_array_equal(off_center_sbme(m, x0, x0).xhat, x0)
+
+    def test_translation_equivariant(self):
+        # sbme about x0 is sbme on xls - x0, moved back by x0, to the bit.
+        m = fig5b_model()
+        rng = np.random.default_rng(4)
+        xls, x0 = rng.standard_normal((64, 10)), 10.0 * rng.standard_normal(10)
+        np.testing.assert_array_equal(off_center_sbme(m, xls, x0).xhat,
+                                      x0 + sbme(m, xls - x0).xhat)
 
     def test_hand_case(self):
-        # ||xls||^2 = eps0 gives g = 1/2; with x0 = 2*xls the blend is 1.5*xls.
+        # ||xls - x0||^2 = eps0 gives g = 1/2; with x0 = 2*xls the estimate
+        # x0 + g (xls - x0) is 1.5*xls.
         m = iid_model(4)
         xls = np.array([1.0, 1.0, 1.0, 1.0])
         r = off_center_sbme(m, xls, 2.0 * xls)

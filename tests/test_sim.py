@@ -29,6 +29,7 @@ from blindmm.scenarios import (
     fig5a_model,
     fig5b_model,
     fig6_model,
+    SCENARIO_NAMES,
     fig7_model,
     preset,
 )
@@ -108,9 +109,9 @@ class TestDirections:
 
     def test_random_sphere_deterministic_and_unit(self):
         m = fig4_model()
-        a = resolve_directions(m, [("random-sphere", 5)], 42)
-        b = resolve_directions(m, [("random-sphere", 5)], 42)
-        c = resolve_directions(m, [("random-sphere", 5)], 43)
+        a = resolve_directions(m, [{"random-sphere": 5}], 42)
+        b = resolve_directions(m, [{"random-sphere": 5}], 42)
+        c = resolve_directions(m, [{"random-sphere": 5}], 43)
         for (ka, va), (kb, vb) in zip(a, b):
             assert ka == kb and np.array_equal(va, vb)
             assert np.linalg.norm(va) == pytest.approx(1.0, rel=1e-12)
@@ -119,36 +120,54 @@ class TestDirections:
     def test_prefix_reuse(self):
         # The first k random directions are a prefix of the first k+j.
         m = fig4_model()
-        small = resolve_directions(m, [("random-sphere", 3)], 7)
-        big = resolve_directions(m, [("random-sphere", 6)], 7)
+        small = resolve_directions(m, [{"random-sphere": 3}], 7)
+        big = resolve_directions(m, [{"random-sphere": 6}], 7)
         for (ks, vs), (kb, vb) in zip(small, big):
             assert ks == kb and np.array_equal(vs, vb)
 
     def test_explicit_vector(self):
         m = iid_model(3)
-        (key, v), = resolve_directions(m, [("vector", [0.0, 2.0, 0.0], "axis-y")], 0)
+        (key, v), = resolve_directions(m, [{"vector": [0.0, 2.0, 0.0], "id": "axis-y"}], 0)
         assert key == "axis-y"
         np.testing.assert_array_equal(v, [0.0, 2.0, 0.0])
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_directions(iid_model(2), ["sideways"], 0)
+        # Only the JSON forms are policies: the old tuple forms are not.
+        for policy in ("sideways", ("random-sphere", 2), ("vector", [1.0, 0.0], "e"),
+                       {"random-sphere": 2, "id": "r"}):
+            with pytest.raises(ConfigError, match="directions: unknown policy"):
+                resolve_directions(iid_model(2), [policy], 0)
 
     @pytest.mark.parametrize("key", [7, [1], "", "a,b", 'a"b', "a\nb", "a\rb"])
     def test_id_must_be_one_csv_field(self, key):
         # A non-string id used to crash the row sort; a comma split the row.
         with pytest.raises(ConfigError, match="directions.id"):
-            resolve_directions(iid_model(2), [("vector", [1.0, 0.0], key)], 0)
+            resolve_directions(iid_model(2), [{"vector": [1.0, 0.0], "id": key}], 0)
 
     @pytest.mark.parametrize("policies", [
-        ["max-eigenvector", ("vector", [0.0, 1.0], "max-eig")],
-        [("random-sphere", 2), ("vector", [0.0, 1.0], "rand-001")],
-        [("vector", [1.0, 0.0], "e"), ("vector", [0.0, 1.0], "e")],
-        [("vector", [1.0, 0.0], None), ("vector", [0.0, 1.0], "vec-000")],
+        ["max-eigenvector", {"vector": [0.0, 1.0], "id": "max-eig"}],
+        [{"random-sphere": 2}, {"vector": [0.0, 1.0], "id": "rand-001"}],
+        [{"vector": [1.0, 0.0], "id": "e"}, {"vector": [0.0, 1.0], "id": "e"}],
+        [{"vector": [1.0, 0.0], "id": None}, {"vector": [0.0, 1.0], "id": "vec-000"}],
     ])
     def test_repeated_sweep_key_rejected(self, policies):
         with pytest.raises(ConfigError, match="distinct sweep keys"):
             resolve_directions(iid_model(2), policies, 0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_offcenter_dominates_ls_at_far_center(axis):
+    # Far from its center (x0 = 10 e1, x at -10 dB), shrinking about x0 still
+    # stays within LS's risk; shrinking xls - x0 by a gain taken from
+    # ||xls||^2 reached 4.8 eps0 (axis e1) and 5.5 eps0 (axis e2) here.
+    m = fig5b_model()
+    x0 = 10.0 * np.eye(10)[0]
+    x = scale_to_snr(m, np.eye(10)[axis], -10.0)
+    specs = [EstimatorSpec("ls"), EstimatorSpec("offcenter", x0=x0)]
+    se = point_squared_errors(m, x, specs, 8192, seed=1).squared_errors
+    diff = se["offcenter"] - se["ls"]
+    assert diff.mean() <= 4.0 * diff.std(ddof=1) / np.sqrt(diff.size)
+    assert se["offcenter"].mean() <= m.eps0 + 4.0 * diff.std(ddof=1) / np.sqrt(diff.size)
 
 
 class TestRunExperiment:
@@ -255,10 +274,10 @@ class TestRunExperiment:
 
     def test_inline_model(self):
         cfg = ExperimentConfig(
-            scenario=("inline", "tiny", np.eye(5), np.eye(5)),
+            scenario={"name": "tiny", "H": {"identity": 5}, "Cw": {"identity": 5}},
             estimators=[EstimatorSpec("ls")],
             snr_grid_db=[0.0],
-            directions=[("vector", [1, 0, 0, 0, 0], None)],
+            directions=[{"vector": [1, 0, 0, 0, 0]}],
             trials=32,
             seed=0,
         )
@@ -304,7 +323,7 @@ class TestRunExperiment:
         drawn = []
         monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
         cfg = ExperimentConfig(
-            scenario=("inline", "clean-axis", np.eye(3), np.diag([1e-3, 1.0, 1.0])),
+            scenario={"name": "clean-axis", "H": {"identity": 3}, "Cw": {"diag": [1e-3, 1.0, 1.0]}},
             estimators=[parse_estimator_spec(t) for t in ("ls", "bock", "tik1", "ebme:b=-1")],
             snr_grid_db=[0.0, 3070.0], directions=[direction], trials=100, seed=1,
         )
@@ -320,12 +339,25 @@ class TestRunExperiment:
         assert cfg == ExperimentConfig(scenario="fig4-snr", trials=8, seed=0)
         assert cfg.estimators == [] and cfg.snr_grid_db == [] and cfg.directions == []
 
+    def test_trials_fall_back_to_preset_then_default(self):
+        rows = run_experiment(ExperimentConfig(scenario="fig2-dct"))
+        assert {r.trials for r in rows} == {preset("fig2-dct").trials} == {1000}
+        cfg = ExperimentConfig(scenario={"H": {"identity": 2}, "Cw": {"identity": 2}},
+                               estimators=[EstimatorSpec("ls")], snr_grid_db=[0.0],
+                               directions=["max-eigenvector"])
+        assert [r.trials for r in run_experiment(cfg)] == [sim.DEFAULT_TRIALS]
+
+    def test_unfilled_config_fails_validation(self):
+        with pytest.raises(ConfigError, match="trials"):
+            ExperimentConfig(scenario="fig4-snr", estimators=[EstimatorSpec("ls")],
+                             snr_grid_db=[0.0], directions=["max-eigenvector"]).validate()
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(scenario="fig4-snr", trials=0, seed=0))
         # Preset scenarios refill empty fields; inline models must be complete.
         cfg = ExperimentConfig(
-            scenario=("inline", "t", np.eye(2), np.eye(2)),
+            scenario={"name": "t", "H": {"identity": 2}, "Cw": {"identity": 2}},
             estimators=[EstimatorSpec("ls")],
             snr_grid_db=[],
             directions=["max-eigenvector"],
@@ -427,7 +459,7 @@ class TestSharedNoise:
     def _config(self, trials, snrs=None, seed=3):
         return ExperimentConfig(
             scenario="fig5b-range", estimators=self.SPECS, snr_grid_db=snrs or self.SNRS,
-            directions=["max-eigenvector", ("random-sphere", 1)], trials=trials, seed=seed,
+            directions=["max-eigenvector", {"random-sphere": 1}], trials=trials, seed=seed,
         )
 
     @pytest.mark.parametrize("trials", [2, 4096, 4097, 9000])
@@ -476,7 +508,7 @@ class TestSharedNoise:
         # Keeping every point's per-trial errors to the end would hold
         # 13 points x 4 rules x 65536 trials x 8 bytes = 27 MB.
         cfg = self._config(65536)
-        cfg.directions = [("random-sphere", 1)]
+        cfg.directions = [{"random-sphere": 1}]
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -502,9 +534,10 @@ class TestScalarStatistics:
         specs = [parse_estimator_spec(tag)
                  for tag in ("ls", "sbme", "bbm", "pbm", "bock", "tik2", "shrinkc:c=1")]
         cfg = ExperimentConfig(
-            scenario=("inline", "wide", np.eye(m), np.diag(np.linspace(1.0, 0.01, m))),
+            scenario={"name": "wide", "H": {"identity": m},
+                      "Cw": {"diag": np.linspace(1.0, 0.01, m).tolist()}},
             estimators=specs, snr_grid_db=TestSharedNoise.SNRS,
-            directions=[("random-sphere", groups)], trials=rows, seed=3,
+            directions=[{"random-sphere": groups}], trials=rows, seed=3,
         )
         tracemalloc.start()
         try:
@@ -633,7 +666,7 @@ class TestPointInvariantWork:
         monkeypatch.setattr(sim, "_noise_free_terms",
                             lambda *args: calls.append(len(args[1])) or real(*args))
         run_experiment(self._config(["ls", "sbme", "tik1"],
-                                    directions=["max-eigenvector", ("random-sphere", 2)]))
+                                    directions=["max-eigenvector", {"random-sphere": 2}]))
         assert calls == [13, 13, 13]  # three groups of 13 points
 
 
@@ -745,9 +778,10 @@ class TestNoisePipeline:
         m, rows = 100, sim.CHUNK_TRIALS
         specs = [parse_estimator_spec(tag) for tag in ("ls", "sbme", "bock", "tik2")]
         cfg = ExperimentConfig(
-            scenario=("inline", "wide", np.eye(m), np.diag(np.linspace(1.0, 0.01, m))),
+            scenario={"name": "wide", "H": {"identity": m},
+                      "Cw": {"diag": np.linspace(1.0, 0.01, m).tolist()}},
             estimators=specs, snr_grid_db=TestSharedNoise.SNRS,
-            directions=[("random-sphere", 1)], trials=3 * rows, seed=3,
+            directions=[{"random-sphere": 1}], trials=3 * rows, seed=3,
         )
         tracemalloc.start()
         try:
@@ -890,7 +924,9 @@ class TestConfigLoading:
         cfg = load_config(p)
         assert [s.label for s in cfg.estimators] == ["ls", "ebme:b=-1", "shrinkc:c=2.5"]
         assert cfg.snr_grid_db == [-5.0, 0.0, 5.0]
-        assert cfg.directions[1] == ("random-sphere", 4)
+        # Directions pass through in the JSON's own forms.
+        assert cfg.directions == ["max-eigenvector", {"random-sphere": 4},
+                                  {"vector": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], "id": "e1"}]
 
     def test_offcenter_file_relative_to_config(self, tmp_path):
         (tmp_path / "x0.csv").write_text("1.0\n0.0\n")
@@ -924,7 +960,6 @@ class TestConfigLoading:
             ("missing scenario", '{"trials": 2}'),
             ("bad estimator entry", '{"scenario": "fig4-snr", "estimators": [7]}'),
             ("bad snr entry", '{"scenario": "fig4-snr", "snr_grid_db": ["a"]}'),
-            ("bad direction", '{"scenario": "fig4-snr", "directions": ["up"]}'),
             ("bool trials", '{"scenario": "fig4-snr", "trials": true}'),
         ]
         for name, body in cases:
@@ -933,17 +968,31 @@ class TestConfigLoading:
             with pytest.raises(ConfigError):
                 load_config(p)
 
+    @pytest.mark.parametrize("direction", [
+        "up", {"random-sphere": 2.5}, {"random-sphere": 0}, {"random-sphere": 2, "id": "r"},
+        {"vector": [1, "0"]}, {"vector": [1, 0], "key": "e"}, ["vector", [1, 0]],
+    ])
+    def test_bad_direction_rejected_at_run_time(self, tmp_path, monkeypatch, direction):
+        # load_config passes directions through; run_experiment checks them
+        # before any noise is drawn.
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"scenario": "fig4-snr", "directions": [direction], "seed": 0}))
+        cfg = load_config(p)
+        assert cfg.directions == [direction]
+        drawn = []
+        monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigError, match="directions"):
+            run_experiment(cfg)
+        assert drawn == []
+
     @pytest.mark.parametrize("name", [7, "", "a,b", 'say "hi"', "a\nb"])
     def test_inline_model_name_must_be_one_csv_field(self, tmp_path, name):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"scenario": {"name": name, "H": {"identity": 2},
-                                              "Cw": {"identity": 2}}}))
-        with pytest.raises(ConfigError, match="scenario.name"):
-            load_config(p)
-        # The Python API checks the name too.
-        cfg = ExperimentConfig(scenario=("inline", name, np.eye(2), np.eye(2)),
-                               estimators=[EstimatorSpec("ls")], snr_grid_db=[0.0],
-                               directions=["max-eigenvector"], trials=4, seed=0)
+                                              "Cw": {"identity": 2}},
+                                 "estimators": ["ls"], "snr_grid_db": [0.0],
+                                 "directions": ["max-eigenvector"], "trials": 4, "seed": 0}))
+        cfg = load_config(p)  # the scenario passes through; the run checks it
         with pytest.raises(ConfigError, match="scenario.name"):
             run_experiment(cfg)
 
@@ -978,7 +1027,8 @@ class TestConfigLoading:
         drawn = []
         monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
         loader = lambda rel: np.array([1.0, 0.0])  # noqa: E731
-        cfg = ExperimentConfig(scenario=("inline", "tiny", np.eye(2), np.eye(2)),
+        cfg = ExperimentConfig(scenario={"name": "tiny", "H": {"identity": 2},
+                                         "Cw": {"identity": 2}},
                                estimators=[parse_estimator_spec(t, loader) for t in tags],
                                snr_grid_db=[0.0], directions=["max-eigenvector"], trials=4,
                                seed=0)
@@ -993,6 +1043,20 @@ class TestConfigLoading:
         p.write_text('{"scenario": "fig4-snr", "estimators": ["james"]}')
         with pytest.raises(UnknownEstimatorError):
             load_config(p)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_preset_round_trips_through_json(tmp_path, name):
+    # A preset's fields, written as a JSON config, run to the preset's own rows.
+    p = preset(name)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "scenario": name, "estimators": [spec.label for spec in p.estimators],
+        "snr_grid_db": list(p.snr_grid_db), "directions": list(p.directions),
+        "trials": 64, "seed": 3,
+    }))
+    rows = run_experiment(load_config(path))
+    assert rows == run_experiment(ExperimentConfig(scenario=name, trials=64, seed=3))
 
 
 class TestSteinIdentity:
