@@ -24,7 +24,7 @@ class LinalgError(ValueError):
 
 
 class NonFiniteError(LinalgError):
-    """Input contains NaN or Inf entries."""
+    """Input, or a quantity derived from it, has NaN or Inf entries."""
 
 
 class NonSymmetricError(LinalgError):
@@ -83,12 +83,13 @@ class EigDecomp:
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square matrix, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
+    with np.errstate(over="ignore"):  # near float64's limit; where a == a.T, a is kept
+        gap, mean = float(np.max(np.abs(a - a.T))), (a + a.T) / 2.0
+    if gap > SYMMETRY_ATOL:
         raise NonSymmetricError(
-            f"{name}: asymmetry exceeds {SYMMETRY_ATOL:g} (max |a - a.T| = "
-            f"{np.max(np.abs(a - a.T)):.3g})"
+            f"{name}: asymmetry exceeds {SYMMETRY_ATOL:g} (max |a - a.T| = {gap:.3g})"
         )
-    return (a + a.T) / 2.0
+    return np.where(a == a.T, a, mean)
 
 
 def sym_eig(a) -> EigDecomp:

@@ -79,6 +79,8 @@ def build_model(h, cw) -> Model:
     RankDeficientError
         If the smallest eigenvalue of ``Q`` falls below ``1e-12`` of its
         largest (``H`` numerically rank deficient).
+    NonFiniteError
+        If ``Cw^-1``, ``Cw^1/2``, ``Q``, ``eps0`` or ``ls_op`` leaves float64 range.
     """
     h = as_matrix(h, "H")
     cw = as_matrix(cw, "Cw")
@@ -94,22 +96,23 @@ def build_model(h, cw) -> Model:
         raise NotPositiveDefiniteError(
             f"Cw: smallest eigenvalue {w[-1]:.3g} below {PD_REL_TOL:g} of largest {w[0]:.3g}"
         )
-    cw_inv = psd_power(cw_eig, -1.0)
-    cw_sqrt = psd_power(cw_eig, 0.5)
-
-    q = h.T @ cw_inv @ h
-    q = (q + q.T) / 2.0
+    # What leaves float64 range turns to inf or nan here, and _check_range names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cw_inv, cw_sqrt = psd_power(cw_eig, -1.0), psd_power(cw_eig, 0.5)
+        q = h.T @ cw_inv @ h
+        q = (q + q.T) / 2.0
+    _check_range(("Cw: Cw^-1", cw_inv), ("Cw: Cw^1/2", cw_sqrt), ("H, Cw: Q = H' Cw^-1 H", q))
     qeig = sym_eig(q)
     sig = qeig.eigenvalues
     if sig[-1] <= PD_REL_TOL * sig[0]:
-        raise RankDeficientError(
-            f"H: Q = H' Cw^-1 H is numerically singular "
-            f"(eigenvalue ratio {sig[-1] / sig[0]:.3g})"
-        )
+        ratio = f"eigenvalue ratio {sig[-1] / sig[0]:.3g}" if sig[0] > 0.0 else "Q = 0"
+        raise RankDeficientError(f"H: Q = H' Cw^-1 H is numerically singular ({ratio})")
 
-    eps0 = float(np.sum(1.0 / sig))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps0, trace_cw = float(np.sum(1.0 / sig)), float(np.trace(cw))
+        ls_op = psd_power(qeig, -1.0) @ h.T @ cw_inv
+    _check_range(("H, Cw: eps0 = tr(Q^-1)", eps0), ("H, Cw: ls_op = Q^-1 H' Cw^-1", ls_op))
     eps_max = float(1.0 / sig[-1])
-    ls_op = psd_power(qeig, -1.0) @ h.T @ cw_inv
     return Model(
         H=h,
         Cw=cw,
@@ -121,8 +124,14 @@ def build_model(h, cw) -> Model:
         m=m,
         cw_sqrt=cw_sqrt,
         ls_op=ls_op,
-        trace_cw=float(np.trace(cw)),
+        trace_cw=trace_cw,
     )
+
+
+def _check_range(*named_values) -> None:
+    for name, value in named_values:
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"{name} leaves float64 range")
 
 
 def ls_estimate(model: Model, y) -> np.ndarray:
@@ -138,7 +147,10 @@ def ls_estimate(model: Model, y) -> np.ndarray:
         )
     if not np.all(np.isfinite(y)):
         raise NonFiniteError("y: entries must be finite")
-    return y @ model.ls_op.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        xls = y @ model.ls_op.T
+    _check_range(("y: the least-squares estimate", xls))
+    return xls
 
 
 def effective_dimension(model: Model) -> float:
@@ -148,16 +160,18 @@ def effective_dimension(model: Model) -> float:
 
 
 def scale_to_snr(model: Model, direction, snr_db: float) -> np.ndarray:
-    """Scale ``direction`` so the model sees the requested SNR in dB; raises
-    ``SnrRangeError`` when the result is not finite in float64."""
+    """Scale ``direction`` to ``snr_db`` on this model, dividing it by its largest entry
+    first where ``d . d`` leaves float64 range; ``SnrRangeError`` if the result does."""
     d = as_vector(direction, "direction")
     if d.shape[0] != model.m:
-        raise DimensionMismatchError(
-            f"direction: dim {d.shape[0]} does not match m={model.m}"
-        )
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        raise ZeroDirectionError("direction must be nonzero")
+        raise DimensionMismatchError(f"direction: dim {d.shape[0]} does not match m={model.m}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(d))
+    if not np.finfo(np.float64).tiny <= norm * norm < np.inf:  # zero, or d . d out of range
+        peak = float(np.max(np.abs(d)))
+        if peak == 0.0:
+            raise ZeroDirectionError("direction must be nonzero")
+        d, norm = d / peak, float(np.linalg.norm(d / peak))
     with np.errstate(over="ignore", invalid="ignore"):
         x = d * (np.sqrt(np.float64(10.0) ** (snr_db / 10.0) * model.trace_cw) / norm)
     if not np.all(np.isfinite(x)):

@@ -33,7 +33,6 @@ import numpy as np
 from blindmm.estimators import parse_estimator_spec
 from blindmm.linalg import LinalgError
 from blindmm.model import Model, build_model
-from blindmm.sim import DEFAULT_TRIALS, ExperimentConfig, run_experiment
 
 # Unused here; bench/tracing.py wraps them under these names and drops a layer if one is gone.
 from blindmm.estimators import estimate_from_ls  # noqa: F401
@@ -44,6 +43,8 @@ FIG6_CONDITIONS = (1.0, 3.16, 10.0, 31.6, 100.0, 316.0, 1000.0)
 FIG4_NOISE_PROFILE = (1, 1, 1, 1, 0.5, 0.2, 0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05)
 _EXTREMES = ("max-eigenvector", "min-eigenvector")
 DCT_ESTIMATORS = ("ls", "sbme", "ebme:b=-1")
+# Trials of an inline model, and of a preset that sets none, when the config gives none.
+DEFAULT_TRIALS = 10000
 
 
 class UnknownScenarioError(LinalgError):
@@ -178,4 +179,6 @@ def resolve_cases(name: str):
 def run_dct_demo(seed=0, draws: int = 1000):
     """The ``fig2-dct`` rows at ``draws`` trials; kept only because
     ``bench/tracing.py`` wraps this name, like the ``# noqa`` imports above."""
+    from blindmm.sim import ExperimentConfig, run_experiment  # sim builds on this module
+
     return run_experiment(ExperimentConfig(scenario="fig2-dct", trials=draws, seed=seed))

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from blindmm.estimators import RULES, parse_estimator_spec, unit_gain
+from blindmm import scenarios
+from blindmm.estimators import RULES, EstimatorSpec, parse_estimator_spec, unit_gain
 from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
 from blindmm.model import Model, SnrRangeError, build_model, scale_to_snr
 from blindmm.rng import FillThread, derive_seed, generator, normal_block, normal_fill
@@ -42,9 +43,6 @@ from blindmm.estimators import estimate_from_ls  # noqa: F401
 # Fixed chunk size: the noise and the summation order depend only on the
 # seed and the trial count.
 CHUNK_TRIALS = 4096
-
-# Trials of an inline model, and of a preset that sets none, when the config gives none.
-DEFAULT_TRIALS = 10000
 
 # Derivation tags keep the noise, direction and point sub-streams disjoint.
 _TAG_POINT = 0x504F494E
@@ -90,8 +88,9 @@ class ExperimentConfig:
     (extreme eigenvectors of ``Q^-1``, i.e. the most/least noisy parameter
     directions), ``{"random-sphere": count}`` for uniformly random unit
     directions, or ``{"vector": [...], "id": key}`` for explicit directions.
-    ``run_experiment`` fills the fields left empty from a named scenario's
-    preset, and ``trials`` of an inline model with ``DEFAULT_TRIALS``.
+    ``run_experiment`` fills the fields left empty (``None`` or ``[]``) from a
+    named scenario's preset, and ``trials`` of an inline model with
+    ``scenarios.DEFAULT_TRIALS``.
     """
 
     scenario: object
@@ -102,33 +101,58 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        if not self.estimators:
-            raise ConfigError("estimators: must be a nonempty list")
-        _check_labels(self.estimators)
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db: must be a nonempty list")
-        snr = np.asarray(self.snr_grid_db, dtype=np.float64)
+        """The one check of every field, of a JSON config and a Python one
+        alike: ``estimators`` holds ``EstimatorSpec``s with distinct labels
+        that are CSV fields, ``snr_grid_db`` distinct numbers with
+        ``10**(snr/10)`` finite, ``directions`` anything (``resolve_directions``
+        checks it); each is a nonempty list. ``trials`` is an integer >= 1,
+        ``seed`` one >= 0. A bad field raises ``ConfigError``."""
+        specs = _nonempty(self.estimators, "estimators")
+        if not all(isinstance(spec, EstimatorSpec) for spec in specs):
+            raise ConfigError(f"estimators: expected EstimatorSpec entries, got {specs!r}")
+        # Each label must stand as one results-CSV field, and name one estimator.
+        _check_distinct([_csv_field(spec.label, "estimators") for spec in specs], "estimators",
+                        "labels")
+        snr = np.array(_numbers(_nonempty(self.snr_grid_db, "snr_grid_db"), "snr_grid_db"))
         with np.errstate(over="ignore", invalid="ignore"):
             linear = 10.0 ** (snr / 10.0)
         if not np.all(np.isfinite(snr) & np.isfinite(linear)):
-            raise ConfigError(
-                "snr_grid_db: entries must be finite, with 10**(snr/10) within float64 range"
-            )
+            raise ConfigError("snr_grid_db: entries must be finite, with 10**(snr/10) within "
+                              "float64 range")
         _check_distinct(snr.tolist(), "snr_grid_db", "values")
-        if not self.directions:
-            raise ConfigError("directions: must be a nonempty list")
-        if self.trials is None or int(self.trials) < 1:
-            raise ConfigError("trials: must be >= 1")
+        _nonempty(self.directions, "directions")
+        _count(self.trials, "trials", least=1)
         _check_seed(self.seed)
         return self
 
 
 def _check_seed(seed) -> None:
-    if seed is None or int(seed) < 0:
-        raise ConfigError(
-            "seed: must be a non-negative integer (set it in the config, "
-            "via --seed, or through BLINDMM_SEED)"
-        )
+    if not (_is_number(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError("seed: must be a non-negative integer (set it in the config, via "
+                          "--seed, or through BLINDMM_SEED)")
+
+
+def _nonempty(value, name: str) -> list:
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{name}: must be a nonempty list")
+    return value
+
+
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """Every field's number rule: a Python or numpy int or float, never a ``bool``."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _numbers(value, name: str) -> list:
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    if not (_is_number(value, (int, np.integer)) and value >= least):
+        raise ConfigError(f"{name}: expected an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _csv_field(value, name: str) -> str:
@@ -145,12 +169,6 @@ def _check_distinct(values: list, name: str, what: str) -> None:
     if len(set(values)) < len(values):
         raise ConfigError(f"{name}: expected distinct {what}, got "
                           f"{max(values, key=values.count)!r} more than once")
-
-
-def _check_labels(specs) -> None:
-    """Each estimator's label must stand as one results-CSV field, and name one estimator."""
-    _check_distinct([_csv_field(spec.label, "estimators") for spec in specs], "estimators",
-                    "labels")
 
 
 def _map_chunks(fn, seed, trials: int, width: int) -> list:
@@ -222,8 +240,9 @@ def _noise_free_terms(model: Model, xs, plans):
     ``u' = u - U'x0``: ``cross_ops`` holds ``2 w u`` and then ``2 u'``,
     ``w_u2`` holds ``w . u**2`` and ``u2`` holds ``||u'||^2``.
 
-    Raises ``SnrRangeError`` when any of these terms, or a rule's gain on
-    ``w . u**2`` (``||u'||^2`` for a centred plan), leaves float64 range.
+    Raises ``ConfigError`` naming ``snr_grid_db`` when any of these terms, or
+    a rule's gain on ``w . u**2`` (``||u'||^2`` for a centred plan), leaves
+    float64 range.
     """
     basis, m = model.Qeig.basis, model.m
     us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
@@ -244,10 +263,8 @@ def _noise_free_terms(model: Model, xs, plans):
                    .reshape(-1, len(xs)).all(axis=0) for plan, j, c in zip(plans, s_slot, c_slot)]
     bad = np.flatnonzero(~np.logical_and.reduce(finite))
     if bad.size:
-        raise SnrRangeError(
-            f"||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's statistic w . (U'x)**2 "
-            "leaves float64 range on this model"
-        )
+        raise ConfigError(f"snr_grid_db: ||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's "
+                          "statistic w . (U'x)**2 leaves float64 range on this model")
     return us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2
 
 
@@ -370,8 +387,7 @@ def resolve_directions(model: Model, policies, seed):
     """Check the direction policies and expand them into ``(sweep_key,
     unit_vector)`` pairs (the forms are ``ExperimentConfig``'s)."""
     out = []
-    rand_idx = 0
-    vec_idx = 0
+    rand_idx = vec_idx = 0
     for pol in policies:
         keys = set(pol) if isinstance(pol, dict) else None
         if pol == "max-eigenvector":
@@ -380,10 +396,7 @@ def resolve_directions(model: Model, policies, seed):
         elif pol == "min-eigenvector":
             out.append(("min-eig", model.Qeig.basis[:, 0].copy()))
         elif keys == {"random-sphere"}:
-            count = _count(pol["random-sphere"], "directions.random-sphere")
-            if count < 1:
-                raise ConfigError(f"directions.random-sphere: expected a count >= 1, got {count}")
-            for _ in range(count):
+            for _ in range(_count(pol["random-sphere"], "directions.random-sphere", least=1)):
                 out.append((f"rand-{rand_idx:03d}", _random_unit_vector(seed, rand_idx, model.m)))
                 rand_idx += 1
         elif keys in ({"vector"}, {"vector", "id"}):
@@ -402,36 +415,30 @@ def resolve_directions(model: Model, policies, seed):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run a validated config and return its sorted ``MseRow`` list.
+    """Run a config and return its sorted ``MseRow`` list.
 
-    The scenario resolves to one or more ``(case_key, model)`` cases (the
-    condition-number sweep has one case per condition; everything else has
-    a single unkeyed case). Every grid point is resolved, and its rules'
-    statistics bounded, before any noise is drawn; each model's rule plans
-    and each group's noise-free terms are built once. The SNR points of one (case, direction) pair form a
-    group that shares its noise: one chunk pass on the calling thread serves
-    the group, and each chunk is folded into per-(point, rule) moments in
-    chunk order.
+    It fills the empty fields (``ExperimentConfig``), validates them, then
+    builds an inline model. The scenario's ``(case_key, model)`` cases (one
+    per condition in the condition-number sweep, one unkeyed case elsewhere)
+    and directions give the grid points; every point is scaled, and its
+    rules' statistics bounded, before any noise is drawn. Each model's plans
+    and each group's noise-free terms are built once. The SNR points of one
+    (case, direction) pair form a group that shares its noise: one chunk
+    pass serves it, folded into per-(point, rule) moments in chunk order.
     """
-    from blindmm import scenarios  # late import: scenarios builds on this module
-
     named = isinstance(config.scenario, str)
-    cases, scenario_name = (scenarios.resolve_cases if named else _inline_cases)(config.scenario)
-    if named:  # the preset fills the fields left empty
+    if named:
         preset = scenarios.preset(config.scenario)
-        config = replace(
-            config,
-            estimators=list(config.estimators or preset.estimators),
-            snr_grid_db=list(config.snr_grid_db or preset.snr_grid_db),
-            directions=list(config.directions or preset.directions),
-            trials=preset.trials if config.trials is None else config.trials,
-        )
+        config = replace(config, estimators=_or_preset(config.estimators, preset.estimators),
+                         snr_grid_db=_or_preset(config.snr_grid_db, preset.snr_grid_db),
+                         directions=_or_preset(config.directions, preset.directions),
+                         trials=preset.trials if config.trials is None else config.trials)
     elif config.trials is None:
-        config = replace(config, trials=DEFAULT_TRIALS)
+        config = replace(config, trials=scenarios.DEFAULT_TRIALS)
     config.validate()
-    seed = int(config.seed)
-    trials = int(config.trials)
+    seed, trials = int(config.seed), int(config.trials)
     snrs = [float(snr_db) for snr_db in config.snr_grid_db]
+    cases, scenario_name = (scenarios.resolve_cases if named else _inline_cases)(config.scenario)
     groups = []
     for case_idx, (case_key, model) in enumerate(cases):
         plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
@@ -442,9 +449,10 @@ def run_experiment(config: ExperimentConfig):
                 sweep_key = f"{case_key}:{dir_key}"
             try:
                 xs = [scale_to_snr(model, direction, snr_db) for snr_db in snrs]
-                terms = _noise_free_terms(model, xs, plans)  # bounds the group before any noise
-            except SnrRangeError as exc:
-                raise ConfigError(f"snr_grid_db: {exc}") from exc
+            except LinalgError as exc:  # an SNR out of range, or a zero or wrong-length direction
+                name = "snr_grid_db" if isinstance(exc, SnrRangeError) else "directions"
+                raise ConfigError(f"{name}: {exc}") from exc
+            terms = _noise_free_terms(model, xs, plans)  # bounds the group before any noise
             # The group's stream is the one its first SNR point had alone.
             group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
             groups.append((model, plans, sweep_key, terms, group_seed))
@@ -475,13 +483,12 @@ def run_experiment(config: ExperimentConfig):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config JSON file.
+    """Parse an experiment config JSON file into an ``ExperimentConfig``.
 
-    Fields: ``scenario`` (name or inline model), ``estimators`` (list of
-    tag strings), ``snr_grid_db``, ``directions``, ``trials``, ``seed``.
-    ``scenario`` and ``directions`` pass through in ``ExperimentConfig``'s
-    forms, which ``run_experiment`` checks. ``offcenter:file=`` paths
-    resolve relative to the config file's directory.
+    ``estimators`` (tag strings, with ``offcenter:file=`` paths relative to
+    the config file) is parsed here; ``scenario`` (required), ``snr_grid_db``,
+    ``directions``, ``trials`` and ``seed`` (``None`` when absent) pass
+    through as written, for ``run_experiment`` to validate.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -492,8 +499,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path}: expected a JSON object")
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    known = {"scenario", "estimators", "snr_grid_db", "directions", "trials", "seed"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"scenario", "estimators", "snr_grid_db", "directions", "trials", "seed"}
     if unknown:
         raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
     if "scenario" not in raw:
@@ -502,50 +508,22 @@ def load_config(path) -> ExperimentConfig:
     def loader(rel):
         return read_vector_csv(os.path.join(base_dir, rel))
 
-    estimators = []
-    for ent in _as_list(raw.get("estimators", []), "estimators"):
-        if not isinstance(ent, str):
-            raise ConfigError(f"estimators: expected tag strings, got {ent!r}")
-        estimators.append(parse_estimator_spec(ent, vector_loader=loader))
-    _check_labels(estimators)
-
-    snr_grid = _numbers(_as_list(raw.get("snr_grid_db", []), "snr_grid_db"), "snr_grid_db")
-    # None defers trials to the scenario, and seed to --seed or BLINDMM_SEED.
-    trials, seed = (None if raw.get(k) is None else _count(raw[k], k) for k in ("trials", "seed"))
-    return ExperimentConfig(
-        scenario=raw["scenario"],
-        estimators=estimators,
-        snr_grid_db=snr_grid,
-        directions=_as_list(raw.get("directions", []), "directions"),
-        trials=trials,
-        seed=seed,
-    )
+    tags = raw.pop("estimators", None)
+    if not (tags is None or isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise ConfigError(f"estimators: expected a list of tag strings, got {tags!r}")
+    estimators = [parse_estimator_spec(tag, vector_loader=loader) for tag in tags or []]
+    return ExperimentConfig(estimators=estimators, seed=raw.pop("seed", None), **raw)
 
 
-def _as_list(value, name):
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ConfigError(f"{name}: expected a list")
-    return value
-
-
-def _numbers(value, name: str) -> list:
-    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
-        raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
-    return [float(v) for v in value]
-
-
-def _count(value, name: str) -> int:
-    if type(value) is not int:  # bool is not a count
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    return value
+def _or_preset(value, default) -> list:
+    """``value``, or the preset's ``default`` where the field is empty (``None`` or ``[]``)."""
+    return list(default) if value is None or isinstance(value, list) and not value else value
 
 
 def _inline_cases(obj):
-    """An inline model's cases and name, as ``scenarios.resolve_cases`` gives
-    a named one's: ``obj`` is ``{"H": ..., "Cw": ..., "name": ...}`` with
-    ``H`` and ``Cw`` as nested lists, ``{"diag": [...]}`` or ``{"identity": n}``."""
+    """An inline model's cases and name, as ``scenarios.resolve_cases`` gives a
+    named one's: ``obj`` is ``{"H": ..., "Cw": ..., "name": ...}``, each matrix as
+    rows of numbers of one length, ``{"diag": [...]}`` or ``{"identity": n}``."""
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected a name or an inline model object")
     extra = set(obj) - {"H", "Cw", "name"}
@@ -554,17 +532,17 @@ def _inline_cases(obj):
     if "H" not in obj or "Cw" not in obj:
         raise ConfigError("scenario: inline model requires both 'H' and 'Cw'")
 
-    def mat(spec, field_name):
+    def mat(spec, name):
         if isinstance(spec, dict) and "identity" in spec:
-            return np.eye(_count(spec["identity"], f"scenario.{field_name}.identity"))
+            return np.eye(_count(spec["identity"], f"{name}.identity", least=1))
         if isinstance(spec, dict) and "diag" in spec:
-            return np.diag(_numbers(spec["diag"], f"scenario.{field_name}.diag"))
-        if isinstance(spec, list):
-            return np.asarray(spec, dtype=np.float64)
-        raise ConfigError(f"scenario.{field_name}: expected nested lists, diag or identity")
+            return np.diag(_numbers(spec["diag"], f"{name}.diag"))
+        if isinstance(spec, list) and len({len(r) if type(r) is list else -1 for r in spec}) == 1:
+            return np.array([_numbers(row, name) for row in spec])
+        raise ConfigError(f"{name}: expected nested lists, diag or identity")
 
     name = _csv_field(obj.get("name", "custom"), "scenario.name")
-    return [(None, build_model(mat(obj["H"], "H"), mat(obj["Cw"], "Cw")))], name
+    return [(None, build_model(mat(obj["H"], "scenario.H"), mat(obj["Cw"], "scenario.Cw")))], name
 
 
 # --- results CSV -------------------------------------------------------------

@@ -187,6 +187,22 @@ class TestCheck:
         assert f"b={b}" in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("h, cw, message", [
+        ([[1e200]], [[1.0]], "H, Cw: Q = H' Cw^-1 H leaves float64 range"),
+        (np.zeros((2, 2)), np.eye(2), "H: Q = H' Cw^-1 H is numerically singular (Q = 0)"),
+        (np.eye(2), np.diag([1e-310, 1e-310]), "Cw: Cw^-1 leaves float64 range"),
+        (1e-160 * np.eye(2), np.eye(2), "H, Cw: eps0 = tr(Q^-1) leaves float64 range"),
+    ], ids=["q-overflow", "zero-h", "cw-inverse-overflow", "eps0-overflow"])
+    def test_model_out_of_range_exit_3(self, tmp_path, capsys, h, cw, message):
+        write_matrix_csv(tmp_path / "H.csv", np.asarray(h))
+        write_matrix_csv(tmp_path / "Cw.csv", np.asarray(cw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--H", str(tmp_path / "H.csv"),
+                         "--Cw", str(tmp_path / "Cw.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_five_five_profile_passes(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "H.csv", np.eye(10))
         write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0] * 5 + [0.1] * 5))
@@ -461,6 +477,35 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {field}: expected" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("vector, message", [
+        ([0.0] * 15, "directions: direction must be nonzero"),
+        ([1.0, 0.0], "directions: direction: dim 2 does not match m=15"),
+    ], ids=["zero", "short"])
+    def test_unusable_direction_exit_2(self, tmp_path, capsys, vector, message):
+        # A direction that cannot be scaled is a bad config entry, like any other.
+        cfg = self._write_config(tmp_path, directions=[{"vector": vector}])
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_direction_beyond_float64_square_runs_as_unit(self, tmp_path, scale):
+        # d . d leaves float64 range (it overflowed to x = 0 at every SNR, or
+        # read as a zero direction); the rows are the unit direction's.
+        outs = []
+        for d in ([scale, scale], [1.0, 1.0]):
+            cfg = self._write_config(tmp_path, snr_grid_db=[0.0, 10.0],
+                                     directions=[{"vector": d + [0.0] * 13}])
+            out = tmp_path / f"{d[0]}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        sbme = [line.split(",")[4] for line in outs[0].split()[1:] if ",sbme," in line]
+        assert len(set(sbme)) == 2
 
     def test_range_sweep_one_noise_block_per_chunk(self, tmp_path, monkeypatch):
         calls = _count_keyed_blocks(monkeypatch)

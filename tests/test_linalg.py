@@ -52,6 +52,17 @@ class TestSymEig:
         np.testing.assert_allclose(np.abs(eig.basis).sum(axis=0), np.ones(3))
         np.testing.assert_allclose(rebuilt(eig), np.diag([4.0, 9.0, 1.0]), atol=1e-12)
 
+    def test_entries_near_float64_max(self):
+        # a + a.T would overflow on the diagonal; an exactly symmetric input is kept as is.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = sym_eig(np.diag([1.7e308, 1.0]))
+            np.testing.assert_array_equal(eig.eigenvalues, [1.7e308, 1.0])
+            with pytest.raises(NonSymmetricError):
+                sym_eig([[1.0, 1.7e308], [-1.7e308, 1.0]])
+
     def test_two_by_two_hand_case(self):
         # Characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 - 1 -> x = 3, 1.
         eig = sym_eig([[2.0, 1.0], [1.0, 2.0]])

@@ -70,6 +70,25 @@ class TestBuildModel:
         with pytest.raises(RankDeficientError):
             build_model(h, np.eye(4))
 
+    def test_zero_design_names_q(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientError, match=r"numerically singular \(Q = 0\)"):
+                build_model(np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("h, cw, match", [
+        ([[1e200]], [[1.0]], r"H, Cw: Q = H' Cw\^-1 H leaves float64 range"),
+        (np.eye(2), np.diag([1e-310, 1e-310]), r"Cw: Cw\^-1 leaves float64 range"),
+        (1e-160 * np.eye(2), np.eye(2), r"H, Cw: eps0 = tr\(Q\^-1\) leaves float64 range"),
+        (np.eye(2), np.diag([1.7e308, 1.7e308]), r"H, Cw: eps0 = tr\(Q\^-1\)"),
+    ], ids=["q-overflow", "cw-inverse-overflow", "eps0-overflow", "cw-near-max"])
+    def test_derived_quantity_out_of_range(self, h, cw, match):
+        # A typed error that names H or Cw, and no RuntimeWarning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=match):
+                build_model(h, cw)
+
 
 class TestLsEstimate:
     def test_identity_model_returns_y(self):
@@ -88,6 +107,14 @@ class TestLsEstimate:
         m = build_model(h, cw)
         x = rng.standard_normal(4)
         np.testing.assert_allclose(ls_estimate(m, h @ x), x, atol=1e-9)
+
+    def test_estimate_out_of_range_rejected(self):
+        m = build_model(np.eye(2), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="y: the least-squares estimate"):
+                ls_estimate(build_model(1e-150 * np.eye(2), np.eye(2)), [1e300, 0.0])
+        np.testing.assert_array_equal(ls_estimate(m, [1.7e308, 0.0]), [1.7e308, 0.0])
 
     def test_batch_matches_single(self):
         m = fig4_model()
@@ -161,6 +188,18 @@ class TestSnr:
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirectionError):
             scale_to_snr(fig4_model(), np.zeros(15), 0.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_direction_whose_square_leaves_range(self, scale):
+        # d . d overflows at 1e300 and underflows to 0 at 1e-200; the
+        # direction is still finite and nonzero, and scales like the unit one.
+        m = fig4_model()
+        d = np.array([1.0, 1.0] + [0.0] * 13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr_db in (-10.0, 0.0, 20.0):
+                np.testing.assert_allclose(scale_to_snr(m, scale * d, snr_db),
+                                           scale_to_snr(m, d / np.sqrt(2.0), snr_db), rtol=1e-15)
 
     @pytest.mark.parametrize("snr_db", [3080.0, 4000.0])
     def test_overflowing_snr_rejected(self, snr_db):

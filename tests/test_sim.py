@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blindmm import sim
+from blindmm import scenarios, sim
 from blindmm.estimators import (
     RULES,
     EstimatorSpec,
@@ -345,7 +345,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(scenario={"H": {"identity": 2}, "Cw": {"identity": 2}},
                                estimators=[EstimatorSpec("ls")], snr_grid_db=[0.0],
                                directions=["max-eigenvector"])
-        assert [r.trials for r in run_experiment(cfg)] == [sim.DEFAULT_TRIALS]
+        assert [r.trials for r in run_experiment(cfg)] == [scenarios.DEFAULT_TRIALS]
 
     def test_unfilled_config_fails_validation(self):
         with pytest.raises(ConfigError, match="trials"):
@@ -959,14 +959,23 @@ class TestConfigLoading:
             ("unknown field", '{"scenario": "fig4-snr", "trialz": 1}'),
             ("missing scenario", '{"trials": 2}'),
             ("bad estimator entry", '{"scenario": "fig4-snr", "estimators": [7]}'),
-            ("bad snr entry", '{"scenario": "fig4-snr", "snr_grid_db": ["a"]}'),
-            ("bool trials", '{"scenario": "fig4-snr", "trials": true}'),
         ]
         for name, body in cases:
             p = tmp_path / "bad.json"
             p.write_text(body)
             with pytest.raises(ConfigError):
                 load_config(p)
+        # load_config passes every field but estimators through; the run
+        # checks them, as it does a Python caller's, before any noise is drawn.
+        for field_name, body in [
+            ("snr_grid_db", '{"scenario": "fig4-snr", "snr_grid_db": ["a"]}'),
+            ("trials", '{"scenario": "fig4-snr", "trials": true}'),
+        ]:
+            p = tmp_path / "bad.json"
+            p.write_text(body)
+            cfg = load_config(p)
+            with pytest.raises(ConfigError, match=f"{field_name}: expected"):
+                run_experiment(cfg)
 
     @pytest.mark.parametrize("direction", [
         "up", {"random-sphere": 2.5}, {"random-sphere": 0}, {"random-sphere": 2, "id": "r"},
@@ -1020,12 +1029,13 @@ class TestConfigLoading:
         for name in ("a,b.csv", "x0.csv"):
             (tmp_path / name).write_text("1.0\n0.0\n")
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"scenario": "fig4-snr", "estimators": tags}))
-        with pytest.raises(ConfigError, match=match):
-            load_config(p)
-        # The Python API checks the labels too, before any noise is drawn.
+        p.write_text(json.dumps({"scenario": "fig4-snr", "estimators": tags, "seed": 0}))
         drawn = []
         monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        cfg = load_config(p)  # the labels are checked at run time, before any noise is drawn
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg)
+        # The Python API checks the labels the same way.
         loader = lambda rel: np.array([1.0, 0.0])  # noqa: E731
         cfg = ExperimentConfig(scenario={"name": "tiny", "H": {"identity": 2},
                                          "Cw": {"identity": 2}},
@@ -1043,6 +1053,69 @@ class TestConfigLoading:
         p.write_text('{"scenario": "fig4-snr", "estimators": ["james"]}')
         with pytest.raises(UnknownEstimatorError):
             load_config(p)
+
+
+# One sweep on an inline m = 15 model, as JSON; the Python form holds specs for the tags.
+PARITY_BASE = {"scenario": {"H": {"identity": 15}, "Cw": {"diag": [1.0] * 5 + [0.1] * 10}},
+               "estimators": ["ls", "sbme"], "snr_grid_db": [0.0],
+               "directions": ["max-eigenvector"], "trials": 8, "seed": 0}
+
+
+def parity_python_fields(**overrides):
+    specs = [parse_estimator_spec(tag) for tag in PARITY_BASE["estimators"]]
+    return {**PARITY_BASE, "estimators": specs, **overrides}
+
+
+@pytest.mark.parametrize("field_name, value, match", [
+    ("trials", 2.7, "trials: expected an integer >= 1, got 2.7"),
+    ("trials", True, "trials: expected an integer >= 1, got True"),
+    ("trials", "64", "trials: expected an integer >= 1, got '64'"),
+    ("trials", 0, "trials: expected an integer >= 1, got 0"),
+    ("seed", 1.9, "seed: must be a non-negative integer"),
+    ("seed", "5", "seed: must be a non-negative integer"),
+    ("seed", -1, "seed: must be a non-negative integer"),
+    ("snr_grid_db", ["1"], "snr_grid_db: expected a list of numbers"),
+    ("snr_grid_db", [True], "snr_grid_db: expected a list of numbers"),
+    ("snr_grid_db", [], "snr_grid_db: must be a nonempty list"),
+    ("estimators", [], "estimators: must be a nonempty list"),
+    ("directions", [{"vector": [0] * 15}], "directions: direction must be nonzero"),
+    ("directions", [{"vector": [1, 0]}], "directions: direction: dim 2 does not match m=15"),
+] + [("scenario", {"H": h, "Cw": {"identity": 15}}, "scenario.H: expected")
+     for h in ([["1"] * 15] * 15, [[True] * 15] * 15, [[1.0] * 15, [1.0]], [1.0] * 15, [])],
+    ids=["trials-fraction", "trials-bool", "trials-text", "trials-zero", "seed-fraction",
+         "seed-text", "seed-negative", "snr-text", "snr-bool", "snr-empty", "estimators-empty",
+         "direction-zero", "direction-short", "matrix-text", "matrix-bool", "matrix-ragged",
+         "matrix-flat", "matrix-empty"])
+def test_json_and_python_configs_refused_alike(tmp_path, monkeypatch, field_name, value, match):
+    # ExperimentConfig.validate is the one check of both forms (an inline
+    # matrix's rows follow its number rule too): the same ConfigError from
+    # run_experiment, before any noise is keyed or drawn.
+    drawn = []
+    for name in ("normal_block", "normal_fill"):
+        monkeypatch.setattr(sim, name, lambda *args, **kwargs: drawn.append(args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PARITY_BASE, field_name: value}))
+    errors = []
+    for make in (lambda: load_config(path),
+                 lambda: ExperimentConfig(**parity_python_fields(**{field_name: value}))):
+        with pytest.raises(ConfigError, match=match) as caught:
+            run_experiment(make())
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert drawn == []
+
+
+def test_python_estimators_must_be_specs():
+    # A JSON config's tags are parsed by load_config; a Python config holds the specs.
+    with pytest.raises(ConfigError, match="estimators: expected EstimatorSpec entries"):
+        run_experiment(ExperimentConfig(**parity_python_fields(estimators=["ls"])))
+
+
+def test_numpy_scalars_count_as_numbers():
+    plain = run_experiment(ExperimentConfig(**parity_python_fields(snr_grid_db=[0.0, 5.0])))
+    numpy_fields = parity_python_fields(snr_grid_db=list(np.arange(0.0, 10.0, 5.0)),
+                                        trials=np.int64(8), seed=np.uint32(0))
+    assert run_experiment(ExperimentConfig(**numpy_fields)) == plain
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
