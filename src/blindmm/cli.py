@@ -222,6 +222,9 @@ def main(argv=None) -> int:
         "stein-check": _cmd_stein_check,
     }
     try:
+        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        if not os.path.isdir(out_dir):  # found before any input is read or noise drawn
+            raise ConfigError(f"--out: {out_dir!r} is not a directory")
         return handlers[args.command](args)
     except (ConfigError, UnknownEstimatorError, scenarios.UnknownScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

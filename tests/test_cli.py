@@ -577,6 +577,30 @@ class TestExperiment:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["experiment", "scenario", "estimate"])
+def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeypatch, command):
+    import blindmm.cli
+
+    calls = _count_keyed_blocks(monkeypatch, blindmm.scenarios)
+    built = []
+    monkeypatch.setattr(blindmm.cli, "build_model", lambda *args: built.append(args))
+    cfg = iid_files / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "fig5b-range", "trials": 8192, "seed": 1}))
+    out = iid_files / "no" / "such" / "x.csv"
+    argv = {
+        "experiment": ["experiment", "--config", str(cfg)],
+        "scenario": ["scenario", "fig5b-range"],
+        "estimate": ["estimate", "--H", str(iid_files / "H.csv"), "--Cw",
+                     str(iid_files / "Cw.csv"), "--y", str(iid_files / "y.csv"),
+                     "--estimator", "sbme"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and str(out.parent) in err
+    assert calls == [] and built == []
+    assert not out.parent.exists()
+
+
 class TestSteinCheckCommand:
     def test_reports_pass(self, capsys):
         assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--c", "1",

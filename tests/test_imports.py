@@ -1,6 +1,7 @@
 """Importing the CLI loads no module that numpy leaves unloaded and that
-would add to every run's start-up: the noise helper is built from
-``threading`` and ``collections`` alone."""
+would add to every run's start-up. The noise helper's ``queue`` is
+imported by the first Monte Carlo pass of more than one chunk, not by the
+import."""
 
 import os
 import subprocess

@@ -791,18 +791,20 @@ class TestNoisePipeline:
             tracemalloc.stop()
         assert peak < 4.5 * m * rows * 8
 
-    def test_helper_joined_when_fn_raises(self):
-        # fn fails on the second chunk while the helper draws the third.
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_helper_joined_when_fn_raises(self, error):
+        # fn fails on the second chunk while the helper draws the third; a
+        # BaseException such as KeyboardInterrupt takes the same exit.
         before = threading.enumerate()
         seen = []
 
         def fn(z):
             seen.append(z.shape[0])
             if len(seen) == 2:
-                raise KeyError("chunk failed")
+                raise error("chunk failed")
             return z.sum()
 
-        with pytest.raises(KeyError, match="chunk failed"):
+        with pytest.raises(error, match="chunk failed"):
             sim._map_chunks(fn, 3, 9000, 4)
         assert seen == [4096, 4096]
         assert threading.enumerate() == before
@@ -1159,6 +1161,15 @@ class TestSteinIdentity:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ConfigError, match=r"^trials: must be >= 10\^4$"):
             stein_lemma_check([1.0], [1.0], 1.0, 100, seed=0)
+
+    @pytest.mark.parametrize("trials", [10000.5, 1e4, True, "10000", None])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ConfigError, match=r"^trials: must be >= 10\^4$"):
+            stein_lemma_check([1.0, 2.0], [1.0, 4.0], 1.0, trials, seed=0)
+
+    def test_numpy_integer_trials_accepted(self):
+        res = stein_lemma_check([1.0], [2.0], 1.0, np.int64(10**4), seed=5)
+        assert res.trials == 10**4
 
     def test_unknown_test_function_rejected(self):
         with pytest.raises(ConfigError, match="^g: unknown test function 'cubic'$"):
