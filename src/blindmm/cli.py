@@ -222,9 +222,12 @@ def main(argv=None) -> int:
         "stein-check": _cmd_stein_check,
     }
     try:
-        out_dir = os.path.dirname(getattr(args, "out", None) or "") or "."
+        out = getattr(args, "out", None) or ""
+        out_dir = os.path.dirname(out) or "."
         if not os.path.isdir(out_dir):  # found before any input is read or noise drawn
             raise ConfigError(f"--out: {out_dir!r} is not a directory")
+        if os.path.isdir(out):
+            raise ConfigError(f"--out: {out!r} is a directory, not a file")
         return handlers[args.command](args)
     except (ConfigError, UnknownEstimatorError, scenarios.UnknownScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

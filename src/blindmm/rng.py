@@ -9,9 +9,9 @@ entropy: ``[s]`` and ``[s, 0]`` would seed the same stream, and so would a
 seed above 2**32 and a small seed followed by a label.
 
 Monte Carlo noise is cut into fixed chunks of consecutive trials; a chunk's
-block is keyed by ``(seed, first trial id)``. ``normal_fill`` splits a
-block into its keying, which needs the interpreter, and its fill, which
-does not and may run on another thread (``sim._map_chunks``).
+block is keyed by ``(seed, first trial id)``. ``normal_fill`` keys a block,
+which needs the interpreter, and returns its fill, which does not and may
+run on another thread (``sim._map_chunks``).
 
 Bit-reproducibility is promised per build (same numpy), not across
 platforms.
@@ -41,20 +41,8 @@ def normal_block(seed, trial_ids, count: int, out=None) -> np.ndarray:
     stream keyed by ``(seed, trial_ids[0])``, filled row by row, so a shorter
     chunk with the same first id is a row prefix of a longer one. ``out``, a
     C-contiguous float64 array of shape ``(len(trial_ids), count)``, receives
-    the block in place of a new array, with the same values.
-    """
-    block, fill = normal_fill(seed, trial_ids, count, out)
-    fill()
-    return block
-
-
-def normal_fill(seed, trial_ids, count: int, out=None):
-    """``normal_block(seed, trial_ids, count, out)`` split in two: the block,
-    not yet drawn, and the call ``fill()`` that draws it.
-
-    Everything that needs the interpreter (the id check, keying the stream,
-    the output array) happens here; ``fill()`` is numpy's fill, which
-    releases the GIL, so another thread may run it.
+    the block in place of a new array, with the same values. Empty ids draw
+    nothing.
     """
     ids = np.asarray(trial_ids)
     if ids.ndim != 1:
@@ -64,6 +52,14 @@ def normal_fill(seed, trial_ids, count: int, out=None):
     block = np.empty((ids.size, count)) if out is None else out
     if block.shape != (ids.size, count):
         raise ValueError(f"out: expected shape {(ids.size, count)}, got {block.shape}")
-    if ids.size == 0:
-        return block, lambda: None
-    return block, functools.partial(generator(seed, int(ids[0])).standard_normal, out=block)
+    if ids.size:
+        normal_fill(seed, int(ids[0]), block)()
+    return block
+
+
+def normal_fill(seed, first: int, out):
+    """The call that fills ``out`` with the stream keyed by ``(seed, first)``,
+    as ``normal_block`` does for the rows ``first, first + 1, ...``, unchecked.
+    It keys on the calling thread; numpy's fill releases the GIL, so another
+    thread may run the call."""
+    return functools.partial(generator(seed, first).standard_normal, out=out)

@@ -209,19 +209,19 @@ def _map_chunks(fn, seed, trials: int, width: int) -> list:
     it, and must keep no reference to it.
 
     A pass of more than one chunk cycles its blocks through
-    ``min(3, chunks)`` slots. The calling thread keys every block and queues
-    its fill, in chunk order and up to two blocks ahead, for one helper
-    thread. It draws block 0, and while it waits for a block (``_wait_fill``)
-    the oldest queued ones, itself. A fill is numpy's, which releases the
-    GIL. On every exit, errors included, the fills no thread has started are
-    dropped and the helper is joined.
+    ``min(3, chunks)`` slots. The calling thread keys every block by its
+    first trial (``normal_fill``, no id array) and queues its fill, in chunk
+    order and up to two blocks ahead, for one helper thread. It draws block
+    0 (``normal_block``, as a one-chunk pass does), and while it waits for
+    a block (``_wait_fill``) the oldest queued ones, itself. A fill is
+    numpy's, which releases the GIL. On every exit, errors included, the
+    fills no thread has started are dropped and the helper is joined.
 
     The queue is the C ``queue.SimpleQueue``, imported by the first pass of
-    more than one chunk, not on import. The hand-written deque-and-lock queue
-    it replaced won only about half of 20 alternating pairs per workload.
-    ``ThreadPoolExecutor(1)`` lost 6 of 6 alternating 10 s stein-narrow
-    pairs (10.78M -> 8.86M trials/s, 2 vCPU), and its ``logging`` import
-    raised median setup from 0.134 to 0.162 s.
+    more than one chunk, not on import. ``ThreadPoolExecutor(1)`` lost 6 of
+    6 alternating 10 s stein-narrow pairs (10.78M -> 8.86M trials/s, 2
+    vCPU), and its ``logging`` import raised median setup from 0.134 to
+    0.162 s.
     """
     bounds = [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
     if len(bounds) < 2:
@@ -230,10 +230,10 @@ def _map_chunks(fn, seed, trials: int, width: int) -> list:
     slots, out = np.empty((min(3, len(bounds)), CHUNK_TRIALS, width)), []
     fills = queue.SimpleQueue()
 
-    def post(i):
+    def post(i):  # key block i by its first trial, into its slot
         lo, hi = bounds[i]
-        block, fill = normal_fill(seed, np.arange(lo, hi), width, slots[i % len(slots), : hi - lo])
-        fills.put(job := _Fill(fill))
+        block = slots[i % len(slots), : hi - lo]
+        fills.put(job := _Fill(normal_fill(seed, lo, block)))
         return block, job
 
     def run_fills():  # the helper, until it gets None

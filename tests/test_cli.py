@@ -577,8 +577,13 @@ class TestExperiment:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["experiment", "scenario", "estimate"])
-def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, out_is_dir", [
+    ("experiment", False), ("scenario", False), ("estimate", False), ("scenario", True),
+], ids=["experiment", "scenario", "estimate", "scenario-out-is-directory"])
+def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeypatch, command,
+                                                      out_is_dir):
+    # An --out in a missing directory, or naming a directory, is refused
+    # before any input is read, model built or noise keyed, and nothing is written.
     import blindmm.cli
 
     calls = _count_keyed_blocks(monkeypatch, blindmm.scenarios)
@@ -587,6 +592,9 @@ def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeyp
     cfg = iid_files / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "fig5b-range", "trials": 8192, "seed": 1}))
     out = iid_files / "no" / "such" / "x.csv"
+    if out_is_dir:
+        out.mkdir(parents=True)
+    files = sorted(iid_files.rglob("*"))
     argv = {
         "experiment": ["experiment", "--config", str(cfg)],
         "scenario": ["scenario", "fig5b-range"],
@@ -598,7 +606,7 @@ def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("error: --out: ") and str(out.parent) in err
     assert calls == [] and built == []
-    assert not out.parent.exists()
+    assert sorted(iid_files.rglob("*")) == files
 
 
 class TestSteinCheckCommand:

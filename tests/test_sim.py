@@ -435,9 +435,9 @@ class TestEigenbasisEngine:
         def with_zero_rows(seed, trial_ids, count, out=None):
             return zero_rows(real_block(seed, trial_ids, count, out), trial_ids)
 
-        def fill_with_zero_rows(seed, trial_ids, count, out):
-            z, fill = real_fill(seed, trial_ids, count, out)
-            return z, lambda: zero_rows(fill(), trial_ids)
+        def fill_with_zero_rows(seed, first, out):
+            fill = real_fill(seed, first, out)
+            return lambda: zero_rows(fill(), np.arange(first, first + len(out)))
 
         # normal_block draws a pass's first chunk, normal_fill keys the others.
         monkeypatch.setattr(sim, "normal_block", with_zero_rows)
@@ -697,6 +697,23 @@ class TestNoisePipeline:
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_blocks_keyed_by_first_trial(self, monkeypatch):
+        # Block 0 goes through normal_block's id check; every later block is
+        # keyed by its first trial alone, into a slot view of its rows.
+        calls, real_fill, real_block = [], sim.normal_fill, sim.normal_block
+        monkeypatch.setattr(sim, "normal_fill", lambda seed, first, out: (
+            calls.append(("fill", seed, first, out.shape)) or real_fill(seed, first, out)))
+        monkeypatch.setattr(sim, "normal_block", lambda seed, ids, count, out=None: (
+            calls.append(("block", seed, ids[0], len(ids))) or real_block(seed, ids, count, out)))
+        trials, chunk = 4 * sim.CHUNK_TRIALS + 5, sim.CHUNK_TRIALS
+        sim._map_chunks(self._spend, 17, trials, 3)
+
+        def fill(i, rows=chunk):
+            return ("fill", 17, i * chunk, (rows, 3))
+
+        assert calls == [fill(1), fill(2), ("block", 17, 0, chunk), fill(3), fill(4, 5)]
+        assert all(type(first) is int for kind, _, first, _ in calls if kind == "fill")
+
     def test_concurrent_passes_under_fast_switching(self):
         # Four passes at once, each with its own helper (eight threads on a
         # small machine), switching threads every few microseconds: every
@@ -737,9 +754,9 @@ class TestNoisePipeline:
         """
         real_block, real_fill, runs, started = sim.normal_block, sim.normal_fill, [], {}
 
-        def normal_fill(seed, trial_ids, count, out):
-            z, fill = real_fill(seed, trial_ids, count, out)
-            block = int(trial_ids[0]) // sim.CHUNK_TRIALS
+        def normal_fill(seed, first, out):
+            fill = real_fill(seed, first, out)
+            block = first // sim.CHUNK_TRIALS
             if block == 1:  # a new pass: blocks are keyed in chunk order
                 started.update({1: threading.Event(), 2: threading.Event()})
             events = dict(started)
@@ -753,7 +770,7 @@ class TestNoisePipeline:
                     raise MemoryError("fill failed")
                 fill()
 
-            return z, scheduled
+            return scheduled
 
         def normal_block(seed, trial_ids, count, out=None):
             assert started[1 if block2_on == "caller" else 2].wait(timeout=30)
