@@ -222,12 +222,13 @@ def main(argv=None) -> int:
         "stein-check": _cmd_stein_check,
     }
     try:
-        out = getattr(args, "out", None) or ""
-        out_dir = os.path.dirname(out) or "."
-        if not os.path.isdir(out_dir):  # found before any input is read or noise drawn
-            raise ConfigError(f"--out: {out_dir!r} is not a directory")
-        if os.path.isdir(out):
-            raise ConfigError(f"--out: {out!r} is a directory, not a file")
+        out = getattr(args, "out", None)  # None for the commands that write no file
+        if out is not None:  # found before any input is read or noise drawn
+            out_dir = os.path.dirname(out) or "."
+            if not os.path.isdir(out_dir):
+                raise ConfigError(f"--out: {out_dir!r} is not a directory")
+            if not out or os.path.isdir(out):
+                raise ConfigError(f"--out: expected a file path, got {out!r}")
         return handlers[args.command](args)
     except (ConfigError, UnknownEstimatorError, scenarios.UnknownScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

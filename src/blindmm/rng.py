@@ -37,16 +37,18 @@ def derive_seed(seed, *labels) -> int:
 def normal_block(seed, trial_ids, count: int, out=None) -> np.ndarray:
     """Standard normals for a chunk of trials, one row of ``count`` per trial.
 
-    ``trial_ids`` must be a contiguous ascending range; the block is the
-    stream keyed by ``(seed, trial_ids[0])``, filled row by row, so a shorter
-    chunk with the same first id is a row prefix of a longer one. ``out``, a
-    C-contiguous float64 array of shape ``(len(trial_ids), count)``, receives
-    the block in place of a new array, with the same values. Empty ids draw
-    nothing.
+    ``trial_ids`` must be a contiguous ascending range of integers (not
+    ``bool``) from 0 up; the block is the stream keyed by ``(seed,
+    trial_ids[0])``, filled row by row, so a shorter chunk with the same
+    first id is a row prefix of a longer one. ``out``, a C-contiguous
+    float64 array of shape ``(len(trial_ids), count)``, receives the block
+    in place of a new array, with the same values. Empty ids draw nothing.
     """
     ids = np.asarray(trial_ids)
     if ids.ndim != 1:
         raise ValueError(f"trial_ids: expected a 1-D range, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu" or ids.size and ids[0] < 0:
+        raise ValueError(f"trial_ids: expected integers >= 0, got {ids[:3].tolist()} ({ids.dtype})")
     if np.any(np.diff(ids) != 1):
         raise ValueError("trial_ids: expected a contiguous ascending range")
     block = np.empty((ids.size, count)) if out is None else out

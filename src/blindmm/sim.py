@@ -17,14 +17,16 @@ U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
 ``ebme`` where its cutoff leaves a chunk's trials whole (``Plan.affine``);
 only ``tik1``, and ``ebme`` where it cuts a trial, form ``v``. ``ls``'s
 error ``||v0||^2`` does not depend on the point and is reduced once per
-chunk; each group's noise-free terms are formed once. Chunks fold into
-per-(point, rule) moments.
+chunk. One kernel per group (``_chunk_kernel``) forms and bounds the
+group's noise-free terms once, and maps each chunk to a flat list of
+per-(point, rule) results, which fold into moments in chunk order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -281,21 +283,37 @@ def _affine_errors(affine, l2, base0, stat, base, w_u2):
     return (se, gain_sum) if np.isfinite(se).all() and np.isfinite(gain_sum).all() else None
 
 
-def _noise_free_terms(model: Model, xs, plans):
-    """The noise-free terms ``(us, w_mat, s_slot, a_slot, c_slot, cross_ops,
-    w_u2, u2)`` of the points ``xs`` under ``plans``, which ``_chunk_kernel``
-    adds to each chunk's statistics.
+def _chunk_kernel(model: Model, xs, plans, reduce):
+    """The engine for one group, the points ``xs`` under ``plans``:
+    ``eval_chunk(z)`` maps one noise block to a flat, point-major list of
+    pairs ``(reduce(se), gain sum)``, one per (point, plan) in the order of
+    ``itertools.product(xs, plans)``, where ``se`` holds the chunk's
+    per-trial squared errors and the gain sum is ``(m,)`` or, for a scalar
+    rule, a scalar.
 
-    ``w_mat`` holds the distinct weight rows (``w = 1`` first: every scalar
-    error needs ``||v0||^2``), and each plan's statistic and affine form
-    read rows ``s_slot`` and ``a_slot`` of it (1 when it has none); ``c_slot``
-    indexes the distinct centers. Per point ``u = U'x`` (``us``) and
-    ``u' = u - U'x0``: ``cross_ops`` holds ``2 w u`` and then ``2 u'``,
-    ``w_u2`` holds ``w . u**2`` and ``u2`` holds ``||u'||^2``.
+    Building the kernel forms the group's noise-free terms once. ``w_mat``
+    holds the distinct weight rows (``w = 1`` first: every scalar error
+    needs ``||v0||^2``), and each plan's statistic and affine form read rows
+    ``s_slot`` and ``a_slot`` of it (1 when it has none); ``c_slot`` indexes
+    the distinct centers. Per point ``u = U'x`` (``us``) and ``u' = u -
+    U'x0``: ``cross_ops`` holds ``2 w u`` and then ``2 u'``, ``w_u2`` holds
+    ``w . u**2`` and ``u2`` holds ``||u'||^2``. It raises ``ConfigError``
+    naming ``snr_grid_db`` when any of these terms, or a rule's gain on
+    ``w . u**2`` (``||u'||^2`` for a centred plan), leaves float64 range, so
+    a group is bounded before any noise is drawn.
 
-    Raises ``ConfigError`` naming ``snr_grid_db`` when any of these terms, or
-    a rule's gain on ``w . u**2`` (``||u'||^2`` for a centred plan), leaves
-    float64 range.
+    ``A'`` and the work arrays are made on the first chunk and live as long
+    as the kernel; each work array is a flat array of ``k * CHUNK_TRIALS``
+    floats, viewed as ``(k, rows)``.
+
+    All points share the block's ``v0 = A' z'``; a point's statistics are
+    ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2``, and a scalar
+    rule's squared error is ``||g v0 + (g - 1) u'||^2``, about which a
+    centred plan takes its statistic ``||v0 + u'||^2``. A plan with an
+    ``affine`` form (``ebme``) takes it at a point where its cutoff leaves
+    every row of the chunk whole, and its reference ``gain`` on every row
+    otherwise. ``ls`` (``unit_gain``) has the error ``||v0||^2`` at every
+    point, reduced once per chunk.
     """
     basis, m = model.Qeig.basis, model.m
     us = np.array([basis.T @ np.asarray(x, dtype=np.float64) for x in xs])
@@ -318,34 +336,9 @@ def _noise_free_terms(model: Model, xs, plans):
     if bad.size:
         raise ConfigError(f"snr_grid_db: ||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's "
                           "statistic w . (U'x)**2 leaves float64 range on this model")
-    return us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2
-
-
-def _chunk_kernel(model: Model, terms, plans, reduce):
-    """The engine: ``eval_chunk(z)`` maps one noise block to, per point
-    ``x`` (in the order of the ``xs`` whose ``_noise_free_terms`` under
-    ``plans`` are ``terms``) and per plan, the pair ``(reduce(se), gain
-    sum)``, where ``se`` holds the chunk's per-trial squared errors and the
-    gain sum is ``(m,)`` or, for a scalar rule, a scalar.
-
-    The kernel owns its work arrays: each is a flat array of ``k *
-    CHUNK_TRIALS`` floats, made on first use and viewed as ``(k, rows)``.
-
-    All points share the block's ``v0 = A' z'``; a point's statistics are
-    ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2`` with
-    ``u = U'x``, and a scalar rule's squared error is
-    ``||g v0 + (g - 1) u'||^2`` with ``u' = u - U'x0`` for a center ``x0``,
-    about which a centred plan takes its statistic ``||v0 + u'||^2``.
-    A plan with an ``affine`` form (``ebme``) takes it at a point where its
-    cutoff leaves every row of the chunk whole, and its reference ``gain``
-    on every row otherwise. ``ls`` (``unit_gain``) has the error
-    ``||v0||^2`` at every point, reduced once per chunk.
-    """
-    m = model.m
-    a_t = np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ model.Qeig.basis).T)
-    us, w_mat, s_slot, a_slot, c_slot, cross_ops, w_u2, u2 = terms
     n_w, last = w_mat.shape[0], len(us) - 1
     has_ls = any(plan.gain is unit_gain for plan in plans)
+    a_t = functools.cache(lambda: np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T))
     work = {}
 
     def work_array(name, k, rows):
@@ -355,7 +348,7 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
 
     def eval_chunk(z):
         rows = z.shape[0]
-        v0 = np.matmul(a_t, z.T, out=work_array("v0", m, rows))
+        v0 = np.matmul(a_t(), z.T, out=work_array("v0", m, rows))
         d = z.reshape(-1)[: m * rows].reshape(m, rows)  # the spent block (n >= m) holds squares
         cross = work_array("cross", cross_ops.shape[1], rows)
         stats = cross[:n_w]
@@ -363,7 +356,8 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
         with np.errstate(over="ignore", invalid="ignore"):
             base = w_mat @ np.multiply(v0, v0, out=d)
         if not np.all(np.isfinite(base)):
-            raise NonFiniteError("xls: entries must be finite")
+            raise NonFiniteError("a rule's noise statistic (||v0||^2, sig . v0**2 or ebme's "
+                                 "sig**b . v0**2, v0 = U'(xls - x)) leaves float64 range")
         ls = (reduce(base[0]), float(rows)) if has_ls else None
         out = []
         for k, u in enumerate(us[:, :, None]):
@@ -371,10 +365,10 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
                 np.matmul(cross_ops[k], v0, out=cross)
                 stats += base
                 stats += w_u2[k, :, None]
-            v, point = None, []
+            v = None
             for plan, j, ja, c in zip(plans, s_slot, a_slot, c_slot):
                 if plan.gain is unit_gain:
-                    point.append(ls)
+                    out.append(ls)
                     continue
                 fit = None
                 if plan.affine is not None and stats[j].min() > plan.affine.t0:
@@ -395,8 +389,7 @@ def _chunk_kernel(model: Model, terms, plans, reduce):
                         g *= v
                         g -= u
                         se = np.einsum("ij,ij->j", g, g)
-                point.append((reduce(se), gain_sum))
-            out.append(point)
+                out.append((reduce(se), gain_sum))
         return out
 
     return eval_chunk
@@ -473,11 +466,12 @@ def run_experiment(config: ExperimentConfig):
     It fills the empty fields (``ExperimentConfig``), validates them, then
     builds an inline model. The scenario's ``(case_key, model)`` cases (one
     per condition in the condition-number sweep, one unkeyed case elsewhere)
-    and directions give the grid points; every point is scaled, and its
-    rules' statistics bounded, before any noise is drawn. Each model's plans
-    and each group's noise-free terms are built once. The SNR points of one
-    (case, direction) pair form a group that shares its noise: one chunk
-    pass serves it, folded into per-(point, rule) moments in chunk order.
+    and directions give the grid points. The SNR points of one (case,
+    direction) pair form a group that shares its noise. Each model's plans
+    are built once, and every group's kernel (``_chunk_kernel``, which
+    bounds its rules' statistics) before any noise is drawn. One chunk pass
+    serves a group, folded into per-(point, rule) moments in chunk order;
+    the kernel goes with its pass.
     """
     named = isinstance(config.scenario, str)
     if named:
@@ -505,29 +499,28 @@ def run_experiment(config: ExperimentConfig):
             except LinalgError as exc:  # an SNR out of range, or a zero or wrong-length direction
                 name = "snr_grid_db" if isinstance(exc, SnrRangeError) else "directions"
                 raise ConfigError(f"{name}: {exc}") from exc
-            terms = _noise_free_terms(model, xs, plans)  # bounds the group before any noise
             # The group's stream is the one its first SNR point had alone.
             group_seed = derive_seed(seed, _TAG_POINT, case_idx, dir_idx, 0)
-            groups.append((model, plans, sweep_key, terms, group_seed))
+            kernel = _chunk_kernel(model, xs, plans, _moments)  # bounds the group before any noise
+            groups.append((kernel, model, sweep_key, group_seed))
 
     rows = []
-    for model, plans, sweep_key, terms, group_seed in groups:
-        kernel = _chunk_kernel(model, terms, plans, _moments)  # its work arrays live for one pass
+    while groups:  # each kernel, with its A' and work arrays, goes with its pass
+        kernel, model, sweep_key, group_seed = groups.pop(0)
         # Errors beyond float64 range are checked once, on each row's moments.
         with np.errstate(over="ignore", invalid="ignore"):
-            points = list(map(_fold, zip(*_map_chunks(kernel, group_seed, trials, model.n))))
-        for snr_db, point in zip(snrs, points):
-            for spec, (moments, gains) in zip(config.estimators, point):
-                mean, stderr = _mean_stderr(*moments)
-                if not (math.isfinite(mean) and math.isfinite(stderr)):
-                    raise NonFiniteError(
-                        f"{spec.label}: squared errors leave float64 range on this model")
-                rows.append(MseRow(
-                    scenario=scenario_name, estimator=spec.label, snr_db=snr_db,
-                    sweep_key=sweep_key, mse_mean=mean, mse_stderr=stderr, trials=trials,
-                    seed=seed, gain_mean=np.broadcast_to(gains, (model.m,)) / trials,
-                    eps0=model.eps0,
-                ))
+            results = _fold(_map_chunks(kernel, group_seed, trials, model.n))
+        for (snr_db, spec), (moments, gains) in zip(itertools.product(snrs, config.estimators),
+                                                    results):
+            mean, stderr = _mean_stderr(*moments)
+            if not (math.isfinite(mean) and math.isfinite(stderr)):
+                raise NonFiniteError(
+                    f"{spec.label}: squared errors leave float64 range on this model")
+            rows.append(MseRow(
+                scenario=scenario_name, estimator=spec.label, snr_db=snr_db, sweep_key=sweep_key,
+                mse_mean=mean, mse_stderr=stderr, trials=trials, seed=seed,
+                gain_mean=np.broadcast_to(gains, (model.m,)) / trials, eps0=model.eps0,
+            ))
     rows.sort(key=MseRow.sort_key)
     return rows
 
@@ -577,13 +570,10 @@ def _inline_cases(obj):
     """An inline model's cases and name, as ``scenarios.resolve_cases`` gives a
     named one's: ``obj`` is ``{"H": ..., "Cw": ..., "name": ...}``, each matrix as
     rows of numbers of one length, ``{"diag": [...]}`` or ``{"identity": n}``."""
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario: expected a name or an inline model object")
-    extra = set(obj) - {"H", "Cw", "name"}
-    if extra:
-        raise ConfigError(f"scenario: unknown inline-model keys {sorted(extra)}")
-    if "H" not in obj or "Cw" not in obj:
-        raise ConfigError("scenario: inline model requires both 'H' and 'Cw'")
+    keys = list(obj) if isinstance(obj, dict) else obj
+    if not (isinstance(obj, dict) and {"H", "Cw"} <= set(keys) <= {"H", "Cw", "name"}):
+        raise ConfigError("scenario: expected a name or an inline model object with keys 'H', "
+                          f"'Cw' and optionally 'name', got {keys!r}")
 
     def mat(spec, name):
         if isinstance(spec, dict) and "identity" in spec:

@@ -370,6 +370,21 @@ class TestExperiment:
         assert "ls: squared errors leave float64 range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_noise_statistic_exit_3(self, tmp_path, capsys):
+        # Every xls is finite, but ebme's sig**b . v0**2 on the noise is not
+        # (sig**b is about 1.6e308 on the clean axis).
+        cfg = self._write_config(
+            tmp_path, scenario={"H": {"identity": 3}, "Cw": {"diag": [0.1, 1, 1]}},
+            estimators=["ls", "ebme:b=308.2"], snr_grid_db=[-30.0], trials=5000, seed=1,
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "sig**b . v0**2" in err and not err.startswith("error: xls")
+        assert not out.exists()
+
     def test_named_scenario_trials_fall_back_to_preset(self, tmp_path):
         # Trials: --trials, then the config's, then the preset's (1000 for fig2-dct).
         for extra, flags, trials in (({}, [], "1000"), ({"trials": 40}, [], "40"),
@@ -459,11 +474,15 @@ class TestExperiment:
         ({"directions": [{"random-sphere": 0}]}, "directions.random-sphere"),
         ({"seed": None}, "BLINDMM_SEED"),
         ({"scenario": 5}, "scenario"),
+        ({"scenario": {"H": {"identity": 2}, "Cw": {"identity": 2}, "h": 1}}, "scenario"),
+        ({"scenario": {"Cw": {"identity": 2}}}, "scenario"),
+        ({"scenario": {"H": {"identity": 2}}}, "scenario"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
             "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
-            "env-seed-text", "scenario-number"])
+            "env-seed-text", "scenario-number", "inline-unknown-key", "inline-without-H",
+            "inline-without-Cw"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator
@@ -577,13 +596,16 @@ class TestExperiment:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command, out_is_dir", [
-    ("experiment", False), ("scenario", False), ("estimate", False), ("scenario", True),
-], ids=["experiment", "scenario", "estimate", "scenario-out-is-directory"])
+@pytest.mark.parametrize("command, out_is", [
+    ("experiment", "missing"), ("scenario", "missing"), ("estimate", "missing"),
+    ("scenario", "directory"), ("scenario", "empty"),
+], ids=["experiment", "scenario", "estimate", "scenario-out-is-directory",
+        "scenario-out-is-empty"])
 def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeypatch, command,
-                                                      out_is_dir):
-    # An --out in a missing directory, or naming a directory, is refused
-    # before any input is read, model built or noise keyed, and nothing is written.
+                                                      out_is):
+    # An --out in a missing directory, naming a directory, or empty is
+    # refused before any input is read, model built or noise keyed, and
+    # nothing is written, not even beside the working directory.
     import blindmm.cli
 
     calls = _count_keyed_blocks(monkeypatch, blindmm.scenarios)
@@ -592,8 +614,10 @@ def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeyp
     cfg = iid_files / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "fig5b-range", "trials": 8192, "seed": 1}))
     out = iid_files / "no" / "such" / "x.csv"
-    if out_is_dir:
+    if out_is == "directory":
         out.mkdir(parents=True)
+    (iid_files / "cwd").mkdir()
+    monkeypatch.chdir(iid_files / "cwd")
     files = sorted(iid_files.rglob("*"))
     argv = {
         "experiment": ["experiment", "--config", str(cfg)],
@@ -602,9 +626,10 @@ def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeyp
                      str(iid_files / "Cw.csv"), "--y", str(iid_files / "y.csv"),
                      "--estimator", "sbme"],
     }[command]
-    assert main(argv + ["--out", str(out)]) == 2
+    arg = "" if out_is == "empty" else str(out)
+    assert main(argv + ["--out", arg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --out: ") and str(out.parent) in err
+    assert err.startswith("error: --out: ") and (str(out.parent) if arg else "''") in err
     assert calls == [] and built == []
     assert sorted(iid_files.rglob("*")) == files
 

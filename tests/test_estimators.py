@@ -29,7 +29,7 @@ from blindmm.estimators import (
     tikhonov1,
     tikhonov2,
 )
-from blindmm.linalg import NonFiniteError
+from blindmm.linalg import DimensionMismatchError, NonFiniteError
 from blindmm.model import build_model, ls_estimate
 from blindmm.scenarios import fig4_model, fig5b_model, fig6_model
 
@@ -362,6 +362,15 @@ class TestEbme:
             estimate_from_ls(fig4_model(), EstimatorSpec("sbme"), xls)
 
 
+    @pytest.mark.parametrize("spec, length, match", [
+        (EstimatorSpec("sbme"), 14, "xls: trailing dimension 14"),
+        (EstimatorSpec("offcenter", x0=np.ones(14)), 15, "x0: dim 14"),
+    ], ids=["xls", "center"])
+    def test_wrong_length_rejected(self, spec, length, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            estimate_from_ls(fig4_model(), spec, np.ones((2, length)))
+
+
 class TestOverflowingStatistic:
     """Finite inputs whose statistic ``s`` overflows float64 raise the
     engine's typed error instead of returning NaN behind a warning."""
@@ -575,7 +584,7 @@ class TestSpecParsing:
 
     def test_malformed_parameter_rejected(self):
         for bad in ("ebme", "ebme:b=x", "shrinkc:c=-1", "shrinkc:d=1", "sbme:b=1", "offcenter",
-                    "shrinkc:c=inf", "ebme:b=inf"):
+                    "shrinkc:c=inf", "ebme:b=inf", "offcenter:file="):
             with pytest.raises(UnknownEstimatorError):
                 parse_estimator_spec(bad)
 

@@ -5,6 +5,8 @@ matrices are checked through reconstruction and algebraic identities rather
 than against another eigensolver.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from blindmm.linalg import (
     read_vector_csv,
     sym_eig,
     write_matrix_csv,
+    write_text_atomic,
 )
 
 
@@ -235,3 +238,20 @@ class TestCsv:
         p.write_text("1,2\n3,4\n")
         with pytest.raises(CsvFormatError):
             read_vector_csv(p)
+
+    @pytest.mark.parametrize("fails", ["write", "rename"])
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path, monkeypatch, fails):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        text = "new\n"
+        if fails == "write":
+            text = "\ud800"  # a lone surrogate: the UTF-8 encoder refuses it
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises((UnicodeEncodeError, OSError)):
+            write_text_atomic(target, text)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+        assert target.read_text() == "old\n"

@@ -71,10 +71,16 @@ class TestDeterminism:
     def test_zero_count(self):
         assert normal_block(1, [0, 1], 0).shape == (2, 0)
 
-    @pytest.mark.parametrize("ids", [[0, 2], [3, 2], [5, 5], [0, 1, 3]])
+    @pytest.mark.parametrize("ids", [[0, 2], [3, 2], [5, 5], [0, 1, 3],
+                                     [0.5, 1.5], [True, False], [-1, 0]])
     def test_non_contiguous_ids_rejected(self, ids):
-        with pytest.raises(ValueError):
+        # Float, bool and negative ids are refused, not read as other ids.
+        with pytest.raises(ValueError, match="trial_ids"):
             normal_block(0, ids, 4)
+
+    def test_unsigned_ids_accepted(self):
+        ids = np.arange(5, 45)
+        assert np.array_equal(normal_block(9, ids.astype(np.uint64), 3), normal_block(9, ids, 3))
 
 
 class TestDistribution:

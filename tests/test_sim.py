@@ -315,17 +315,24 @@ class TestRunExperiment:
                 run_experiment(cfg)
         assert drawn == []
 
-    @pytest.mark.parametrize("direction", ["max-eigenvector", "min-eigenvector"])
+    @pytest.mark.parametrize("directions, tags", [
+        (["max-eigenvector"], ("ls", "bock", "tik1", "ebme:b=-1")),
+        (["min-eigenvector"], ("ls", "bock", "tik1", "ebme:b=-1")),
+        (["max-eigenvector", "min-eigenvector"], ("ls", "bock")),
+    ], ids=["max-eigenvector", "min-eigenvector", "second-group-only"])
     def test_overflowing_weighted_statistic_rejected_before_any_noise(self, monkeypatch,
-                                                                      direction):
+                                                                      directions, tags):
         # x is finite at 3070 dB, but a weighted statistic is not: bock's
         # sig . u**2 along the clean axis, tik1's sig_max ||u||**2 along both.
+        # With ls and bock only the second group overflows, and every group
+        # is bounded before the first one draws its noise.
         drawn = []
         monkeypatch.setattr(sim, "normal_block", lambda *args: drawn.append(args))
+        monkeypatch.setattr(sim, "normal_fill", lambda *args: drawn.append(args))
         cfg = ExperimentConfig(
             scenario={"name": "clean-axis", "H": {"identity": 3}, "Cw": {"diag": [1e-3, 1.0, 1.0]}},
-            estimators=[parse_estimator_spec(t) for t in ("ls", "bock", "tik1", "ebme:b=-1")],
-            snr_grid_db=[0.0, 3070.0], directions=[direction], trials=100, seed=1,
+            estimators=[parse_estimator_spec(t) for t in tags],
+            snr_grid_db=[0.0, 3070.0], directions=directions, trials=100, seed=1,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -579,16 +586,15 @@ class TestAffineEbme:
 
         xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in snrs]
         plans = [counted(i, p) for i, p in enumerate(plans)]
-        kernel = sim._chunk_kernel(model, sim._noise_free_terms(model, xs, plans), plans,
-                                   lambda se: se)
+        kernel = sim._chunk_kernel(model, xs, plans, lambda se: se)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chunks = sim._map_chunks(kernel, seed, self.TRIALS, model.n)
         xls_all = [chunked_xls(model, x, seed, self.TRIALS) for x in xs]
         for k, (x, xls) in enumerate(zip(xs, xls_all)):
             for i, spec in enumerate(specs):
-                se = np.concatenate([chunk[k][i][0] for chunk in chunks])
-                gain_sum = sum(chunk[k][i][1] for chunk in chunks)
+                se = np.concatenate([chunk[k * len(specs) + i][0] for chunk in chunks])
+                gain_sum = sum(chunk[k * len(specs) + i][1] for chunk in chunks)
                 res = estimate_from_ls(model, spec, xls)
                 np.testing.assert_allclose(se, np.sum((res.xhat - x) ** 2, axis=1), rtol=1e-9)
                 np.testing.assert_allclose(gain_sum, res.shrinkage.sum(axis=0), rtol=1e-9)
@@ -662,8 +668,9 @@ class TestPointInvariantWork:
         assert all(np.array_equal(r.gain_mean, np.ones(10)) for r in ls)
 
     def test_noise_free_terms_once_per_group(self, monkeypatch):
-        calls, real = [], sim._noise_free_terms
-        monkeypatch.setattr(sim, "_noise_free_terms",
+        # A group's kernel forms its noise-free terms once, when it is built.
+        calls, real = [], sim._chunk_kernel
+        monkeypatch.setattr(sim, "_chunk_kernel",
                             lambda *args: calls.append(len(args[1])) or real(*args))
         run_experiment(self._config(["ls", "sbme", "tik1"],
                                     directions=["max-eigenvector", {"random-sphere": 2}]))
@@ -975,6 +982,7 @@ class TestConfigLoading:
     def test_errors(self, tmp_path):
         cases = [
             ("not json", "{'x':}"),
+            ("not an object", '[{"scenario": "fig4-snr"}]'),
             ("unknown field", '{"scenario": "fig4-snr", "trialz": 1}'),
             ("missing scenario", '{"trials": 2}'),
             ("bad estimator entry", '{"scenario": "fig4-snr", "estimators": [7]}'),
