@@ -206,7 +206,7 @@ def _cmd_stein_check(args) -> int:
             f"{i:>3} {result.lhs[i]:>12.6g} {result.rhs[i]:>12.6g} "
             f"{result.discrepancy[i]:>12.3g} {result.stderr[i]:>12.3g}"
         )
-    ok = result.within(4.0)
+    ok = result.within()
     print("identity within 4 combined stderr: " + ("PASS" if ok else "FAIL"))
     return EXIT_OK
 

@@ -236,8 +236,11 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.einsum("ij,ij->i", rows, rows) if v is None else plan.weights @ (v * v)
         g = plan.gain(s)
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(g))):
-        raise NonFiniteError("xls: entries must be finite")
+    # _check_ls refused a non-finite xls, so only a statistic or a gain can overflow here.
+    for name, value in (("statistic s (||xls||^2, ||xls - x0||^2 or sig . (U'xls)**2)", s),
+                        ("gain (tik1's on sig_i s)", g)):
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"xls: the rule's {name} leaves float64 range")
     if g.ndim == 1:
         xhat = g[:, None] * rows
         if plan.center is not None:

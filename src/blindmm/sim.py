@@ -622,18 +622,16 @@ class SteinCheckResult:
     stderr: np.ndarray
     trials: int
 
-    def within(self, n_stderr: float = 4.0) -> bool:
-        return bool(np.all(self.discrepancy <= n_stderr * self.stderr))
+    def within(self) -> bool:
+        """Whether every coordinate's discrepancy is at most 4 of its stderr."""
+        return bool(np.all(self.discrepancy <= 4.0 * self.stderr))
 
 
-def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") -> SteinCheckResult:
-    """Monte Carlo check of the Gaussian integration-by-parts identity.
-
-    ``g="shrink"`` uses the ratio ``g_i(v) = v_i / (c + v' diag(sigma)^-1 v)``
-    whose analytic derivative is known in closed form; ``g="linear"`` uses
-    ``g_i(v) = v_i`` (derivative one) as a calibration case. Both sides are
-    estimated from common draws, so ``stderr`` is the standard error of the
-    per-draw difference.
+def stein_lemma_check(v, sigma, c: float, trials: int, seed) -> SteinCheckResult:
+    """Monte Carlo check of the Gaussian integration-by-parts identity for
+    the ratio ``g_i(v) = v_i / (c + v' diag(sigma)^-1 v)``, whose derivative
+    is known in closed form. Both sides are estimated from common draws, so
+    ``stderr`` is the standard error of the per-draw difference.
 
     Each chunk of draws ``z`` is worked on as a C-ordered ``(width, rows)``
     array, the residual ``v - v_hat`` is exactly ``-z``, and the per-draw
@@ -656,21 +654,15 @@ def stein_lemma_check(v, sigma, c: float, trials: int, seed, g: str = "shrink") 
     _check_seed(seed)
     if not (_is_number(trials, (int, np.integer)) and trials >= 10**4):
         raise ConfigError("trials: must be >= 10^4")
-    if g not in ("shrink", "linear"):
-        raise ConfigError(f"g: unknown test function {g!r}")
 
     def chunk_stats(z):
         """Per coordinate: the moments of ``dg_i/dv_i - g_i z_i`` and the sums of both terms."""
         zt = np.ascontiguousarray(z.T)
         vh = zt + v[:, None]
-        if g == "shrink":
-            sq = vh * vh
-            inv = 1.0 / (c + inv_sigma @ sq)
-            deriv = inv * (1.0 - 2.0 * inv_sigma[:, None] * sq * inv)
-            gz = vh * inv * zt
-        else:
-            deriv = np.ones_like(vh)
-            gz = vh * zt
+        sq = vh * vh
+        inv = 1.0 / (c + inv_sigma @ sq)
+        deriv = inv * (1.0 - 2.0 * inv_sigma[:, None] * sq * inv)
+        gz = vh * inv * zt
         sums = np.stack([deriv.sum(axis=1), gz.sum(axis=1)], axis=1)
         return list(zip(map(_moments, deriv - gz), sums))
 

@@ -207,7 +207,7 @@ def test_c06_stein_identity():
     res = stein_lemma_check([1.0, 2.0], [1.0, 4.0], c=1.0, trials=10**6, seed=SEED)
     elapsed = time.time() - start
     pulls = res.discrepancy / res.stderr
-    assert res.within(4.0)
+    assert res.within()
     assert elapsed < 30.0
     print(
         f"[criterion 6] PASS integration-by-parts identity, per-coordinate "

@@ -114,7 +114,6 @@ def stein_cases(draw):
         "v": np.array(v),
         "sigma": np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=width, max_size=width))),
         "c": draw(st.one_of(st.just(c_low), st.floats(c_low, 1e3))),
-        "g": draw(st.sampled_from(["shrink", "linear"])),
         "trials": draw(st.integers(10**4, 3 * sim.CHUNK_TRIALS + 5)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
@@ -126,20 +125,16 @@ def test_stein_sums_match_row_major_reference(case):
     # The component-major chunk sums and the moment fold against one
     # row-major pass over the same draws, with a two-pass variance.
     v, sigma, c, trials = case["v"], case["sigma"], case["c"], case["trials"]
-    res = sim.stein_lemma_check(v, sigma, c, trials, case["seed"], g=case["g"])
+    res = sim.stein_lemma_check(v, sigma, c, trials, case["seed"])
     z = np.concatenate([
         sim.normal_block(case["seed"], np.arange(lo, min(lo + sim.CHUNK_TRIALS, trials)), v.shape[0])
         for lo in range(0, trials, sim.CHUNK_TRIALS)
     ])
     vh = v + z
-    if case["g"] == "shrink":
-        inv = (1.0 / (c + (vh * vh) @ (1.0 / sigma)))[:, None]
-        part = 2.0 / sigma * (vh * vh) * inv
-        deriv, scale = inv * (1.0 - part), inv * (1.0 + part)
-        gz = vh * inv * z
-    else:
-        deriv, gz = np.ones_like(vh), vh * z
-        scale = deriv
+    inv = (1.0 / (c + (vh * vh) @ (1.0 / sigma)))[:, None]
+    part = 2.0 / sigma * (vh * vh) * inv
+    deriv, scale = inv * (1.0 - part), inv * (1.0 + part)
+    gz = vh * inv * z
     diff = deriv - gz
     dev = diff - diff.mean(axis=0)
     stderr = np.sqrt((dev * dev).sum(axis=0) / (trials - 1) / trials)

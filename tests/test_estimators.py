@@ -390,7 +390,8 @@ class TestOverflowingStatistic:
         model = build_model(np.eye(3), 0.25 * np.eye(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError, match="xls: "):
+            with pytest.raises(NonFiniteError, match=r"^xls: the rule's gain \(tik1's on "
+                               r"sig_i s\) leaves float64 range$"):
                 estimate_from_ls(model, EstimatorSpec("tik1"), np.full(3, 0.7e154))
 
     def test_ebme_keeps_its_error(self):

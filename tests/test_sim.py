@@ -1160,18 +1160,13 @@ def test_preset_round_trips_through_json(tmp_path, name):
 
 
 class TestSteinIdentity:
-    def test_linear_case(self):
-        res = stein_lemma_check([1.0, -2.0], [1.0, 1.0], 0.5, 10**4, seed=1, g="linear")
-        assert res.within(4.0)
-        np.testing.assert_allclose(res.lhs, [1.0, 1.0])
-
     def test_symmetric_zero_mean(self):
         res = stein_lemma_check([0.0, 0.0], [1.0, 1.0], 1.0, 10**4, seed=2)
-        assert res.within(4.0)
+        assert res.within()
 
     def test_shrink_case_small(self):
         res = stein_lemma_check([1.0, 2.0], [1.0, 4.0], 1.0, 2 * 10**4, seed=3)
-        assert res.within(4.0)
+        assert res.within()
         assert np.all(res.stderr > 0)
 
     def test_deterministic(self):
@@ -1195,10 +1190,6 @@ class TestSteinIdentity:
     def test_numpy_integer_trials_accepted(self):
         res = stein_lemma_check([1.0], [2.0], 1.0, np.int64(10**4), seed=5)
         assert res.trials == 10**4
-
-    def test_unknown_test_function_rejected(self):
-        with pytest.raises(ConfigError, match="^g: unknown test function 'cubic'$"):
-            stein_lemma_check([1.0], [1.0], 1.0, 10**4, seed=0, g="cubic")
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):
