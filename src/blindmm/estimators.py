@@ -11,8 +11,8 @@ tag in ``RULES`` builds a ``Plan`` for a model: its weights ``w`` and its
 functions accept one vector of length ``m`` or a ``(..., m)`` batch and are
 pure.
 
-Every rule but ``ls`` and ``ebme`` applies the gain ``1 - e / (c + s)``
-(``_ratio_gain``):
+Every rule but ``ls`` (``unit_gain``) and ``ebme`` has a ``Ratio`` for its
+gain, ``1 - e / (c + s)`` (``_ratio_gain``), with ``c`` and ``e`` as fields:
 
 * ``sbme``         -- ``s = ||xls||^2``, ``c = e = eps0``;
 * ``shrink_c``     -- ``s = ||xls||^2``, a finite ``c >= 0``, ``e = eps0``;
@@ -126,17 +126,36 @@ class Affine(NamedTuple):
     r2: float
 
 
+class Ratio(NamedTuple):
+    """The gain ``_ratio_gain(s, c, e)`` of every rule but ``ls`` and ``ebme``;
+    an ``(m, 1)`` ``spread`` makes it per component, ``s_i = spread_i * s``,
+    and ``clamp`` takes the positive part."""
+
+    c: float
+    e: float
+    spread: np.ndarray | None = None
+    clamp: bool = False
+
+    def __call__(self, s, out=None):
+        spread_s = s if self.spread is None else np.multiply(self.spread, s, out=out)
+        g = _ratio_gain(spread_s, self.c, self.e, out=None if self.spread is None else spread_s)
+        if self.clamp:
+            np.maximum(g, 0.0, out=g)
+        return g
+
+
 class Plan(NamedTuple):
     """A rule for one model: ``gain(s, out=None)`` maps the statistic
     ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
     ``s = ||xls||^2``) to gains ``g``, ``(rows,)`` or, per component,
-    ``(m, rows)``, that may be written into the work array ``out``.
+    ``(m, rows)``, that may be written into the work array ``out``. Every
+    ``gain`` but ``ls``'s and ``ebme``'s is a ``Ratio``, whose fields the
+    exact-risk oracle in the tests reads as the rule's constants.
     ``undefined_at_zero`` marks a rule undefined where ``s == 0`` (gain 0 there).
     ``center`` is the point shrunk toward and the one ``s`` is taken about
-    (``None``: the origin). ``affine``
-    (``ebme`` only) is the closed form of ``gain`` on the rows its cutoff
-    leaves whole, which the Monte Carlo engine evaluates from per-row
-    statistics; ``gain`` stays the reference on every row."""
+    (``None``: the origin). ``affine`` (``ebme`` only) is the closed form of
+    ``gain`` on the rows its cutoff leaves whole, which the Monte Carlo
+    engine evaluates from per-row statistics; ``gain`` stays the reference."""
 
     gain: Callable
     weights: np.ndarray | None = None
@@ -145,27 +164,11 @@ class Plan(NamedTuple):
     undefined_at_zero: bool = False
 
 
-def _ratio_plan(c, e, weights=None, spread=None, clamp=False, zero_flag=False, center=None):
-    """Gain ``_ratio_gain(s, c, e)`` with ``s = ||xls||^2``, or
-    ``||xls||^2_Q`` when ``weights`` holds ``Q``'s eigenvalues. An ``(m, 1)``
-    ``spread`` makes it per component, ``s_i = spread_i * s``; ``clamp``
-    takes the positive part and ``zero_flag`` sets ``undefined_at_zero``."""
-
-    def gain(s, out=None):
-        spread_s = s if spread is None else np.multiply(spread, s, out=out)
-        g = _ratio_gain(spread_s, c, e, out=None if spread is None else spread_s)
-        if clamp:
-            np.maximum(g, 0.0, out=g)
-        return g
-
-    return Plan(gain, weights, center, undefined_at_zero=zero_flag)
-
-
 def _center_plan(model: Model, x0) -> Plan:
     x0 = as_vector(x0, "x0")
     if x0.shape[0] != model.m:
         raise DimensionMismatchError(f"x0: dim {x0.shape[0]} does not match m={model.m}")
-    return _ratio_plan(model.eps0, model.eps0, center=x0)
+    return Plan(Ratio(model.eps0, model.eps0), center=x0)
 
 
 _OVERFLOW = "ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
@@ -236,10 +239,11 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.einsum("ij,ij->i", rows, rows) if v is None else plan.weights @ (v * v)
         g = plan.gain(s)
-    # _check_ls refused a non-finite xls, so only a statistic or a gain can overflow here.
+    # _check_ls refused a non-finite xls, so only a statistic or a gain can overflow
+    # here; ls (unit_gain) uses neither.
     for name, value in (("statistic s (||xls||^2, ||xls - x0||^2 or sig . (U'xls)**2)", s),
                         ("gain (tik1's on sig_i s)", g)):
-        if not np.all(np.isfinite(value)):
+        if plan.gain is not unit_gain and not np.all(np.isfinite(value)):
             raise NonFiniteError(f"xls: the rule's {name} leaves float64 range")
     if g.ndim == 1:
         xhat = g[:, None] * rows
@@ -425,20 +429,18 @@ class Rule:
 
 RULES = {
     "ls": Rule(lambda model, spec: Plan(unit_gain)),
-    "sbme": Rule(lambda model, spec: _ratio_plan(model.eps0, model.eps0)),
-    "bbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, zero_flag=True)),
-    "pbm": Rule(lambda model, spec: _ratio_plan(0.0, model.eps0, clamp=True)),
-    "bock": Rule(lambda model, spec: _ratio_plan(
-        0.0, model.eps0 / model.eps_max - 2.0, model.Qeig.eigenvalues, zero_flag=True)),
-    "tik1": Rule(lambda model, spec: _ratio_plan(
-        model.m, model.m, spread=model.Qeig.eigenvalues[:, None], zero_flag=True),
-        per_component=True),
-    "tik2": Rule(lambda model, spec: _ratio_plan(
-        model.m, model.m, model.Qeig.eigenvalues, zero_flag=True)),
+    "sbme": Rule(lambda model, spec: Plan(Ratio(model.eps0, model.eps0))),
+    "bbm": Rule(lambda model, spec: Plan(Ratio(0.0, model.eps0), undefined_at_zero=True)),
+    "pbm": Rule(lambda model, spec: Plan(Ratio(0.0, model.eps0, clamp=True))),
+    "bock": Rule(lambda model, spec: Plan(Ratio(0.0, model.eps0 / model.eps_max - 2.0),
+                                          model.Qeig.eigenvalues, undefined_at_zero=True)),
+    "tik1": Rule(lambda model, spec: Plan(Ratio(model.m, model.m, model.Qeig.eigenvalues[:, None]),
+                                          undefined_at_zero=True), per_component=True),
+    "tik2": Rule(lambda model, spec: Plan(Ratio(model.m, model.m), model.Qeig.eigenvalues,
+                                          undefined_at_zero=True)),
     "ebme": Rule(lambda model, spec: _ebme_plan(model, spec.b), _B, per_component=True),
-    "shrinkc": Rule(
-        lambda model, spec: _ratio_plan(spec.c, model.eps0, zero_flag=spec.c == 0.0), _C
-    ),
+    "shrinkc": Rule(lambda model, spec: Plan(Ratio(spec.c, model.eps0),
+                                             undefined_at_zero=spec.c == 0.0), _C),
     "offcenter": Rule(lambda model, spec: _center_plan(model, spec.x0), _FILE),
 }
 

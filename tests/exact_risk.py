@@ -1,10 +1,15 @@
-"""Exact risk of the scalar rules, for tests that check the Monte Carlo
+"""Exact risk of the scalar ratio rules, for tests that check the Monte Carlo
 engine against a known answer.
 
+The oracle reads each rule from the ``Plan`` that ``estimators.RULES``
+builds for the model: a plan whose gain is ``unit_gain`` is least squares,
+with risk ``eps0``; a plan whose gain is a ``Ratio`` without ``spread`` or
+``clamp`` has the gain ``g = 1 - e / (c + s)``, with ``s = w . v**2``
+(``w`` the plan's weights, ones for ``None``) taken about the plan's
+``center``. Any other plan raises ``NoClosedForm``.
+
 In the eigenbasis ``U`` of ``Q``, ``v = U' xls ~ N(u, diag(d))`` with
-``u = U'x`` and ``d = 1/sig``. Each rule here has the gain
-``g = 1 - e / (c + s)`` with ``s = w . v**2`` (``w = 1`` or ``sig``), so its
-risk is
+``u = U'(x - center)`` and ``d = 1/sig``, so the risk of a ratio rule is
 
     eps0 - 2 e E[(||v||^2 - u . v) / (c + s)] + e**2 E[||v||^2 / (c + s)**2].
 
@@ -20,13 +25,15 @@ The integrals are taken by the trapezoid rule in ``tau = log t`` on
 below -30 in closed form. At ``c = 0`` the integrands decay only like
 ``t**(-m/2)`` and ``t**(1 - m/2)`` for large ``t``, and the risk is finite
 only for ``m >= 3``; their power-law tails beyond ``e**30`` are added in
-closed form. At ``c > 0`` the range assumes ``c e**30 >> 1``. ``offcenter``
-is ``sbme`` about ``x0``: its ``u`` is ``U'(x - x0)``.
+closed form. At ``c > 0`` the factor ``exp(-c t)`` ends them: where
+``c e**30 < 40`` the grid goes on, at the same step, to ``c t = 40``.
 """
 
 from collections import namedtuple
 
 import numpy as np
+
+from blindmm.estimators import RULES, Ratio, unit_gain
 
 Exact = namedtuple("Exact", "risk error")
 
@@ -35,23 +42,6 @@ TAU = 30.0
 
 class NoClosedForm(ValueError):
     """A rule the oracle does not cover, or one whose risk is infinite."""
-
-
-def _constants(model, spec):
-    """``(c, e, w)`` of a covered rule's gain ``1 - e / (c + w . v**2)``."""
-    eps0, m, ones, sig = model.eps0, float(model.m), np.ones(model.m), model.Qeig.eigenvalues
-    table = {
-        "ls": (0.0, 0.0, ones),
-        "sbme": (eps0, eps0, ones),
-        "offcenter": (eps0, eps0, ones),
-        "shrinkc": (spec.c, eps0, ones),
-        "bbm": (0.0, eps0, ones),
-        "bock": (0.0, eps0 / model.eps_max - 2.0, sig),
-        "tik2": (m, m, sig),
-    }
-    if spec.kind not in table:
-        raise NoClosedForm(f"exact_risk: no closed form for {spec.label}")
-    return table[spec.kind]
 
 
 def _integrands(u, d, w, c, tau):
@@ -76,19 +66,30 @@ def _trapezoid(f, h):
 def exact_risk(model, xs, spec, nodes: int = 200) -> Exact:
     """Exact risk of ``spec`` at each point of ``xs`` (``(P, m)``), with the
     trapezoid rule on ``nodes`` nodes, and an error estimate: the change when
-    the step is halved. ``NoClosedForm`` for a rule other than ``ls``,
-    ``sbme``, ``shrinkc``, ``bbm``, ``bock``, ``tik2`` and ``offcenter``, and
-    for ``c = 0`` with ``m < 3``."""
-    c, e, w = _constants(model, spec)
+    the step is halved. ``NoClosedForm`` for a rule whose gain is neither
+    ``unit_gain`` nor a ``Ratio`` without ``spread`` or ``clamp``, for
+    ``c = 0`` with ``m < 3``, and for a ``c > 0`` below ``40 e**-300``."""
+    plan = RULES[spec.kind].plan(model, spec)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if e == 0.0:  # the gain is 1: least squares
+    if plan.gain is unit_gain:  # least squares
         return Exact(np.full(xs.shape[0], model.eps0), np.zeros(xs.shape[0]))
+    if not isinstance(plan.gain, Ratio) or plan.gain.spread is not None or plan.gain.clamp:
+        raise NoClosedForm(f"exact_risk: no closed form for {spec.label}")
+    c, e = plan.gain.c, plan.gain.e
+    w = np.ones(model.m) if plan.weights is None else plan.weights
     if c == 0.0 and model.m < 3:
         raise NoClosedForm(f"exact_risk: {spec.label} has infinite risk at m = {model.m} < 3")
-    if spec.kind == "offcenter":
-        xs = xs - spec.x0
+    if plan.center is not None:
+        xs = xs - plan.center
     u = xs @ model.Qeig.basis
     tau = np.linspace(-TAU, TAU, 2 * nodes - 1)
+    top = np.log(40.0) - np.log(c) if c > 0.0 else TAU  # c e**top = 40
+    if top > TAU:  # extend the grid, at the same step, to where exp(-c t) < e**-40
+        if top > 10.0 * TAU:
+            raise NoClosedForm(f"exact_risk: {spec.label} has c below 40 e**-300")
+        h = tau[1] - tau[0]
+        extra = 2 * int(np.ceil((top - TAU) / (2.0 * h)))  # even: the coarse grid ends on it too
+        tau = np.concatenate([tau, TAU + h * np.arange(1, extra + 1)])
     f1, f2 = _integrands(u, 1.0 / model.Qeig.eigenvalues, w, c, tau)
     risks = []
     for step in (2, 1):  # ``nodes`` nodes, then the step halved

@@ -103,7 +103,7 @@ class TestEstimate:
         assert "shrinkc requires a finite c >= 0" in capsys.readouterr().err
         assert not (iid_files / "xhat.csv").exists()
 
-    @pytest.mark.parametrize("estimator", ["ls", "sbme", "tik1"])
+    @pytest.mark.parametrize("estimator", ["sbme", "tik1"])
     def test_overflowing_statistic_exit_3(self, iid_files, capsys, estimator):
         write_matrix_csv(iid_files / "big.csv", np.full(5, 1e160))
         with warnings.catch_warnings():
@@ -111,6 +111,15 @@ class TestEstimate:
             assert self._run(iid_files, estimator, y="big.csv") == 3
         assert capsys.readouterr().err.startswith("error: xls: ")
         assert not (iid_files / "xhat.csv").exists()
+
+    def test_ls_with_an_overflowing_statistic_exit_0(self, iid_files, capsys):
+        # ls uses no statistic: ||xls||^2 overflows, but xhat = xls is finite.
+        write_matrix_csv(iid_files / "big.csv", np.full(5, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(iid_files, "ls", y="big.csv") == 0
+        assert capsys.readouterr().err == ""
+        np.testing.assert_array_equal(read_vector_csv(iid_files / "xhat.csv"), np.full(5, 1e160))
 
     def test_dimension_error_exit_3(self, iid_files):
         write_matrix_csv(iid_files / "short.csv", np.array([1.0, 2.0]))

@@ -376,7 +376,7 @@ class TestOverflowingStatistic:
     engine's typed error instead of returning NaN behind a warning."""
 
     @pytest.mark.parametrize("spec", [
-        EstimatorSpec(tag) for tag, rule in RULES.items() if rule.param is None
+        EstimatorSpec(tag) for tag, rule in RULES.items() if rule.param is None and tag != "ls"
     ] + [EstimatorSpec("shrinkc", c=0.0), EstimatorSpec("shrinkc", c=1.0),
          EstimatorSpec("offcenter", x0=np.ones(3))], ids=lambda spec: spec.label)
     def test_typed_error(self, spec):
@@ -384,6 +384,16 @@ class TestOverflowingStatistic:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="xls: "):
                 estimate_from_ls(iid_model(3), spec, np.full(3, 1e160))
+
+    def test_ls_uses_no_statistic(self):
+        # ||xls||^2 overflows, but ls returns the finite xls itself.
+        xls = np.full(3, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_from_ls(iid_model(3), EstimatorSpec("ls"), xls)
+        np.testing.assert_array_equal(result.xhat, xls)
+        np.testing.assert_array_equal(result.shrinkage, np.ones(3))
+        assert not result.degenerate
 
     def test_overflowing_gain(self):
         # ||xls||^2 is finite, but tik1's sig_i ||xls||^2 overflows.

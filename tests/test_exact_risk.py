@@ -63,6 +63,18 @@ def test_rules_without_a_closed_form_raise(tag):
         exact_risk(scenarios.fig5b_model(), np.ones(10), parse_estimator_spec(tag))
 
 
+def test_shrinkc_at_a_tiny_c_has_the_risk_of_bbm():
+    # At m >= 3 the risk is continuous at c = 0, and the gap shrinks like sqrt(c):
+    # about 1e-9 at c = 1e-20, where exp(-c t) ends the integrands only near t = 4e21.
+    model = build_model(np.eye(3), np.eye(3))
+    xs = [np.zeros(3), np.ones(3), [3.0, 0.0, 0.0], [10.0, -2.0, 1.0]]
+    tiny = exact_risk(model, xs, EstimatorSpec("shrinkc", c=1e-20))
+    bbm = exact_risk(model, xs, parse_estimator_spec("bbm"))
+    assert np.all(np.abs(tiny.risk - bbm.risk) <= 1e-8), tiny.risk - bbm.risk
+    with pytest.raises(NoClosedForm, match=r"c below 40 e\*\*-300"):
+        exact_risk(model, xs, EstimatorSpec("shrinkc", c=1e-200))
+
+
 def test_c_zero_below_three_dimensions_raises():
     model = build_model(np.eye(2), np.eye(2))
     with pytest.raises(NoClosedForm, match="infinite risk at m = 2"):
