@@ -174,13 +174,12 @@ def _center_plan(model: Model, x0) -> Plan:
 _OVERFLOW = "ebme: exponent b={b:g} overflows float64 on this model; use a smaller |b|"
 
 
-def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
+def _ebme_plan(model: Model, b: float) -> Plan:
     """``ebme``'s threshold table. With components ranked so ``sig**b`` is
     non-increasing, ``t_k = r1_k * sig_k**(b/2) - r2_k`` is non-increasing
     (``sum_{j>=k} sig_j**(b/2-1) (sig_k**(b/2) - sig_j**(b/2))``; its running
     minimum absorbs rounding), so the cutoff, the first ``k`` with
     ``t_k < ||xls||^2_{Q^b}``, is one ``searchsorted`` per trial."""
-    _check_exponent(b)
     sig, m = model.Qeig.eigenvalues, model.m
     # Powers of sig can overflow for large |b|; that is detected below
     # instead of warned about.
@@ -210,13 +209,10 @@ def _ebme_plan(model: Model, b: float, positive_part: bool = True) -> Plan:
             g += r2k
             g += l2
             g /= l2 + r2k
-            if positive_part:
-                np.maximum(g, 0.0, out=g)
-                # Components ranked before the cutoff have non-positive gains
-                # by construction; zero them by rank to keep the count exact.
-                np.copyto(g, 0.0, where=rank < k)
-            else:
-                np.copyto(g, 0.0, where=l2 <= 0.0)
+            np.maximum(g, 0.0, out=g)
+            # Components ranked before the cutoff have non-positive gains
+            # by construction; zero them by rank to keep the count exact.
+            np.copyto(g, 0.0, where=rank < k)
         if not np.all(np.isfinite(g)):
             raise UnknownEstimatorError(_OVERFLOW.format(b=b))
         return g
@@ -306,7 +302,7 @@ def bock(model: Model, xls) -> EstimateResult:
     return estimate_from_ls(model, EstimatorSpec("bock"), xls)
 
 
-def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> EstimateResult:
+def ebme(model: Model, xls, b: float = -1.0) -> EstimateResult:
     """Adaptive spectral shrinkage from an ellipsoidal set fit to the data.
 
     With eigenvalues of ``Q`` ordered so ``sig**b`` is non-increasing, the
@@ -318,11 +314,9 @@ def ebme(model: Model, xls, b: float = -1.0, positive_part: bool = True) -> Esti
     clamped to zero. ``b = 0`` collapses to the scalar ``sbme`` gain;
     ``xls = 0`` returns zero. A ``b`` whose powers of ``sig`` (or whose
     ``||xls||^2_{Q^b}``) overflow float64 raises ``UnknownEstimatorError``.
-
-    ``positive_part=False`` skips the clamp, exposing the raw
-    ``(I - alpha Q^{b/2}) xls`` rule the clamp provably improves on.
     """
-    return _apply(model, _ebme_plan(model, b, positive_part), xls)
+    _check_exponent(b)
+    return estimate_from_ls(model, EstimatorSpec("ebme", b=b), xls)
 
 
 def tikhonov1(model: Model, y) -> EstimateResult:

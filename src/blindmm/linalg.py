@@ -156,21 +156,25 @@ def condition_number(eig: EigDecomp) -> float:
 def read_matrix_csv(path, name: str = "matrix") -> np.ndarray:
     """Read a plain numeric CSV (no header, one row per line)."""
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(cell) for cell in line.split(",")]
-            except ValueError as exc:
-                raise CsvFormatError(f"{name} ({path}): line {lineno}: {exc}") from exc
-            if rows and len(row) != len(rows[0]):
-                raise CsvFormatError(
-                    f"{name} ({path}): line {lineno} has {len(row)} cells, "
-                    f"expected {len(rows[0])} (ragged rows rejected)"
-                )
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{name} ({path}): not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError as exc:
+            raise CsvFormatError(f"{name} ({path}): line {lineno}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise CsvFormatError(
+                f"{name} ({path}): line {lineno} has {len(row)} cells, "
+                f"expected {len(rows[0])} (ragged rows rejected)"
+            )
+        rows.append(row)
     if not rows:
         raise CsvFormatError(f"{name} ({path}): no numeric rows")
     return as_matrix(np.array(rows, dtype=np.float64), name)

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from blindmm import scenarios
-from blindmm.estimators import RULES, EstimatorSpec, parse_estimator_spec, unit_gain
-from blindmm.linalg import LinalgError, NonFiniteError, as_vector, read_vector_csv, write_text_atomic
+from blindmm.estimators import RULES, EstimatorSpec, Ratio, parse_estimator_spec, unit_gain
+from blindmm.linalg import (DimensionMismatchError, LinalgError, NonFiniteError, as_vector,
+                            read_vector_csv, write_text_atomic)
 from blindmm.model import Model, SnrRangeError, build_model, scale_to_snr
 from blindmm.rng import derive_seed, generator, normal_block, normal_fill
 
@@ -336,7 +337,7 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
     if bad.size:
         raise ConfigError(f"snr_grid_db: ||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's "
                           "statistic w . (U'x)**2 leaves float64 range on this model")
-    n_w, last = w_mat.shape[0], len(us) - 1
+    n_w = w_mat.shape[0]
     has_ls = any(plan.gain is unit_gain for plan in plans)
     a_t = functools.cache(lambda: np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T))
     work = {}
@@ -384,8 +385,8 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
                         h = g - 1.0
                         se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
                     else:
-                        if v is None:  # the last point adds its u to v0 in place
-                            v = np.add(v0, u, out=v0 if k == last else work_array("v", m, rows))
+                        if v is None:
+                            v = np.add(v0, u, out=work_array("v", m, rows))
                         g *= v
                         g -= u
                         se = np.einsum("ij,ij->j", g, g)
@@ -460,6 +461,23 @@ def resolve_directions(model: Model, policies, seed):
 # --- experiment runner ------------------------------------------------------
 
 
+def _plan(model: Model, spec: EstimatorSpec):
+    """``spec``'s plan on ``model``. ``ConfigError`` names the rule when its
+    center has the wrong length, and when its risk is infinite: a ``Ratio``
+    with ``c = 0``, ``e != 0`` and no clamp at ``m <= 2``, where
+    ``E[1/||xls||^2]`` diverges and a Monte Carlo mean depends on the seed."""
+    try:
+        plan = RULES[spec.kind].plan(model, spec)
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"estimators: {spec.label}: {exc}") from exc
+    gain = plan.gain
+    if (isinstance(gain, Ratio) and gain.c == 0.0 and gain.e != 0.0 and not gain.clamp
+            and model.m <= 2):
+        raise ConfigError(f"estimators: {spec.label}: infinite risk at m={model.m}: "
+                          "E[1/||xls||^2] diverges for m <= 2")
+    return plan
+
+
 def run_experiment(config: ExperimentConfig):
     """Run a config and return its sorted ``MseRow`` list.
 
@@ -488,7 +506,7 @@ def run_experiment(config: ExperimentConfig):
     cases, scenario_name = (scenarios.resolve_cases if named else _inline_cases)(config.scenario)
     groups = []
     for case_idx, (case_key, model) in enumerate(cases):
-        plans = [RULES[spec.kind].plan(model, spec) for spec in config.estimators]
+        plans = [_plan(model, spec) for spec in config.estimators]
         directions = resolve_directions(model, config.directions, seed)
         for dir_idx, (dir_key, direction) in enumerate(directions):
             sweep_key = case_key if case_key is not None else dir_key
@@ -539,7 +557,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a JSON object")

@@ -141,6 +141,17 @@ class TestEstimate:
             == 3
         )
 
+    def test_wrong_length_center_exit_3(self, iid_files, capsys):
+        # As with a wrong-length --y, the data does not fit the model.
+        write_matrix_csv(iid_files / "x0.csv", np.ones(3))
+        assert self._run(iid_files, f"offcenter:file={iid_files / 'x0.csv'}") == 3
+        assert capsys.readouterr().err == "error: x0: dim 3 does not match m=5\n"
+
+    def test_not_utf8_csv_exit_3(self, iid_files, capsys):
+        (iid_files / "y.csv").write_bytes(b"\xff1\n2\n")
+        assert self._run(iid_files, "ls") == 3
+        assert capsys.readouterr().err.startswith(f"error: y ({iid_files / 'y.csv'}): not UTF-8 text:")
+
     def test_not_positive_definite_exit_3(self, tmp_path):
         write_matrix_csv(tmp_path / "H.csv", np.eye(2))
         write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0, -1.0]))
@@ -211,6 +222,14 @@ class TestCheck:
                          "--Cw", str(tmp_path / "Cw.csv")]) == 3
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    def test_not_utf8_csv_exit_3(self, tmp_path, capsys):
+        (tmp_path / "H.csv").write_bytes(b"\xff1,0\n0,1\n")
+        write_matrix_csv(tmp_path / "Cw.csv", np.eye(2))
+        assert main(["check", "--H", str(tmp_path / "H.csv"), "--Cw", str(tmp_path / "Cw.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: H ({tmp_path / 'H.csv'}): not UTF-8 text:")
+        assert captured.out == ""
 
     def test_five_five_profile_passes(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "H.csv", np.eye(10))
@@ -364,6 +383,49 @@ class TestExperiment:
         p.write_text("{broken")
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_not_utf8_config_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'\xff{"scenario": "fig4-snr"}')
+        assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {p}: 'utf-8' codec can't decode")
+
+    def test_wrong_length_center_exit_2(self, tmp_path, capsys):
+        write_matrix_csv(tmp_path / "x0.csv", np.ones(3))
+        cfg = self._write_config(tmp_path, estimators=["ls", "offcenter:file=x0.csv"])
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: estimators: offcenter:file=x0.csv: x0: dim 3 does not match m=15\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule, cw", [
+        ("bbm", {"identity": 1}),
+        ("bbm", {"diag": [1.0, 0.1]}),
+        ("shrinkc:c=0", {"identity": 2}),
+        ("bock", {"diag": [1.0, 0.1]}),
+    ], ids=["bbm-white-m1", "bbm-colored-m2", "shrinkc0-white-m2", "bock-colored-m2"])
+    def test_infinite_risk_exit_2_before_any_noise(self, tmp_path, capsys, monkeypatch, rule, cw):
+        # E[1/||xls||^2] diverges at m <= 2: the Monte Carlo mean of a rule with
+        # c = 0, e != 0 and no clamp would only depend on the seed.
+        calls = _count_keyed_blocks(monkeypatch)
+        m = len(cw.get("diag", [0.0] * cw.get("identity", 0)))
+        cfg = self._write_config(tmp_path, scenario={"H": {"identity": m}, "Cw": cw},
+                                 estimators=["ls", rule], directions=[{"vector": [1.0] * m}])
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: estimators: {rule}: infinite risk at m={m}: "
+                                           "E[1/||xls||^2] diverges for m <= 2\n")
+        assert calls == [] and not out.exists()
+
+    def test_finite_risk_rules_run_at_m2(self, tmp_path):
+        # A clamp, c > 0, or bock's e = eps0/eps_max - 2 = 0 on white noise keeps the risk finite.
+        cfg = self._write_config(tmp_path, scenario={"H": {"identity": 2}, "Cw": {"identity": 2}},
+                                 estimators=["pbm", "sbme", "shrinkc:c=1", "bock"],
+                                 directions=[{"vector": [1.0, 0.0]}])
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().split()) == 1 + 4 * 2
 
     def test_non_finite_squared_errors_exit_3(self, tmp_path, capsys):
         # Each noise entry is about 1e80, so ||v0||^2 is finite but the

@@ -328,15 +328,6 @@ class TestEbme:
         rebuilt = m.Qeig.basis @ (r.shrinkage * v)
         np.testing.assert_allclose(r.xhat, rebuilt, rtol=1e-12, atol=1e-14)
 
-    def test_unclamped_variant(self):
-        m = fig5b_model()
-        xls = np.random.default_rng(12).standard_normal(10) * 0.3
-        raw = ebme(m, xls, b=-1.0, positive_part=False)
-        clamped = ebme(m, xls, b=-1.0)
-        np.testing.assert_array_equal(
-            clamped.shrinkage, np.maximum(raw.shrinkage, 0.0)
-        )
-
     @pytest.mark.parametrize("b", [float("nan"), float("inf")])
     def test_non_finite_exponent_rejected(self, b):
         with pytest.raises(UnknownEstimatorError, match=f"requires a finite exponent b, got b={b:g}"):

@@ -4,7 +4,7 @@ Monte Carlo engine against the oracle.
 Every built-in scenario runs with the rules the oracle covers, random
 directions capped at 2, ``TRIALS`` trials and seed ``SEED``. Each row's
 ``mse_mean`` must lie within ``Z_BOUND`` of its ``mse_stderr`` from the
-exact risk: 1148 rows, so 4.5 is a Bonferroni bound (a two-sided normal
+exact risk: 1312 rows, so 4.5 is a Bonferroni bound (a two-sided normal
 tail of 7e-6 per row). Rules and SNR points of one group share their noise,
 so the rows are far from independent, and the bound is loose.
 """
@@ -20,7 +20,7 @@ from test_golden_rows import _directions as capped_directions  # random ones cap
 
 TRIALS, SEED = 4096, 1
 Z_BOUND = 4.5
-COVERED = ["ls", "sbme", "shrinkc:c=1", "bbm", "bock", "tik2"]
+COVERED = ["ls", "sbme", "shrinkc:c=1", "bbm", "bock", "tik1", "tik2"]
 DOMINATING = ("sbme", "shrinkc", "bbm", "bock")
 
 
@@ -57,22 +57,36 @@ def test_converged_in_the_node_count(model, tag):
     assert np.all(coarse.error <= 1e-10 * coarse.risk)
 
 
-@pytest.mark.parametrize("tag", ["pbm", "tik1", "ebme:b=-1"])
+@pytest.mark.parametrize("tag", ["pbm", "ebme:b=-1"])
 def test_rules_without_a_closed_form_raise(tag):
     with pytest.raises(NoClosedForm, match="no closed form for " + tag):
         exact_risk(scenarios.fig5b_model(), np.ones(10), parse_estimator_spec(tag))
+
+
+TINY_C_POINTS = [np.zeros(3), np.ones(3), [3.0, 0.0, 0.0], [10.0, -2.0, 1.0]]
 
 
 def test_shrinkc_at_a_tiny_c_has_the_risk_of_bbm():
     # At m >= 3 the risk is continuous at c = 0, and the gap shrinks like sqrt(c):
     # about 1e-9 at c = 1e-20, where exp(-c t) ends the integrands only near t = 4e21.
     model = build_model(np.eye(3), np.eye(3))
-    xs = [np.zeros(3), np.ones(3), [3.0, 0.0, 0.0], [10.0, -2.0, 1.0]]
+    xs = TINY_C_POINTS
     tiny = exact_risk(model, xs, EstimatorSpec("shrinkc", c=1e-20))
     bbm = exact_risk(model, xs, parse_estimator_spec("bbm"))
     assert np.all(np.abs(tiny.risk - bbm.risk) <= 1e-8), tiny.risk - bbm.risk
     with pytest.raises(NoClosedForm, match=r"c below 40 e\*\*-300"):
         exact_risk(model, xs, EstimatorSpec("shrinkc", c=1e-200))
+
+
+@pytest.mark.parametrize("tag", ["bbm", "bock"])
+def test_error_bounds_the_gap_to_a_finer_grid(tag):
+    # At c = 0 in m = 3 the integrands decay slowest; the error estimate must
+    # still cover the returned value's distance from an 8x finer grid.
+    model = build_model(np.eye(3), np.eye(3))
+    spec = parse_estimator_spec(tag)
+    exact = exact_risk(model, TINY_C_POINTS, spec)
+    gap = exact.risk - exact_risk(model, TINY_C_POINTS, spec, nodes=1600).risk
+    assert np.all(np.abs(gap) <= exact.error), (gap, exact.error)
 
 
 def test_c_zero_below_three_dimensions_raises():
