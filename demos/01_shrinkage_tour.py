@@ -8,17 +8,12 @@ measurement and prints the gain each one chose and the error it achieved.
 import numpy as np
 
 from blindmm import (
-    balanced_bme,
-    bock,
     build_model,
-    ebme,
     effective_dimension,
+    estimate_from_ls,
     ls_estimate,
-    positive_part_bme,
-    sbme,
+    parse_estimator_spec,
     scale_to_snr,
-    tikhonov1,
-    tikhonov2,
 )
 from blindmm.rng import generator
 
@@ -39,26 +34,16 @@ y = model.H @ x + w
 xls = ls_estimate(model, y)
 
 print(f"{'estimator':<14} {'gain(s)':<22} {'|xhat - x|^2':>12}")
-for name, result in [
-    ("ls", None),
-    ("sbme", sbme(model, xls)),
-    ("bbm", balanced_bme(model, xls)),
-    ("pbm", positive_part_bme(model, xls)),
-    ("bock", bock(model, xls)),
-    ("ebme b=-1", ebme(model, xls, b=-1.0)),
-    ("tik1", tikhonov1(model, y)),
-    ("tik2", tikhonov2(model, y)),
-]:
-    if result is None:
-        xhat, gains = xls, np.ones(model.m)
-    else:
-        xhat, gains = result.xhat, result.shrinkage
+# Every rule is a tag of one table; estimate_from_ls applies any of them.
+for tag in ("ls", "sbme", "bbm", "pbm", "bock", "ebme:b=-1", "tik1", "tik2"):
+    result = estimate_from_ls(model, parse_estimator_spec(tag), xls)
+    gains = result.shrinkage
     if np.allclose(gains, gains[0]):
         gain_text = f"{gains[0]:.3f} (scalar)"
     else:
         gain_text = f"{gains.min():.3f} .. {gains.max():.3f}"
-    err = float(np.sum((xhat - x) ** 2))
-    print(f"{name:<14} {gain_text:<22} {err:>12.4f}")
+    err = float(np.sum((result.xhat - x) ** 2))
+    print(f"{tag.replace(':', ' '):<14} {gain_text:<22} {err:>12.4f}")
 
 print("\nThe spectral rule (ebme) shrinks the noisy coordinates harder than")
 print("the clean ones, which is where its advantage over scalar gains comes")

@@ -18,19 +18,10 @@ from blindmm.model import (
 from blindmm.estimators import (
     EstimateResult,
     EstimatorSpec,
-    balanced_bme,
-    bock,
-    ebme,
     ebme_dominance_holds,
     estimate_from_ls,
-    off_center_sbme,
     parse_estimator_spec,
-    positive_part_bme,
-    sbme,
     sbme_dominance_holds,
-    shrink_c,
-    tikhonov1,
-    tikhonov2,
 )
 from blindmm.sim import (
     ExperimentConfig,
@@ -51,28 +42,19 @@ __all__ = [
     "LinalgError",
     "Model",
     "MseRow",
-    "balanced_bme",
-    "bock",
     "build_model",
     "condition_number",
-    "ebme",
     "ebme_dominance_holds",
     "effective_dimension",
     "estimate_from_ls",
     "ls_estimate",
-    "off_center_sbme",
     "parse_estimator_spec",
-    "positive_part_bme",
     "psd_power",
     "run_experiment",
-    "sbme",
     "sbme_dominance_holds",
     "scale_to_snr",
     "scenarios",
-    "shrink_c",
     "stein_lemma_check",
     "sym_eig",
-    "tikhonov1",
-    "tikhonov2",
     "write_results_csv",
 ]

@@ -6,26 +6,30 @@ gain per trial (scalar rules) or per component (spectral rules), and the
 gains depend on ``v`` only through one statistic ``s = sum_i w_i v_i**2``
 per trial, with ``w = 1``, ``sig`` (``Q``'s eigenvalues) or ``sig**b``. Each
 tag in ``RULES`` builds a ``Plan`` for a model: its weights ``w`` and its
-``gain(s)``. The public functions below and the Monte Carlo engine in
-``sim`` call the same ``gain``, so each formula exists once. The public
-functions accept one vector of length ``m`` or a ``(..., m)`` batch and are
-pure.
+``gain(s)``. ``estimate_from_ls(model, spec, xls)`` and the Monte Carlo
+engine in ``sim`` call the same ``gain``, so each formula exists once.
+``estimate_from_ls`` accepts one vector of length ``m`` or a ``(..., m)``
+batch and is pure; a spec comes from ``EstimatorSpec(tag, ...)`` or from
+the text syntax, ``parse_estimator_spec``.
 
 Every rule but ``ls`` (``unit_gain``) and ``ebme`` has a ``Ratio`` for its
 gain, ``1 - e / (c + s)`` (``_ratio_gain``), with ``c`` and ``e`` as fields:
 
-* ``sbme``         -- ``s = ||xls||^2``, ``c = e = eps0``;
-* ``shrink_c``     -- ``s = ||xls||^2``, a finite ``c >= 0``, ``e = eps0``;
-* ``balanced_bme`` -- ``s = ||xls||^2``, ``c = 0``, ``e = eps0``; may be
-  negative, and ``positive_part_bme`` clamps it at zero;
-* ``bock``         -- ``s = ||xls||^2_Q``, ``c = 0``, ``e = eps0/eps_max - 2``;
-* ``tikhonov2``    -- ``s = ||xls||^2_Q``, ``c = e = m``;
-* ``tikhonov1``    -- per component, ``s_i = sig_i ||xls||^2``, ``c = e = m``.
+* ``sbme``      -- ``s = ||xls||^2``, ``c = e = eps0``;
+* ``shrinkc:c`` -- ``s = ||xls||^2``, a finite ``c >= 0``, ``e = eps0``
+  (``c = eps0`` is ``sbme``, ``c = 0`` is ``bbm``);
+* ``bbm``       -- ``s = ||xls||^2``, ``c = 0``, ``e = eps0``; may be
+  negative, and ``pbm`` clamps it at zero;
+* ``bock``      -- ``s = ||xls||^2_Q``, ``c = 0``, ``e = eps0/eps_max - 2``;
+* ``tik2``      -- ``s = ||xls||^2_Q``, ``c = e = m``;
+* ``tik1``      -- per component, ``s_i = sig_i ||xls||^2``, ``c = e = m``:
+  the ridge ``(Q + m/||xls||^2 I)^-1 Q xls``.
 
-``off_center_sbme`` is ``sbme`` about a fixed point ``x0``: its
-``s = ||xls - x0||^2`` and it shrinks ``xls - x0``. ``ebme`` applies
-``(1 - alpha * sig**(b/2))_+`` per component, shrinking noisy components
-harder.
+``offcenter:file`` is ``sbme`` about a fixed point ``x0``: its
+``s = ||xls - x0||^2`` and it shrinks ``xls - x0``. ``ebme:b`` applies
+``(1 - alpha * sig**(b/2))_+`` per component, with
+``alpha = r1 / (||xls||^2_{Q^b} + r2)`` summed past a cutoff (``_ebme_plan``),
+shrinking noisy components harder; ``b = 0`` is ``sbme``.
 
 ``sbme_dominance_holds`` / ``ebme_dominance_holds`` evaluate the sufficient
 conditions under which the corresponding estimators beat least squares for
@@ -46,7 +50,7 @@ from blindmm.linalg import (
     as_vector,
     read_vector_csv,
 )
-from blindmm.model import Model, ls_estimate
+from blindmm.model import Model
 
 
 class UnknownEstimatorError(LinalgError):
@@ -60,8 +64,8 @@ class EstimateResult:
     ``shrinkage`` holds the per-spectral-component gain applied in the
     eigenbasis of ``Q`` (all ones for least squares, a constant vector for
     scalar-gain estimators). ``degenerate`` marks the measure-zero
-    ``xls = 0`` inputs on which the balanced/Bock/Tikhonov rules are
-    undefined and a zero vector is returned by convention.
+    ``xls = 0`` inputs on which ``bbm``, ``bock``, ``tik1``, ``tik2`` and
+    ``shrinkc:c=0`` are undefined and a zero vector is returned by convention.
     """
 
     xhat: np.ndarray
@@ -82,11 +86,6 @@ def _check_ls(model: Model, xls) -> np.ndarray:
 
 def _finite(v) -> bool:
     return v is not None and bool(np.isfinite(v))
-
-
-def _check_exponent(b) -> None:
-    if not _finite(b):
-        raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
 
 
 def _ratio_gain(s, c, e, out=None):
@@ -256,86 +255,9 @@ def _apply(model: Model, plan: Plan, xls) -> EstimateResult:
     return EstimateResult(xhat.reshape(xls.shape), shrinkage.reshape(xls.shape), degenerate)
 
 
-def sbme(model: Model, xls) -> EstimateResult:
-    """Spherical rule: shrink toward the origin by
-    ``||xls||^2 / (||xls||^2 + eps0)``; gain in [0, 1), zero only at zero."""
-    return estimate_from_ls(model, EstimatorSpec("sbme"), xls)
-
-
-def shrink_c(model: Model, xls, c: float) -> EstimateResult:
-    """Scalar gain ``1 - eps0 / (c + ||xls||^2)`` for a finite ``c >= 0``.
-
-    ``c = eps0`` is ``sbme``; ``c = 0`` is ``balanced_bme``. The ``c = 0``,
-    ``xls = 0`` corner is undefined and returns zero with the degenerate
-    flag set.
-    """
-    return estimate_from_ls(model, EstimatorSpec("shrinkc", c=c), xls)
-
-
-def off_center_sbme(model: Model, xls, x0) -> EstimateResult:
-    """Spherical rule about ``x0`` instead of the origin (James-Stein toward
-    a point): returns ``x0 + g * (xls - x0)`` with ``sbme``'s gain ``g`` on
-    ``||xls - x0||^2``."""
-    return estimate_from_ls(model, EstimatorSpec("offcenter", x0=x0), xls)
-
-
-def balanced_bme(model: Model, xls) -> EstimateResult:
-    """Gain ``1 - eps0 / ||xls||^2``; may be negative (sign flip) by design.
-
-    Undefined at ``xls = 0`` (a probability-zero event): returns the zero
-    vector with ``degenerate=True``.
-    """
-    return estimate_from_ls(model, EstimatorSpec("bbm"), xls)
-
-
-def positive_part_bme(model: Model, xls) -> EstimateResult:
-    """Balanced rule with negative gain clamped: ``(1 - eps0/||xls||^2)_+``.
-
-    Returns exactly zero whenever ``||xls||^2 <= eps0`` (including at
-    ``xls = 0``, where no flag is needed)."""
-    return estimate_from_ls(model, EstimatorSpec("pbm"), xls)
-
-
-def bock(model: Model, xls) -> EstimateResult:
-    """Extended scalar-shrinkage rule for colored noise:
-    gain ``1 - (eps0/eps_max - 2) / ||xls||^2_Q``; may be negative."""
-    return estimate_from_ls(model, EstimatorSpec("bock"), xls)
-
-
-def ebme(model: Model, xls, b: float = -1.0) -> EstimateResult:
-    """Adaptive spectral shrinkage from an ellipsoidal set fit to the data.
-
-    With eigenvalues of ``Q`` ordered so ``sig**b`` is non-increasing, the
-    gain of component ``i`` is ``(1 - alpha * sig_i**(b/2))_+`` where
-    ``alpha = r1 / (||xls||^2_{Q^b} + r2)``, ``r1`` and ``r2`` sum
-    ``sig**(b/2-1)`` and ``sig**(b-1)`` over components after the cutoff
-    ``k``, and ``k`` is the smallest index with ``alpha * sig_{k+1}**(b/2)
-    < 1``. Exactly the ``k`` leading components (in ``sig**b`` order) are
-    clamped to zero. ``b = 0`` collapses to the scalar ``sbme`` gain;
-    ``xls = 0`` returns zero. A ``b`` whose powers of ``sig`` (or whose
-    ``||xls||^2_{Q^b}``) overflow float64 raises ``UnknownEstimatorError``.
-    """
-    _check_exponent(b)
-    return estimate_from_ls(model, EstimatorSpec("ebme", b=b), xls)
-
-
-def tikhonov1(model: Model, y) -> EstimateResult:
-    """Regularized least squares with ridge weight ``m / ||xls||^2``
-    estimated from the data: since ``H' Cw^-1 y = Q xls``, the gain of
-    component ``i`` is ``sig_i / (sig_i + m/||xls||^2)``. Not guaranteed to
-    beat least squares."""
-    return estimate_from_ls(model, EstimatorSpec("tik1"), ls_estimate(model, y))
-
-
-def tikhonov2(model: Model, y) -> EstimateResult:
-    """Shrinkage variant of the empirical ridge: scalar gain
-    ``||xls||^2_Q / (m + ||xls||^2_Q)``."""
-    return estimate_from_ls(model, EstimatorSpec("tik2"), ls_estimate(model, y))
-
-
 def sbme_dominance_holds(model: Model) -> bool:
     """Sufficient condition for the scalar-gain family (``sbme``,
-    ``shrink_c``, ``balanced_bme``) to beat least squares everywhere:
+    ``shrinkc``, ``bbm``) to beat least squares everywhere:
     effective dimension strictly above 4."""
     return model.eps0 / model.eps_max > 4.0
 
@@ -346,7 +268,8 @@ def ebme_dominance_holds(model: Model, b: float) -> bool:
     exactly the scalar condition. A ``b`` that is not finite, or whose
     powers of the eigenvalues leave float64 range, raises
     ``UnknownEstimatorError``."""
-    _check_exponent(b)
+    if not _finite(b):
+        raise UnknownEstimatorError(f"ebme requires a finite exponent b, got b={b:g}")
     with np.errstate(over="ignore"):
         powers = model.Qeig.eigenvalues ** (b / 2.0 - 1.0)
         total = float(np.sum(powers))
@@ -488,5 +411,6 @@ def parse_estimator_spec(text: str, vector_loader=read_vector_csv) -> EstimatorS
 
 
 def estimate_from_ls(model: Model, spec: EstimatorSpec, xls) -> EstimateResult:
-    """Fan-out evaluation: apply ``spec`` to a precomputed ``xls``."""
+    """Apply the rule ``spec`` to ``xls = ls_estimate(model, y)``, one vector
+    of length ``m`` or a ``(..., m)`` batch: the one public way to apply a rule."""
     return _apply(model, RULES[spec.kind].plan(model, spec), xls)

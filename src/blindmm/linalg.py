@@ -154,10 +154,11 @@ def condition_number(eig: EigDecomp) -> float:
 
 
 def read_matrix_csv(path, name: str = "matrix") -> np.ndarray:
-    """Read a plain numeric CSV (no header, one row per line)."""
+    """Read a plain numeric CSV (no header, one row per line) of UTF-8 text,
+    with or without a leading byte-order mark."""
     rows: list[list[float]] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{name} ({path}): not UTF-8 text: {exc}") from exc

@@ -555,7 +555,7 @@ def load_config(path) -> ExperimentConfig:
     through as written, for ``run_experiment`` to validate.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path}: {exc}") from exc

@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 
 from blindmm.cli import main as cli_main
-from blindmm.estimators import (
-    EstimatorSpec,
-    balanced_bme,
-    ebme,
-    off_center_sbme,
-    positive_part_bme,
-    sbme,
-    shrink_c,
-)
+from blindmm.estimators import EstimatorSpec, estimate_from_ls
 from blindmm.model import build_model, effective_dimension
 from blindmm.scenarios import FIG4_NOISE_PROFILE, fig6_model, preset
 from blindmm.sim import ExperimentConfig, run_experiment, stein_lemma_check
@@ -107,6 +99,9 @@ def test_c02_algebraic_identity_suite():
         scale = max(np.linalg.norm(a), np.linalg.norm(b))
         return 0.0 if scale == 0.0 else np.linalg.norm(a - b) / scale
 
+    def apply(model, xls, kind, **params):
+        return estimate_from_ls(model, EstimatorSpec(kind, **params), xls)
+
     start = time.time()
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -123,15 +118,15 @@ def test_c02_algebraic_identity_suite():
         model = build_model(h, cw)
         xls = rng.standard_normal(m_dim) * float(rng.uniform(0.05, 20.0))
 
-        ref = sbme(model, xls).xhat
+        ref = apply(model, xls, "sbme").xhat
         pairs = (
-            (ebme(model, xls, b=0.0).xhat, ref),
-            (shrink_c(model, xls, model.eps0).xhat, ref),
-            (shrink_c(model, xls, 0.0).xhat, balanced_bme(model, xls).xhat),
-            (off_center_sbme(model, xls, np.zeros(m_dim)).xhat, ref),
+            (apply(model, xls, "ebme", b=0.0).xhat, ref),
+            (apply(model, xls, "shrinkc", c=model.eps0).xhat, ref),
+            (apply(model, xls, "shrinkc", c=0.0).xhat, apply(model, xls, "bbm").xhat),
+            (apply(model, xls, "offcenter", x0=np.zeros(m_dim)).xhat, ref),
             (
-                positive_part_bme(model, xls).xhat,
-                max(balanced_bme(model, xls).shrinkage[0], 0.0) * xls,
+                apply(model, xls, "pbm").xhat,
+                max(apply(model, xls, "bbm").shrinkage[0], 0.0) * xls,
             ),
         )
         for got, want in pairs:

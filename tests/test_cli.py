@@ -231,6 +231,19 @@ class TestCheck:
         assert captured.err.startswith(f"error: H ({tmp_path / 'H.csv'}): not UTF-8 text:")
         assert captured.out == ""
 
+    def test_byte_order_mark_csv_reads_as_plain(self, tmp_path, capsys):
+        # Spreadsheet programs write UTF-8 CSVs with a leading byte-order mark.
+        (tmp_path / "H.csv").write_bytes(b"1,0\n0,1\n")
+        (tmp_path / "H_bom.csv").write_bytes(b"\xef\xbb\xbf1,0\n0,1\n")
+        write_matrix_csv(tmp_path / "Cw.csv", np.eye(2))
+        outs = []
+        for h in ("H.csv", "H_bom.csv"):
+            assert main(["check", "--H", str(tmp_path / h), "--Cw", str(tmp_path / "Cw.csv")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[1] == outs[0]
+
     def test_five_five_profile_passes(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "H.csv", np.eye(10))
         write_matrix_csv(tmp_path / "Cw.csv", np.diag([1.0] * 5 + [0.1] * 5))
@@ -383,6 +396,16 @@ class TestExperiment:
         p.write_text("{broken")
         assert main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_byte_order_mark_config_runs(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "plain.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        out_bom = tmp_path / "bom.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out_bom)]) == 0
+        assert out_bom.read_bytes() == out.read_bytes()
+        assert capsys.readouterr().err == ""
 
     def test_not_utf8_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from blindmm import estimators, sim  # noqa: E402
 from blindmm.estimators import (  # noqa: E402
-    RULES, EstimatorSpec, estimate_from_ls, parse_estimator_spec, sbme, shrink_c,
+    RULES, EstimatorSpec, estimate_from_ls, parse_estimator_spec,
 )
 from blindmm.model import build_model, scale_to_snr  # noqa: E402
 from blindmm.scenarios import fig5a_model, fig5b_model  # noqa: E402
@@ -271,7 +271,8 @@ def test_engine_keeps_errors_inside_eigenspaces(model, b, ebme_path):
 def test_shrinkc_at_eps0_is_sbme_bit_for_bit():
     model = fig5b_model()
     xls = np.random.default_rng(0).standard_normal((500, model.m)) * 2.0
-    assert shrink_c(model, xls, model.eps0).xhat.tobytes() == sbme(model, xls).xhat.tobytes()
+    shrinkc = estimate_from_ls(model, EstimatorSpec("shrinkc", c=model.eps0), xls).xhat
+    assert shrinkc.tobytes() == estimate_from_ls(model, EstimatorSpec("sbme"), xls).xhat.tobytes()
     config = sim.ExperimentConfig(
         scenario="fig5b-range", estimators=[EstimatorSpec("shrinkc", c=model.eps0),
                                             EstimatorSpec("sbme")],

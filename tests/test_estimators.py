@@ -15,19 +15,10 @@ from blindmm.estimators import (
     RULES,
     EstimatorSpec,
     UnknownEstimatorError,
-    balanced_bme,
-    bock,
-    ebme,
     ebme_dominance_holds,
     estimate_from_ls,
-    off_center_sbme,
     parse_estimator_spec,
-    positive_part_bme,
-    sbme,
     sbme_dominance_holds,
-    shrink_c,
-    tikhonov1,
-    tikhonov2,
 )
 from blindmm.linalg import DimensionMismatchError, NonFiniteError
 from blindmm.model import build_model, ls_estimate
@@ -51,6 +42,11 @@ def random_model(rng, dense_cw=False):
     return build_model(h, cw)
 
 
+def apply(model, xls, kind, **params):
+    """The rule tagged ``kind`` applied to ``xls``: the one public path."""
+    return estimate_from_ls(model, EstimatorSpec(kind, **params), xls)
+
+
 def rel_vec_err(a, b):
     scale = max(np.linalg.norm(a), np.linalg.norm(b))
     if scale == 0.0:
@@ -60,25 +56,25 @@ def rel_vec_err(a, b):
 
 class TestSbme:
     def test_zero_input(self):
-        r = sbme(iid_model(4), np.zeros(4))
+        r = apply(iid_model(4), np.zeros(4), "sbme")
         np.testing.assert_array_equal(r.xhat, np.zeros(4))
         assert not r.degenerate
 
     def test_half_gain_at_eps0(self):
         m = iid_model(5)
         xls = np.array([np.sqrt(5.0), 0, 0, 0, 0])
-        r = sbme(m, xls)
+        r = apply(m, xls, "sbme")
         assert r.shrinkage[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_hand_case(self):
-        r = sbme(iid_model(5), np.array([3.0, 0, 0, 0, 4.0]))
+        r = apply(iid_model(5), np.array([3.0, 0, 0, 0, 4.0]), "sbme")
         np.testing.assert_allclose(r.xhat, [2.5, 0, 0, 0, 10.0 / 3.0], rtol=1e-15)
 
     def test_gain_in_unit_interval(self):
         rng = np.random.default_rng(0)
         m = fig4_model()
         for _ in range(100):
-            g = sbme(m, rng.standard_normal(15) * rng.uniform(0.01, 50)).shrinkage
+            g = apply(m, rng.standard_normal(15) * rng.uniform(0.01, 50), "sbme").shrinkage
             assert np.all(g >= 0.0) and np.all(g < 1.0)
             assert np.all(g == g[0])
 
@@ -89,25 +85,25 @@ class TestShrinkC:
         rng = np.random.default_rng(1)
         xls = rng.standard_normal(15)
         np.testing.assert_array_equal(
-            shrink_c(m, xls, m.eps0).xhat, sbme(m, xls).xhat
+            apply(m, xls, "shrinkc", c=m.eps0).xhat, apply(m, xls, "sbme").xhat
         )
 
     def test_c_zero_equals_balanced(self):
         m = fig4_model()
         xls = np.random.default_rng(2).standard_normal(15)
         np.testing.assert_array_equal(
-            shrink_c(m, xls, 0.0).xhat, balanced_bme(m, xls).xhat
+            apply(m, xls, "shrinkc", c=0.0).xhat, apply(m, xls, "bbm").xhat
         )
 
     def test_hand_zero_gain(self):
         m = iid_model(5)
         xls = np.array([2.0, 0, 0, 0, 0])  # norm^2 = 4, c=1 -> gain 1 - 5/5 = 0
-        r = shrink_c(m, xls, 1.0)
+        r = apply(m, xls, "shrinkc", c=1.0)
         np.testing.assert_array_equal(r.xhat, np.zeros(5))
 
     def test_negative_c_rejected(self):
         with pytest.raises(ValueError):
-            shrink_c(iid_model(3), np.ones(3), -0.5)
+            apply(iid_model(3), np.ones(3), "shrinkc", c=-0.5)
 
     @pytest.mark.parametrize("c", [float("inf"), float("nan")])
     def test_non_finite_c_rejected(self, c):
@@ -115,10 +111,10 @@ class TestShrinkC:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnknownEstimatorError, match="finite c >= 0"):
-                shrink_c(iid_model(3), np.ones(3), c)
+                apply(iid_model(3), np.ones(3), "shrinkc", c=c)
 
     def test_degenerate_corner(self):
-        r = shrink_c(iid_model(3), np.zeros(3), 0.0)
+        r = apply(iid_model(3), np.zeros(3), "shrinkc", c=0.0)
         np.testing.assert_array_equal(r.xhat, np.zeros(3))
         assert r.degenerate
 
@@ -128,28 +124,28 @@ class TestOffCenter:
         m = fig4_model()
         xls = np.random.default_rng(3).standard_normal(15)
         np.testing.assert_array_equal(
-            off_center_sbme(m, xls, np.zeros(15)).xhat, sbme(m, xls).xhat
+            apply(m, xls, "offcenter", x0=np.zeros(15)).xhat, apply(m, xls, "sbme").xhat
         )
 
     def test_ls_at_center_returns_center(self):
         m = iid_model(4)
         x0 = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(off_center_sbme(m, x0, x0).xhat, x0)
+        np.testing.assert_array_equal(apply(m, x0, "offcenter", x0=x0).xhat, x0)
 
     def test_translation_equivariant(self):
         # sbme about x0 is sbme on xls - x0, moved back by x0, to the bit.
         m = fig5b_model()
         rng = np.random.default_rng(4)
         xls, x0 = rng.standard_normal((64, 10)), 10.0 * rng.standard_normal(10)
-        np.testing.assert_array_equal(off_center_sbme(m, xls, x0).xhat,
-                                      x0 + sbme(m, xls - x0).xhat)
+        np.testing.assert_array_equal(apply(m, xls, "offcenter", x0=x0).xhat,
+                                      x0 + apply(m, xls - x0, "sbme").xhat)
 
     def test_hand_case(self):
         # ||xls - x0||^2 = eps0 gives g = 1/2; with x0 = 2*xls the estimate
         # x0 + g (xls - x0) is 1.5*xls.
         m = iid_model(4)
         xls = np.array([1.0, 1.0, 1.0, 1.0])
-        r = off_center_sbme(m, xls, 2.0 * xls)
+        r = apply(m, xls, "offcenter", x0=2.0 * xls)
         np.testing.assert_allclose(r.xhat, 1.5 * xls, rtol=1e-14)
 
 
@@ -157,42 +153,42 @@ class TestBalancedAndPositivePart:
     def test_zero_gain_at_eps0(self):
         m = iid_model(5)
         xls = np.full(5, 1.0)  # norm^2 = 5 = eps0
-        np.testing.assert_allclose(balanced_bme(m, xls).xhat, np.zeros(5), atol=1e-12)
+        np.testing.assert_allclose(apply(m, xls, "bbm").xhat, np.zeros(5), atol=1e-12)
 
     def test_sign_flip_below_eps0(self):
         m = iid_model(4)
         xls = np.array([np.sqrt(2.0), 0, 0, 0])  # norm^2 = eps0/2 -> gain -1
-        np.testing.assert_allclose(balanced_bme(m, xls).xhat, -xls, rtol=1e-12)
+        np.testing.assert_allclose(apply(m, xls, "bbm").xhat, -xls, rtol=1e-12)
 
     def test_gain_approaches_one(self):
         m = iid_model(4)
-        g = balanced_bme(m, np.array([1e8, 0, 0, 0])).shrinkage[0]
+        g = apply(m, np.array([1e8, 0, 0, 0]), "bbm").shrinkage[0]
         assert g == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_ls_flagged(self):
-        r = balanced_bme(iid_model(3), np.zeros(3))
+        r = apply(iid_model(3), np.zeros(3), "bbm")
         np.testing.assert_array_equal(r.xhat, np.zeros(3))
         assert r.degenerate
 
     def test_positive_part_clamps(self):
         m = iid_model(4)
         xls = np.array([np.sqrt(2.0), 0, 0, 0])
-        r = positive_part_bme(m, xls)
+        r = apply(m, xls, "pbm")
         np.testing.assert_array_equal(r.xhat, np.zeros(4))
         assert not r.degenerate
 
     def test_positive_part_half_gain(self):
         m = iid_model(4)
         xls = np.array([np.sqrt(8.0), 0, 0, 0])  # norm^2 = 2*eps0 -> gain 1/2
-        assert positive_part_bme(m, xls).shrinkage[0] == pytest.approx(0.5, rel=1e-12)
+        assert apply(m, xls, "pbm").shrinkage[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_positive_part_equals_clamped_balanced(self):
         m = fig5b_model()
         rng = np.random.default_rng(4)
         for _ in range(200):
             xls = rng.standard_normal(10) * rng.uniform(0.1, 10.0)
-            pbm = positive_part_bme(m, xls).xhat
-            bbm = balanced_bme(m, xls)
+            pbm = apply(m, xls, "pbm").xhat
+            bbm = apply(m, xls, "bbm")
             clamped = max(bbm.shrinkage[0], 0.0) * xls
             np.testing.assert_array_equal(pbm, clamped)
 
@@ -201,34 +197,34 @@ class TestBock:
     def test_hand_case(self):
         m = iid_model(5)
         xls = np.array([5.0, 0, 0, 0, 0])  # ||xls||^2_Q = 25, gain 1 - 3/25
-        assert bock(m, xls).shrinkage[0] == pytest.approx(0.88, rel=1e-12)
+        assert apply(m, xls, "bock").shrinkage[0] == pytest.approx(0.88, rel=1e-12)
 
     def test_no_shrinkage_at_effective_dimension_two(self):
         m = build_model(np.eye(2), np.eye(2))  # eps0/eps_max = 2 -> zero numerator
         xls = np.array([1.0, -2.0])
-        np.testing.assert_allclose(bock(m, xls).xhat, xls, rtol=1e-14)
+        np.testing.assert_allclose(apply(m, xls, "bock").xhat, xls, rtol=1e-14)
 
     def test_gain_to_one_for_large_q_norm(self):
         m = fig4_model()
         xls = np.zeros(15)
         xls[-1] = 1e6  # last coordinate has tiny noise, huge Q weight
-        assert bock(m, xls).shrinkage[0] == pytest.approx(1.0, abs=1e-9)
+        assert apply(m, xls, "bock").shrinkage[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_flagged(self):
-        assert bock(fig4_model(), np.zeros(15)).degenerate
+        assert apply(fig4_model(), np.zeros(15), "bock").degenerate
 
 
 class TestTikhonov:
     def test_scalar_hand_case(self):
         m = build_model(np.eye(1), np.eye(1))
-        r = tikhonov2(m, np.array([2.0]))
+        r = apply(m, ls_estimate(m, np.array([2.0])), "tik2")
         np.testing.assert_allclose(r.xhat, [1.6], rtol=1e-14)
 
     def test_iid_variants_coincide(self):
         m = iid_model(6)
         y = np.random.default_rng(5).standard_normal(6)
-        r1 = tikhonov1(m, y)
-        r2 = tikhonov2(m, y)
+        r1 = apply(m, ls_estimate(m, y), "tik1")
+        r2 = apply(m, ls_estimate(m, y), "tik2")
         np.testing.assert_allclose(r1.xhat, r2.xhat, rtol=1e-12)
         gain = float(y @ y) / (float(y @ y) + 6.0)
         np.testing.assert_allclose(r1.xhat, gain * y, rtol=1e-12)
@@ -244,30 +240,31 @@ class TestTikhonov:
                 m.Q + lam * np.eye(m.m),
                 m.H.T @ np.linalg.solve(m.Cw, y),
             )
-            np.testing.assert_allclose(tikhonov1(m, y).xhat, direct, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(apply(m, ls_estimate(m, y), "tik1").xhat, direct,
+                                       rtol=1e-8, atol=1e-12)
 
     def test_high_snr_limit_is_ls(self):
         m = fig4_model()
         y = np.random.default_rng(7).standard_normal(15) * 1e7
         xls = ls_estimate(m, y)
-        assert rel_vec_err(tikhonov1(m, y).xhat, xls) < 1e-6
-        assert rel_vec_err(tikhonov2(m, y).xhat, xls) < 1e-6
+        assert rel_vec_err(apply(m, ls_estimate(m, y), "tik1").xhat, xls) < 1e-6
+        assert rel_vec_err(apply(m, ls_estimate(m, y), "tik2").xhat, xls) < 1e-6
 
     def test_zero_flagged(self):
         m = iid_model(3)
-        assert tikhonov1(m, np.zeros(3)).degenerate
-        assert tikhonov2(m, np.zeros(3)).degenerate
+        assert apply(m, ls_estimate(m, np.zeros(3)), "tik1").degenerate
+        assert apply(m, ls_estimate(m, np.zeros(3)), "tik2").degenerate
 
 
 class TestEbme:
     def test_hand_case(self):
         # Q = diag(1, 4), b = -1, xls = (1, 1): alpha = 18/37, gains 19/37, 28/37.
         m = build_model(np.eye(2), np.diag([1.0, 0.25]))
-        r = ebme(m, np.array([1.0, 1.0]), b=-1.0)
+        r = apply(m, np.array([1.0, 1.0]), "ebme", b=-1.0)
         np.testing.assert_allclose(r.xhat, [19.0 / 37.0, 28.0 / 37.0], rtol=1e-12)
 
     def test_zero_input(self):
-        r = ebme(fig4_model(), np.zeros(15), b=-1.0)
+        r = apply(fig4_model(), np.zeros(15), "ebme", b=-1.0)
         np.testing.assert_array_equal(r.xhat, np.zeros(15))
 
     def test_b_zero_equals_sbme(self):
@@ -275,14 +272,15 @@ class TestEbme:
         for _ in range(50):
             m = random_model(rng)
             xls = rng.standard_normal(m.m) * rng.uniform(0.05, 20.0)
-            assert rel_vec_err(ebme(m, xls, b=0.0).xhat, sbme(m, xls).xhat) <= 1e-12
+            sbme = apply(m, xls, "sbme").xhat
+            assert rel_vec_err(apply(m, xls, "ebme", b=0.0).xhat, sbme) <= 1e-12
 
     def test_gains_in_unit_interval(self):
         rng = np.random.default_rng(9)
         m = fig4_model()
         for _ in range(100):
             xls = rng.standard_normal(15) * rng.uniform(0.01, 30.0)
-            g = ebme(m, xls, b=-1.0).shrinkage
+            g = apply(m, xls, "ebme", b=-1.0).shrinkage
             assert np.all(g >= 0.0) and np.all(g < 1.0)
 
     def _cutoff_oracle(self, model, xls, b):
@@ -311,7 +309,7 @@ class TestEbme:
             b = float(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0]))
             xls = rng.standard_normal(m.m) * rng.uniform(0.05, 10.0)
             k, gains_o, xhat_o = self._cutoff_oracle(m, xls, b)
-            r = ebme(m, xls, b=b)
+            r = apply(m, xls, "ebme", b=b)
             assert rel_vec_err(r.xhat, xhat_o) <= 1e-10
             # Exactly k leading gains (in sig**b order) are clamped to zero.
             order = np.argsort(-(m.Qeig.eigenvalues**b), kind="stable")
@@ -323,15 +321,15 @@ class TestEbme:
     def test_output_is_spectral_reweighting(self):
         m = fig4_model()
         xls = np.random.default_rng(11).standard_normal(15)
-        r = ebme(m, xls, b=-1.0)
+        r = apply(m, xls, "ebme", b=-1.0)
         v = m.Qeig.basis.T @ xls
         rebuilt = m.Qeig.basis @ (r.shrinkage * v)
         np.testing.assert_allclose(r.xhat, rebuilt, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("b", [float("nan"), float("inf")])
     def test_non_finite_exponent_rejected(self, b):
-        with pytest.raises(UnknownEstimatorError, match=f"requires a finite exponent b, got b={b:g}"):
-            ebme(fig4_model(), np.ones(15), b=b)
+        with pytest.raises(UnknownEstimatorError, match=r"^ebme requires a finite exponent b$"):
+            apply(fig4_model(), np.ones(15), "ebme", b=b)
 
     @pytest.mark.parametrize("b", [120.0, 300.0])
     def test_overflowing_exponent_rejected(self, b):
@@ -341,14 +339,14 @@ class TestEbme:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnknownEstimatorError, match=f"b={b:g}"):
-                ebme(m, np.ones(10), b=b)
+                apply(m, np.ones(10), "ebme", b=b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_xls_rejected(self, bad):
         xls = np.ones(15)
         xls[3] = bad
         with pytest.raises(NonFiniteError):
-            ebme(fig4_model(), xls, b=-1.0)
+            apply(fig4_model(), xls, "ebme", b=-1.0)
         with pytest.raises(NonFiniteError):
             estimate_from_ls(fig4_model(), EstimatorSpec("sbme"), xls)
 
@@ -377,6 +375,8 @@ class TestOverflowingStatistic:
                 estimate_from_ls(iid_model(3), spec, np.full(3, 1e160))
 
     def test_ls_uses_no_statistic(self):
+        xls = np.random.default_rng(18).standard_normal(15)
+        assert np.array_equal(estimate_from_ls(fig4_model(), EstimatorSpec("ls"), xls).xhat, xls)
         # ||xls||^2 overflows, but ls returns the finite xls itself.
         xls = np.full(3, 1e160)
         with warnings.catch_warnings():
@@ -399,7 +399,7 @@ class TestOverflowingStatistic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnknownEstimatorError, match="b=-1"):
-                ebme(iid_model(3), np.full(3, 1e160), b=-1.0)
+                apply(iid_model(3), np.full(3, 1e160), "ebme", b=-1.0)
 
 
 class TestScalarGainOracle:
@@ -480,8 +480,8 @@ class TestRotationEquivariance:
         rng = np.random.default_rng(13)
         xls = rng.standard_normal(7)
         signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
-        for fn in (sbme, balanced_bme, positive_part_bme, bock):
-            assert np.array_equal(fn(m, signs * xls).xhat, signs * fn(m, xls).xhat)
+        for tag in ("sbme", "bbm", "pbm", "bock"):
+            assert np.array_equal(apply(m, signs * xls, tag).xhat, signs * apply(m, xls, tag).xhat)
 
     def test_random_rotation_near_exact(self):
         m = iid_model(6)
@@ -489,16 +489,17 @@ class TestRotationEquivariance:
         for _ in range(20):
             q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             xls = rng.standard_normal(6)
-            for fn in (sbme, balanced_bme, positive_part_bme, bock):
-                assert rel_vec_err(fn(m, q @ xls).xhat, q @ fn(m, xls).xhat) <= 1e-12
+            for tag in ("sbme", "bbm", "pbm", "bock"):
+                rotated = apply(m, q @ xls, tag).xhat
+                assert rel_vec_err(rotated, q @ apply(m, xls, tag).xhat) <= 1e-12
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             m = random_model(rng)
             xls = rng.standard_normal(m.m)
-            for fn in (sbme, balanced_bme, positive_part_bme, bock):
-                xhat = fn(m, xls).xhat
+            for tag in ("sbme", "bbm", "pbm", "bock"):
+                xhat = apply(m, xls, tag).xhat
                 # Collinear: cross-projection residual is numerically zero.
                 coeff = float(xhat @ xls) / float(xls @ xls)
                 assert rel_vec_err(xhat, coeff * xls) <= 1e-12
@@ -510,16 +511,14 @@ class TestIdentityChainFuzz:
         for i in range(200):
             m = random_model(rng, dense_cw=(i % 4 == 0))
             xls = rng.standard_normal(m.m) * rng.uniform(0.05, 20.0)
-            assert rel_vec_err(shrink_c(m, xls, m.eps0).xhat, sbme(m, xls).xhat) <= 1e-12
-            assert rel_vec_err(shrink_c(m, xls, 0.0).xhat, balanced_bme(m, xls).xhat) <= 1e-12
-            assert rel_vec_err(ebme(m, xls, b=0.0).xhat, sbme(m, xls).xhat) <= 1e-12
-            assert (
-                rel_vec_err(off_center_sbme(m, xls, np.zeros(m.m)).xhat, sbme(m, xls).xhat)
-                <= 1e-12
-            )
-            bbm_gain = balanced_bme(m, xls).shrinkage[0]
+            sbme, bbm = apply(m, xls, "sbme").xhat, apply(m, xls, "bbm")
+            assert rel_vec_err(apply(m, xls, "shrinkc", c=m.eps0).xhat, sbme) <= 1e-12
+            assert rel_vec_err(apply(m, xls, "shrinkc", c=0.0).xhat, bbm.xhat) <= 1e-12
+            assert rel_vec_err(apply(m, xls, "ebme", b=0.0).xhat, sbme) <= 1e-12
+            assert rel_vec_err(apply(m, xls, "offcenter", x0=np.zeros(m.m)).xhat, sbme) <= 1e-12
+            bbm_gain = bbm.shrinkage[0]
             clamped = max(bbm_gain, 0.0) * xls
-            assert rel_vec_err(positive_part_bme(m, xls).xhat, clamped) <= 1e-12
+            assert rel_vec_err(apply(m, xls, "pbm").xhat, clamped) <= 1e-12
 
 
 class TestDominancePredicates:
@@ -616,19 +615,6 @@ class TestSpecParsing:
             scalar = bool(np.all(gains == gains[:, :1]))
             assert scalar != rule.per_component, tag
 
-    def test_dispatch_matches_functions(self):
-        m = fig4_model()
-        rng = np.random.default_rng(18)
-        xls = rng.standard_normal(15)
-        assert np.array_equal(estimate_from_ls(m, EstimatorSpec("ls"), xls).xhat, xls)
-        assert np.array_equal(
-            estimate_from_ls(m, EstimatorSpec("sbme"), xls).xhat, sbme(m, xls).xhat
-        )
-        assert np.array_equal(
-            estimate_from_ls(m, EstimatorSpec("ebme", b=-1.0), xls).xhat,
-            ebme(m, xls, b=-1.0).xhat,
-        )
-
     def test_batch_rows_match_single_calls(self):
         # BLAS picks different kernels for matrix and vector operands, so
         # agreement is to rounding, not bitwise.
@@ -645,8 +631,8 @@ class TestSpecParsing:
                     rtol=1e-12,
                     atol=1e-14,
                 )
-        batch = ebme(m, block, b=-1.0).xhat
+        batch = apply(m, block, "ebme", b=-1.0).xhat
         for i in (0, 13, 31):
             np.testing.assert_allclose(
-                batch[i], ebme(m, block[i], b=-1.0).xhat, rtol=1e-12, atol=1e-14
+                batch[i], apply(m, block[i], "ebme", b=-1.0).xhat, rtol=1e-12, atol=1e-14
             )

@@ -15,10 +15,8 @@ from blindmm import scenarios, sim
 from blindmm.estimators import (
     RULES,
     EstimatorSpec,
-    balanced_bme,
     estimate_from_ls,
     parse_estimator_spec,
-    positive_part_bme,
 )
 from blindmm.linalg import write_matrix_csv
 from blindmm.model import build_model, scale_to_snr
@@ -1239,8 +1237,8 @@ class TestPairedDominanceChecks:
                 20000,
                 21,
                 (
-                    lambda xls: positive_part_bme(model, xls).xhat,
-                    lambda xls: balanced_bme(model, xls).xhat,
+                    lambda xls: estimate_from_ls(model, EstimatorSpec("pbm"), xls).xhat,
+                    lambda xls: estimate_from_ls(model, EstimatorSpec("bbm"), xls).xhat,
                 ),
             )
             assert mean_d <= 3.0 * se_d
