@@ -1,13 +1,7 @@
 """Shrinkage estimators for linear Gaussian regression and a deterministic
 Monte Carlo harness for comparing them against the least-squares baseline."""
 
-from blindmm.linalg import (
-    EigDecomp,
-    LinalgError,
-    condition_number,
-    psd_power,
-    sym_eig,
-)
+from blindmm.linalg import EigDecomp, LinalgError, sym_eig
 from blindmm.model import (
     Model,
     build_model,
@@ -43,13 +37,11 @@ __all__ = [
     "Model",
     "MseRow",
     "build_model",
-    "condition_number",
     "ebme_dominance_holds",
     "effective_dimension",
     "estimate_from_ls",
     "ls_estimate",
     "parse_estimator_spec",
-    "psd_power",
     "run_experiment",
     "sbme_dominance_holds",
     "scale_to_snr",

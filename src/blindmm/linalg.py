@@ -1,22 +1,21 @@
-"""Dense real symmetric linear algebra used by every estimator.
+"""Input coercion, the one symmetric eigensolver, and numeric CSV files.
 
 The eigensolver is LAPACK's, through ``np.linalg.eigh``; the eigenvalue sort
 and the eigenvector sign convention are fixed here, so results are
-bit-reproducible for a given build. All arithmetic is IEEE float64.
+bit-reproducible for a given build. All arithmetic is IEEE float64. Whether
+a model is valid (``Cw`` positive definite, ``Q`` invertible) is decided
+once, by ``model.build_model``.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 # Absolute per-entry tolerance below which a matrix counts as symmetric.
 SYMMETRY_ATOL = 1e-9
-# Relative eigenvalue floor below which a matrix is treated as singular.
-SINGULAR_REL_TOL = 1e-12
 
 
 class LinalgError(ValueError):
@@ -33,10 +32,6 @@ class NonSymmetricError(LinalgError):
 
 class DimensionMismatchError(LinalgError):
     """Operand shapes are incompatible."""
-
-
-class SingularPowerError(LinalgError):
-    """A non-positive eigenvalue makes the requested power undefined."""
 
 
 class CsvFormatError(LinalgError):
@@ -120,39 +115,6 @@ def sym_eig(a) -> EigDecomp:
     return EigDecomp(basis=basis, eigenvalues=eigenvalues)
 
 
-def psd_power(eig: EigDecomp, p: float) -> np.ndarray:
-    """Matrix power ``A**p`` from the eigendecomposition of a PSD matrix.
-
-    ``p = 0`` returns the identity, ``p = 1`` reconstructs the input.
-    Eigenvalues within rounding noise of zero are clamped to zero first.
-
-    Raises
-    ------
-    SingularPowerError
-        If ``p < 0`` and some eigenvalue is not strictly positive, or if an
-        eigenvalue is significantly negative (input was not PSD).
-    """
-    w = eig.eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.any(w < -SINGULAR_REL_TOL * scale):
-        raise SingularPowerError(
-            f"psd_power: eigenvalue {float(np.min(w)):.3g} is negative beyond tolerance"
-        )
-    w = np.maximum(w, 0.0)
-    if p < 0.0 and np.any(w <= 0.0):
-        raise SingularPowerError("psd_power: non-positive eigenvalue with negative power")
-    return (eig.basis * w**p) @ eig.basis.T
-
-
-def condition_number(eig: EigDecomp) -> float:
-    """Ratio of largest to smallest eigenvalue; at least 1 for PD matrices."""
-    w = eig.eigenvalues
-    smallest = float(w[-1])
-    if smallest <= 0.0:
-        raise SingularPowerError("condition_number: smallest eigenvalue is not positive")
-    return float(w[0]) / smallest
-
-
 def read_matrix_csv(path, name: str = "matrix") -> np.ndarray:
     """Read a plain numeric CSV (no header, one row per line) of UTF-8 text,
     with or without a leading byte-order mark."""
@@ -194,7 +156,13 @@ def write_text_atomic(path, text: str) -> None:
     directory and a rename, so readers never see a partial file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".blindmm-", suffix=".tmp", dir=directory)
+    while True:  # mode 0o666 lets the umask decide, as open(path, "w") would; mkstemp's is 0o600
+        tmp = os.path.join(directory, f".blindmm-{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

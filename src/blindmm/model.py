@@ -20,7 +20,6 @@ from blindmm.linalg import (
     NonFiniteError,
     as_matrix,
     as_vector,
-    psd_power,
     sym_eig,
 )
 
@@ -98,7 +97,7 @@ def build_model(h, cw) -> Model:
         )
     # What leaves float64 range turns to inf or nan here, and _check_range names it.
     with np.errstate(over="ignore", invalid="ignore"):
-        cw_inv, cw_sqrt = psd_power(cw_eig, -1.0), psd_power(cw_eig, 0.5)
+        cw_inv, cw_sqrt = _power(cw_eig, -1.0), _power(cw_eig, 0.5)
         q = h.T @ cw_inv @ h
         q = (q + q.T) / 2.0
     _check_range(("Cw: Cw^-1", cw_inv), ("Cw: Cw^1/2", cw_sqrt), ("H, Cw: Q = H' Cw^-1 H", q))
@@ -110,7 +109,7 @@ def build_model(h, cw) -> Model:
 
     with np.errstate(over="ignore", invalid="ignore"):
         eps0, trace_cw = float(np.sum(1.0 / sig)), float(np.trace(cw))
-        ls_op = psd_power(qeig, -1.0) @ h.T @ cw_inv
+        ls_op = _power(qeig, -1.0) @ h.T @ cw_inv
     _check_range(("H, Cw: eps0 = tr(Q^-1)", eps0), ("H, Cw: ls_op = Q^-1 H' Cw^-1", ls_op))
     eps_max = float(1.0 / sig[-1])
     return Model(
@@ -126,6 +125,11 @@ def build_model(h, cw) -> Model:
         ls_op=ls_op,
         trace_cw=trace_cw,
     )
+
+
+def _power(eig: EigDecomp, p: float) -> np.ndarray:
+    """``A**p`` from ``A``'s eigendecomposition, whose eigenvalues ``build_model`` has cleared."""
+    return (eig.basis * eig.eigenvalues**p) @ eig.basis.T
 
 
 def _check_range(*named_values) -> None:

@@ -447,7 +447,10 @@ def resolve_directions(model: Model, policies, seed):
                 out.append((f"rand-{rand_idx:03d}", _random_unit_vector(seed, rand_idx, model.m)))
                 rand_idx += 1
         elif keys in ({"vector"}, {"vector", "id"}):
-            vec = as_vector(_numbers(pol["vector"], "directions.vector"), "directions.vector")
+            try:
+                vec = as_vector(_numbers(pol["vector"], "directions.vector"), "directions.vector")
+            except LinalgError as exc:  # empty, or an entry not finite
+                raise ConfigError(str(exc)) from exc
             key = pol.get("id")
             key = f"vec-{vec_idx:03d}" if key is None else _csv_field(key, "directions.id")
             vec_idx += 1
@@ -594,13 +597,14 @@ def _inline_cases(obj):
                           f"'Cw' and optionally 'name', got {keys!r}")
 
     def mat(spec, name):
-        if isinstance(spec, dict) and "identity" in spec:
+        if isinstance(spec, dict) and list(spec) == ["identity"]:
             return np.eye(_count(spec["identity"], f"{name}.identity", least=1))
-        if isinstance(spec, dict) and "diag" in spec:
+        if isinstance(spec, dict) and list(spec) == ["diag"]:
             return np.diag(_numbers(spec["diag"], f"{name}.diag"))
         if isinstance(spec, list) and len({len(r) if type(r) is list else -1 for r in spec}) == 1:
             return np.array([_numbers(row, name) for row in spec])
-        raise ConfigError(f"{name}: expected nested lists, diag or identity")
+        raise ConfigError(f"{name}: expected nested lists, or an object whose one key is diag "
+                          "or identity")
 
     name = _csv_field(obj.get("name", "custom"), "scenario.name")
     return [(None, build_model(mat(obj["H"], "scenario.H"), mat(obj["Cw"], "scenario.Cw")))], name

@@ -8,8 +8,16 @@ the gain ``1 - e / (c + spread_i s)`` on component ``i``, with
 ``s = w . v**2`` (``w`` the plan's weights, ones for ``None``) taken about
 the plan's ``center``. That gain is ``g_i = 1 - e_i / (c_i + s)`` with
 ``c_i = c / spread_i`` and ``e_i = e / spread_i``; a rule with no ``spread``
-has constant ``c_i = c`` and ``e_i = e``. Any other plan (``pbm``'s clamp,
-``ebme``) raises ``NoClosedForm``.
+has constant ``c_i = c`` and ``e_i = e``. ``ebme``'s plan is a ratio rule
+on the rows whose statistic ``l2 = w . v**2`` exceeds its ``affine.t0``,
+where its cutoff cuts no component: there its gain is
+``1 - r1 sb2_i / (r2 + l2)``, so ``c_i = r2`` and ``e_i = r1 sb2_i`` (all
+from ``plan.affine``, ``sb2`` its ``weights``). The oracle takes that form
+only where the Chernoff bound ``min_t exp(t t0) E[exp(-t l2)]`` on
+``P(l2 <= t0)`` is below 1e-16 at every point, and adds to the error a cap
+on the cut rows' part, where ``||v||**2 <= t0 / min(w)`` bounds both forms'
+squared errors. Any other plan (``pbm``'s clamp, ``ebme`` where its cutoff
+may engage) raises ``NoClosedForm``.
 
 In the eigenbasis ``U`` of ``Q``, ``v = U' xls ~ N(u, diag(d))`` with
 ``u = U'(x - center)`` and ``d = 1/sig``, so the risk of a ratio rule is
@@ -49,6 +57,12 @@ class NoClosedForm(ValueError):
     """A rule the oracle does not cover, or one whose risk is infinite."""
 
 
+def _log_mgf(u, d, w, t):
+    """``log E[exp(-t s)]``, ``(P, T)``, for the ``P`` rows of ``u`` and each ``t``."""
+    twd = 2.0 * t[:, None] * (w * d)  # k - 1, (T, m)
+    return -0.5 * np.log1p(twd).sum(axis=1) - (u * u) @ (t[:, None] * w / (1.0 + twd)).T
+
+
 def _integrands(u, d, w, c, e, tau):
     """``(P, T)`` integrands in ``tau`` of ``sum_i e_i E[(v_i**2 - u_i v_i)/(c_i + s)]``
     and ``sum_i e_i**2 E[v_i**2/(c_i + s)**2]`` for the ``P`` rows of ``u``."""
@@ -56,7 +70,7 @@ def _integrands(u, d, w, c, e, tau):
     twd = 2.0 * t[:, None] * (w * d)  # k - 1, (T, m)
     k = 1.0 + twd
     u2 = u * u
-    log_z = -0.5 * np.log1p(twd).sum(axis=1) - u2 @ (t[:, None] * w / k).T
+    log_z = _log_mgf(u, d, w, t)
     decay = e * np.exp(-t[:, None] * c)  # e_i exp(-c_i t), (T, m)
     # The tilted E[v_i**2 - u_i v_i] and E[v_i**2], weighted by decay and by
     # e * decay, summed over i.
@@ -66,6 +80,23 @@ def _integrands(u, d, w, c, e, tau):
     return scale * a, scale * t * b
 
 
+def _cut_rows_cap(affine, u, d, w, t, label):
+    """A cap, per row of ``u``, on ``ebme``'s risk from rows with ``l2 <= t0``,
+    where its ratio form does not hold; ``NoClosedForm`` where the Chernoff
+    bound on their probability reaches 1e-16."""
+    if affine.t0 > 0.0:  # at t0 = 0 only l2 = 0 is cut, with probability 0
+        log_p = (t * affine.t0 + _log_mgf(u, d, w, t)).min(axis=1)
+    else:
+        log_p = np.full(u.shape[0], -np.inf)
+    if log_p.max() >= np.log(1e-16):
+        raise NoClosedForm(f"exact_risk: no closed form for {label}: P(l2 <= t0) is bounded "
+                           f"only by {np.exp(log_p.max()):.2g}, not below 1e-16")
+    # There ||v|| <= sqrt(t0 / min(w)); ebme's gains lie in [0, 1], the ratio
+    # form's within 1 + r1 max(sb2) / r2 of 0.
+    reach = (1.0 + affine.r1 * affine.weights.max() / affine.r2) * np.sqrt(affine.t0 / w.min())
+    return np.exp(log_p) * (reach + np.linalg.norm(u, axis=1)) ** 2
+
+
 def _trapezoid(f, h):
     return h * (f.sum(axis=-1) - 0.5 * (f[..., 0] + f[..., -1]))
 
@@ -73,19 +104,24 @@ def _trapezoid(f, h):
 def exact_risk(model, xs, spec, nodes: int = 200) -> Exact:
     """Exact risk of ``spec`` at each point of ``xs`` (``(P, m)``), by the
     trapezoid rule on ``2 nodes - 1`` nodes, and an error estimate: the change
-    from ``nodes`` nodes, the step doubled. ``NoClosedForm`` for a rule whose
-    gain is neither ``unit_gain`` nor a ``Ratio`` without ``clamp``, for
-    ``c = 0`` with ``m < 3``, and for a ``min(c_i) > 0`` below ``40 e**-300``."""
+    from ``nodes`` nodes, the step doubled, plus ``ebme``'s cut-row cap.
+    ``NoClosedForm`` for a rule whose gain is neither ``unit_gain``, nor a
+    ``Ratio`` without ``clamp``, nor ``ebme``'s where its cutoff cannot engage,
+    for ``c = 0`` with ``m < 3``, and for a ``min(c_i) > 0`` below ``40 e**-300``."""
     plan = RULES[spec.kind].plan(model, spec)
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if plan.gain is unit_gain:  # least squares
         return Exact(np.full(xs.shape[0], model.eps0), np.zeros(xs.shape[0]))
-    if not isinstance(plan.gain, Ratio) or plan.gain.clamp:
-        raise NoClosedForm(f"exact_risk: no closed form for {spec.label}")
-    c, e = plan.gain.c, plan.gain.e
-    spread = 1.0 if plan.gain.spread is None else plan.gain.spread[:, 0]
-    c_i, e_i = np.broadcast_to(c / spread, model.m), np.broadcast_to(e / spread, model.m)
     w = np.ones(model.m) if plan.weights is None else plan.weights
+    if plan.affine is not None:  # ebme, on the rows with l2 > t0
+        c = plan.affine.r2
+        c_i, e_i = np.full(model.m, c), plan.affine.r1 * plan.affine.weights
+    elif isinstance(plan.gain, Ratio) and not plan.gain.clamp:
+        c, e = plan.gain.c, plan.gain.e
+        spread = 1.0 if plan.gain.spread is None else plan.gain.spread[:, 0]
+        c_i, e_i = np.broadcast_to(c / spread, model.m), np.broadcast_to(e / spread, model.m)
+    else:
+        raise NoClosedForm(f"exact_risk: no closed form for {spec.label}")
     if c == 0.0 and model.m < 3:
         raise NoClosedForm(f"exact_risk: {spec.label} has infinite risk at m = {model.m} < 3")
     if plan.center is not None:
@@ -99,7 +135,10 @@ def exact_risk(model, xs, spec, nodes: int = 200) -> Exact:
         h = tau[1] - tau[0]
         extra = 2 * int(np.ceil((top - TAU) / (2.0 * h)))  # even: the coarse grid ends on it too
         tau = np.concatenate([tau, TAU + h * np.arange(1, extra + 1)])
-    f1, f2 = _integrands(u, 1.0 / model.Qeig.eigenvalues, w, c_i, e_i, tau)
+    d = 1.0 / model.Qeig.eigenvalues
+    cut = 0.0 if plan.affine is None else _cut_rows_cap(plan.affine, u, d, w, np.exp(tau),
+                                                         spec.label)
+    f1, f2 = _integrands(u, d, w, c_i, e_i, tau)
     risks = []
     for step in (2, 1):  # ``nodes`` nodes, then the step halved
         h = tau[step] - tau[0]
@@ -111,4 +150,4 @@ def exact_risk(model, xs, spec, nodes: int = 200) -> Exact:
             i1 = i1 + f1[:, -1] / (model.m / 2.0)
             i2 = i2 + f2[:, -1] / (model.m / 2.0 - 1.0)
         risks.append(model.eps0 - 2.0 * i1 + i2)
-    return Exact(risks[1], np.abs(risks[1] - risks[0]))
+    return Exact(risks[1], np.abs(risks[1] - risks[0]) + cut)

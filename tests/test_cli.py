@@ -2,6 +2,8 @@
 output, and determinism across reruns and worker counts."""
 
 import json
+import os
+import stat
 import threading
 import warnings
 
@@ -243,6 +245,17 @@ class TestCheck:
             assert captured.err == ""
             outs.append(captured.out)
         assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("h, cw, line", [
+        (np.eye(2), np.diag([1.0, 1e-3]), "condition number of Q: 1000.0"),
+        (np.eye(4), np.eye(4), "condition number of Q: 1.0"),
+        (np.eye(8), np.diag([1.0, 0.1] * 4), "condition number of Q: 10.0"),
+    ], ids=["ratio-1000", "identity", "alternating-diagonal"])
+    def test_condition_number_line(self, tmp_path, capsys, h, cw, line):
+        write_matrix_csv(tmp_path / "H.csv", h)
+        write_matrix_csv(tmp_path / "Cw.csv", cw)
+        assert main(["check", "--H", str(tmp_path / "H.csv"), "--Cw", str(tmp_path / "Cw.csv")]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_five_five_profile_passes(self, tmp_path, capsys):
         write_matrix_csv(tmp_path / "H.csv", np.eye(10))
@@ -571,18 +584,22 @@ class TestExperiment:
         ({"scenario": {"H": {"identity": 2}, "Cw": {"identity": 2}, "h": 1}}, "scenario"),
         ({"scenario": {"Cw": {"identity": 2}}}, "scenario"),
         ({"scenario": {"H": {"identity": 2}}}, "scenario"),
+        ({"scenario": {"H": {"identity": 3, "diag": [1.0, 2.0, 3.0]}, "Cw": {"identity": 3}}},
+         "scenario.H"),
+        ({"scenario": {"H": {"identity": 3}, "Cw": {"identity": 3, "bogus": 1}}}, "scenario.Cw"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
             "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
             "env-seed-text", "scenario-number", "inline-unknown-key", "inline-without-H",
-            "inline-without-Cw"])
+            "inline-without-Cw", "matrix-identity-and-diag", "matrix-unknown-key"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator
         # label that is not one CSV field, or a repeated sweep key, label or
-        # SNR, would break the results CSV or repeat its rows. BLINDMM_SEED
-        # is read only when the config has no seed.
+        # SNR, would break the results CSV or repeat its rows. An inline
+        # matrix object takes exactly one key; with two, one would be ignored.
+        # BLINDMM_SEED is read only when the config has no seed.
         monkeypatch.setenv("BLINDMM_SEED", "abc")
         (tmp_path / "a,b.csv").write_text("1.0\n" * 15)  # a center for fig4-snr's m = 15
         cfg = self._write_config(tmp_path, **overrides)
@@ -594,9 +611,14 @@ class TestExperiment:
     @pytest.mark.parametrize("vector, message", [
         ([0.0] * 15, "directions: direction must be nonzero"),
         ([1.0, 0.0], "directions: direction: dim 2 does not match m=15"),
-    ], ids=["zero", "short"])
+        ([float("nan"), 1.0] + [0.0] * 13, "directions.vector: entries must be finite"),
+        ([float("inf")] + [0.0] * 14, "directions.vector: entries must be finite"),
+        ([float("-inf")] + [0.0] * 14, "directions.vector: entries must be finite"),
+        ([], "directions.vector: expected a 1-D array, got shape (0,)"),
+    ], ids=["zero", "short", "nan", "inf", "minus-inf", "empty"])
     def test_unusable_direction_exit_2(self, tmp_path, capsys, vector, message):
-        # A direction that cannot be scaled is a bad config entry, like any other.
+        # A direction that cannot be scaled is a bad config entry, like any other;
+        # json.load reads NaN, Infinity and -Infinity, so a config can hold them.
         cfg = self._write_config(tmp_path, directions=[{"vector": vector}])
         out = tmp_path / "o.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
@@ -726,6 +748,24 @@ def test_missing_out_directory_exit_2_before_any_work(iid_files, capsys, monkeyp
     assert err.startswith("error: --out: ") and (str(out.parent) if arg else "''") in err
     assert calls == [] and built == []
     assert sorted(iid_files.rglob("*")) == files
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_output_files_take_the_umask(iid_files, umask):
+    # Outputs take the mode open(path, "w") gives, not a private temp file's 0600.
+    old = os.umask(umask)
+    try:
+        (iid_files / "plain.csv").open("w").close()
+        assert main(["scenario", "fig3-pp", "--trials", "100",
+                     "--out", str(iid_files / "rows.csv")]) == 0
+        assert main(["estimate", "--H", str(iid_files / "H.csv"), "--Cw", str(iid_files / "Cw.csv"),
+                     "--y", str(iid_files / "y.csv"), "--estimator", "sbme",
+                     "--out", str(iid_files / "xhat.csv")]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(iid_files / name).st_mode)
+             for name in ("plain.csv", "rows.csv", "xhat.csv")}
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
 
 
 class TestSteinCheckCommand:

@@ -4,7 +4,8 @@ Monte Carlo engine against the oracle.
 Every built-in scenario runs with the rules the oracle covers, random
 directions capped at 2, ``TRIALS`` trials and seed ``SEED``. Each row's
 ``mse_mean`` must lie within ``Z_BOUND`` of its ``mse_stderr`` from the
-exact risk: 1312 rows, so 4.5 is a Bonferroni bound (a two-sided normal
+exact risk: 1312 rows, and the ``ebme:b=-1`` rows whose points keep its
+cutoff off (71 of 164), so 4.5 is a Bonferroni bound (a two-sided normal
 tail of 7e-6 per row). Rules and SNR points of one group share their noise,
 so the rows are far from independent, and the bound is loose.
 """
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from blindmm import scenarios, sim
-from blindmm.estimators import EstimatorSpec, parse_estimator_spec, sbme_dominance_holds
+from blindmm.estimators import (EstimatorSpec, ebme_dominance_holds, parse_estimator_spec,
+                                sbme_dominance_holds)
 from blindmm.model import build_model, scale_to_snr
 from exact_risk import NoClosedForm, exact_risk
 from test_golden_rows import _directions as capped_directions  # random ones capped at 2
@@ -21,6 +23,7 @@ from test_golden_rows import _directions as capped_directions  # random ones cap
 TRIALS, SEED = 4096, 1
 Z_BOUND = 4.5
 COVERED = ["ls", "sbme", "shrinkc:c=1", "bbm", "bock", "tik1", "tik2"]
+EBME = "ebme:b=-1"  # covered only at the points where its cutoff cannot engage
 DOMINATING = ("sbme", "shrinkc", "bbm", "bock")
 
 
@@ -55,6 +58,14 @@ def test_converged_in_the_node_count(model, tag):
     coarse, fine = exact_risk(model, xs, spec), exact_risk(model, xs, spec, nodes=400)
     np.testing.assert_allclose(coarse.risk, fine.risk, rtol=1e-10, atol=0)
     assert np.all(coarse.error <= 1e-10 * coarse.risk)
+
+
+def test_ebme_at_b0_is_sbme():
+    model = scenarios.fig5b_model()
+    xs = grid_points(model)
+    want = exact_risk(model, xs, parse_estimator_spec("sbme"))
+    got = exact_risk(model, xs, parse_estimator_spec("ebme:b=0"))
+    np.testing.assert_allclose(got.risk, want.risk, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("tag", ["pbm", "ebme:b=-1"])
@@ -105,14 +116,16 @@ def test_tikhonov2_loses_to_ls_on_fig7():
 
 
 def scenario_z(name):
-    """The scenario's rows under ``COVERED`` and ``offcenter``, each with its
-    exact risk and z score; one oracle call per (sweep key, rule) group."""
+    """The scenario's rows under ``COVERED``, ``offcenter`` and ``EBME`` that
+    the oracle covers, each with its exact risk and z score; one oracle call
+    per (sweep key, rule) group, and per row for ``EBME``."""
     preset = scenarios.preset(name)
     directions = capped_directions(preset)
     cases, _ = scenarios.resolve_cases(name)
     first = cases[0][1]
     x0 = scale_to_snr(first, np.linspace(-1.0, 1.0, first.m), 0.0)
-    specs = [parse_estimator_spec(tag) for tag in COVERED] + [EstimatorSpec("offcenter", x0=x0)]
+    specs = [parse_estimator_spec(tag) for tag in COVERED + [EBME]]
+    specs.append(EstimatorSpec("offcenter", x0=x0))
     rows = sim.run_experiment(sim.ExperimentConfig(
         scenario=name, estimators=specs, directions=directions, trials=TRIALS, seed=SEED))
     groups = {}
@@ -122,19 +135,30 @@ def scenario_z(name):
                 groups[case_key or dir_key, spec.label] = (model, direction, spec, [])
     for row in rows:
         groups[row.sweep_key, row.estimator][3].append(row)
-    out = []
+    out, skipped = [], 0
     for model, direction, spec, group in groups.values():
         xs = [scale_to_snr(model, direction, row.snr_db) for row in group]
-        exact = exact_risk(model, xs, spec)
-        for row, risk, error in zip(group, exact.risk, exact.error):
-            out.append((row, model, risk, error, (row.mse_mean - risk) / row.mse_stderr))
-    assert len(out) == len(rows) == len(groups) * len(preset.snr_grid_db)
+        parts = [([row], [x]) for row, x in zip(group, xs)] if spec.label == EBME else [(group, xs)]
+        for part, part_xs in parts:
+            try:
+                exact = exact_risk(model, part_xs, spec)
+            except NoClosedForm:  # ebme's cutoff may engage at this point
+                assert spec.label == EBME
+                skipped += 1
+                continue
+            for row, risk, error in zip(part, exact.risk, exact.error):
+                out.append((row, model, risk, error, (row.mse_mean - risk) / row.mse_stderr))
+    assert len(out) + skipped == len(rows) == len(groups) * len(preset.snr_grid_db)
     return out
 
 
 @pytest.mark.parametrize("name", scenarios.SCENARIO_NAMES)
 def test_monte_carlo_rows_match_the_exact_risk(name):
-    for row, model, risk, error, z in scenario_z(name):
+    rows = scenario_z(name)
+    assert any(row.estimator == EBME for row, *_ in rows)  # every scenario covers some
+    for row, model, risk, error, z in rows:
         assert abs(z) <= Z_BOUND, (row, risk)
-        if row.estimator.partition(":")[0] in DOMINATING and sbme_dominance_holds(model):
-            assert risk + error < model.eps0, row  # the paper's dominance claim
+        kind = row.estimator.partition(":")[0]
+        if (kind in DOMINATING and sbme_dominance_holds(model)
+                or row.estimator == EBME and ebme_dominance_holds(model, -1.0)):
+            assert risk + error < model.eps0, row  # the paper's dominance claims

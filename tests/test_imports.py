@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import blindmm
-from blindmm import estimators
+from blindmm import estimators, linalg
 
 ROOT = Path(__file__).resolve().parents[1]
 UNWANTED = ("logging", "concurrent.futures", "queue", "multiprocessing", "asyncio")
@@ -28,10 +28,9 @@ def test_cli_import_loads_no_unwanted_module():
 
 PUBLIC = [
     "EigDecomp", "EstimateResult", "EstimatorSpec", "ExperimentConfig", "LinalgError", "Model",
-    "MseRow", "build_model", "condition_number", "ebme_dominance_holds", "effective_dimension",
-    "estimate_from_ls", "ls_estimate", "parse_estimator_spec", "psd_power", "run_experiment",
-    "sbme_dominance_holds", "scale_to_snr", "scenarios", "stein_lemma_check", "sym_eig",
-    "write_results_csv",
+    "MseRow", "build_model", "ebme_dominance_holds", "effective_dimension", "estimate_from_ls",
+    "ls_estimate", "parse_estimator_spec", "run_experiment", "sbme_dominance_holds",
+    "scale_to_snr", "scenarios", "stein_lemma_check", "sym_eig", "write_results_csv",
 ]
 # Each applied one tag through estimate_from_ls; the README maps them to specs.
 RETIRED_RULE_FUNCTIONS = ["sbme", "shrink_c", "off_center_sbme", "balanced_bme",
@@ -47,5 +46,13 @@ def test_public_names_are_pinned_and_resolve():
 @pytest.mark.parametrize("module", [blindmm, estimators], ids=lambda m: m.__name__)
 @pytest.mark.parametrize("name", RETIRED_RULE_FUNCTIONS)
 def test_retired_rule_functions_are_gone(module, name):
+    with pytest.raises(AttributeError):
+        getattr(module, name)
+
+
+# build_model alone decides whether a model is valid; the README maps them.
+@pytest.mark.parametrize("module", [blindmm, linalg], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["psd_power", "condition_number"])
+def test_second_validity_check_is_gone(module, name):
     with pytest.raises(AttributeError):
         getattr(module, name)

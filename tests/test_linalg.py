@@ -1,8 +1,9 @@
-"""Eigendecomposition, matrix powers and quadratic forms.
+"""The eigensolver, input coercion and numeric CSV files.
 
 Hand-derived 2x2 cases act as oracles for the eigensolver; larger random
 matrices are checked through reconstruction and algebraic identities rather
-than against another eigensolver.
+than against another eigensolver. The matrix powers ``build_model`` takes
+from it are checked in ``test_model.py``.
 """
 
 import os
@@ -13,12 +14,8 @@ import pytest
 from blindmm.linalg import (
     CsvFormatError,
     DimensionMismatchError,
-    EigDecomp,
     NonFiniteError,
     NonSymmetricError,
-    SingularPowerError,
-    condition_number,
-    psd_power,
     read_matrix_csv,
     read_vector_csv,
     sym_eig,
@@ -30,12 +27,6 @@ from blindmm.linalg import (
 def random_symmetric(rng, m):
     a = rng.standard_normal((m, m))
     return (a + a.T) / 2.0
-
-
-def random_spd(rng, m, lo=0.1, hi=10.0):
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    w = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
-    return (q * w) @ q.T
 
 
 def rebuilt(eig):
@@ -127,79 +118,6 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             sym_eig(np.ones((2, 3)))
-
-
-class TestPsdPower:
-    def test_diagonal_sqrt(self):
-        eig = sym_eig(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(psd_power(eig, 0.5), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_zero_power_is_identity(self):
-        rng = np.random.default_rng(3)
-        eig = sym_eig(random_spd(rng, 5))
-        np.testing.assert_allclose(psd_power(eig, 0.0), np.eye(5), atol=1e-12)
-
-    def test_unit_power_reconstructs(self):
-        a = random_spd(np.random.default_rng(4), 6)
-        eig = sym_eig(a)
-        np.testing.assert_allclose(psd_power(eig, 1.0), a, rtol=1e-9, atol=1e-12)
-
-    def test_inverse_hand_case(self):
-        # inv([[2,1],[1,2]]) = [[2/3,-1/3],[-1/3,2/3]] by the 2x2 formula.
-        eig = sym_eig([[2.0, 1.0], [1.0, 2.0]])
-        expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        np.testing.assert_allclose(psd_power(eig, -1.0), expected, atol=1e-12)
-
-    def test_power_composition(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = int(rng.integers(2, 10))
-            eig = sym_eig(random_spd(rng, m))
-            for pa in (-1.0, -0.5, 0.5, 1.0):
-                for pb in (-1.0, -0.5, 0.5, 1.0):
-                    lhs = psd_power(eig, pa) @ psd_power(eig, pb)
-                    rhs = psd_power(eig, pa + pb)
-                    err = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-                    assert err <= 1e-8
-
-    def test_trace_of_inverse(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            eig = sym_eig(random_spd(rng, int(rng.integers(2, 12))))
-            tr = np.trace(psd_power(eig, -1.0))
-            expected = np.sum(1.0 / eig.eigenvalues)
-            assert abs(tr - expected) <= 1e-10 * abs(expected)
-
-    def test_negative_power_of_singular_raises(self):
-        eig = sym_eig(np.diag([1.0, 0.0]))
-        with pytest.raises(SingularPowerError):
-            psd_power(eig, -1.0)
-
-    def test_clamps_rounding_negatives(self):
-        eig = EigDecomp(basis=np.eye(2), eigenvalues=np.array([1.0, -1e-15]))
-        out = psd_power(eig, 0.5)
-        assert np.all(np.isfinite(out))
-
-    def test_rejects_truly_negative(self):
-        eig = EigDecomp(basis=np.eye(2), eigenvalues=np.array([1.0, -0.5]))
-        with pytest.raises(SingularPowerError):
-            psd_power(eig, 0.5)
-
-
-class TestConditionNumber:
-    def test_identity(self):
-        assert condition_number(sym_eig(np.eye(4))) == pytest.approx(1.0)
-
-    def test_ratio_1000(self):
-        assert condition_number(sym_eig(np.diag([1000.0, 1.0]))) == pytest.approx(1000.0)
-
-    def test_alternating_diagonal(self):
-        d = np.diag([1.0, 0.1] * 4)
-        assert condition_number(sym_eig(d)) == pytest.approx(10.0)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularPowerError):
-            condition_number(sym_eig(np.diag([1.0, 0.0])))
 
 
 class TestCsv:

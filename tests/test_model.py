@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blindmm.linalg import DimensionMismatchError, NonFiniteError
+from blindmm.linalg import DimensionMismatchError, NonFiniteError, sym_eig
 from blindmm.model import (
     NotPositiveDefiniteError,
     RankDeficientError,
@@ -88,6 +88,52 @@ class TestBuildModel:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=match):
                 build_model(h, cw)
+
+
+def random_spd(rng, m, lo=0.1, hi=10.0):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    w = np.exp(rng.uniform(np.log(lo), np.log(hi), size=m))
+    return (q * w) @ q.T
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestMatrixPowers:
+    """``Cw^-1``, ``Cw^1/2`` and ``Q^-1``, through what ``build_model`` keeps of them."""
+
+    def test_diagonal_sqrt(self):
+        cw_sqrt = build_model(np.eye(2), np.diag([4.0, 9.0])).cw_sqrt
+        np.testing.assert_allclose(cw_sqrt, np.diag([2.0, 3.0]), atol=1e-12)
+
+    def test_inverse_hand_case(self):
+        # inv([[2,1],[1,2]]) = [[2,-1],[-1,2]] / 3 by the 2x2 formula: Q = Cw^-1
+        # for H = I, and ls_op = Q^-1 H' = H^-1 for Cw = I.
+        a, expected = [[2.0, 1.0], [1.0, 2.0]], np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
+        np.testing.assert_allclose(build_model(np.eye(2), a).Q, expected, atol=1e-12)
+        np.testing.assert_allclose(build_model(a, np.eye(2)).ls_op, expected, atol=1e-12)
+
+    def test_power_composition(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            m = int(rng.integers(2, 10))
+            n = m + int(rng.integers(0, 4))
+            h, cw = rng.standard_normal((n, m)), random_spd(rng, n)
+            model = build_model(h, cw)
+            assert rel_err(model.cw_sqrt @ model.cw_sqrt, cw) <= 1e-8
+            assert rel_err(model.ls_op @ h, np.eye(m)) <= 1e-8
+            assert rel_err(build_model(np.eye(n), cw).Q @ cw, np.eye(n)) <= 1e-8
+
+    def test_trace_of_inverse(self):
+        # With H = I, Q = Cw^-1 and eps0 = tr(Q^-1) = tr(Cw).
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            cw = random_spd(rng, int(rng.integers(2, 12)))
+            model = build_model(np.eye(cw.shape[0]), cw)
+            expected = np.sum(1.0 / sym_eig(cw).eigenvalues)
+            assert abs(np.trace(model.Q) - expected) <= 1e-10 * abs(expected)
+            assert abs(model.eps0 - np.trace(cw)) <= 1e-10 * np.trace(cw)
 
 
 class TestLsEstimate:

@@ -141,6 +141,17 @@ class TestDirections:
         with pytest.raises(ConfigError, match="directions.id"):
             resolve_directions(iid_model(2), [{"vector": [1.0, 0.0], "id": key}], 0)
 
+    @pytest.mark.parametrize("vector, message", [
+        ([np.nan] + [1.0] + [0.0] * 8, "entries must be finite"),
+        ([np.inf] + [0.0] * 9, "entries must be finite"),
+        ([-np.inf] + [0.0] * 9, "entries must be finite"),
+        ([], r"expected a 1-D array, got shape \(0,\)"),
+    ], ids=["nan", "inf", "minus-inf", "empty"])
+    def test_non_finite_or_empty_vector_is_a_config_error(self, vector, message):
+        cfg = ExperimentConfig(scenario="fig5b-range", directions=[{"vector": vector}], trials=8)
+        with pytest.raises(ConfigError, match=f"^directions.vector: {message}$"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("policies", [
         ["max-eigenvector", {"vector": [0.0, 1.0], "id": "max-eig"}],
         [{"random-sphere": 2}, {"vector": [0.0, 1.0], "id": "rand-001"}],
