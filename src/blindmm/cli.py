@@ -7,12 +7,14 @@ undefined). The ``BLINDMM_SEED`` environment variable supplies a fallback
 default seed; explicit flags and config values win. A Monte Carlo pass
 evaluates its chunks on the calling thread, which shares the drawing of
 the noise with one helper thread: ``--workers`` is still accepted, and a
-value below 1 is a usage error, but it has no other effect.
+value below 1 is a usage error, but it has no other effect. The argument
+parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -52,6 +54,7 @@ _WORKERS_HELP = ("no effect besides the check that it is >= 1: chunks are evalua
                  "thread while a helper thread draws noise ahead")
 
 
+@functools.cache  # parse_args keeps no state on the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blindmm",

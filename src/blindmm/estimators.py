@@ -88,20 +88,20 @@ def _finite(v) -> bool:
     return v is not None and bool(np.isfinite(v))
 
 
-def _ratio_gain(s, c, e, out=None):
+def _ratio_gain(s, c, e, out=None, denom=None):
     """The scalar gain ``1 - e / (c + s)`` of every scalar rule, and 0 where
-    ``c + s == 0``, written into ``out`` (which may be ``s``) if given.
+    ``c + s == 0``, written into ``out`` (which may be ``s``) if given, with
+    its denominator in ``denom`` if given.
 
     The ratio form ``((c - e) + s) / (c + s)`` keeps relative accuracy when
     the gain is tiny, and reduces exactly to ``s / (s + e)`` at ``c = e``
     and to ``(s - e) / s`` at ``c = 0``.
     """
-    denom = c + s
+    denom = np.add(s, c, out=denom)  # the same floats as c + s
     g = np.add(s, c - e, out=out)  # the same floats as (c - e) + s
-    if not c > 0.0:  # s >= 0, so c > 0 leaves no zero denominator
+    if not (c > 0.0 or denom.all()):  # s >= 0, so c > 0 leaves no zero denominator
         zero = denom == 0.0
-        if zero.any():
-            g[zero], denom[zero] = 0.0, 1.0
+        g[zero], denom[zero] = 0.0, 1.0
     return np.divide(g, denom, out=g)
 
 
@@ -128,7 +128,8 @@ class Affine(NamedTuple):
 class Ratio(NamedTuple):
     """The gain ``_ratio_gain(s, c, e)`` of every rule but ``ls`` and ``ebme``;
     an ``(m, 1)`` ``spread`` makes it per component, ``s_i = spread_i * s``,
-    and ``clamp`` takes the positive part."""
+    and ``clamp`` takes the positive part. A scalar gain's work array ``out``
+    is ``(2, rows)``: the gain goes into ``out[0]``, its denominator into ``out[1]``."""
 
     c: float
     e: float
@@ -136,8 +137,11 @@ class Ratio(NamedTuple):
     clamp: bool = False
 
     def __call__(self, s, out=None):
-        spread_s = s if self.spread is None else np.multiply(self.spread, s, out=out)
-        g = _ratio_gain(spread_s, self.c, self.e, out=None if self.spread is None else spread_s)
+        if self.spread is None:
+            g = _ratio_gain(s, self.c, self.e, *(() if out is None else out))
+        else:
+            spread_s = np.multiply(self.spread, s, out=out)
+            g = _ratio_gain(spread_s, self.c, self.e, out=spread_s)
         if self.clamp:
             np.maximum(g, 0.0, out=g)
         return g
@@ -147,7 +151,8 @@ class Plan(NamedTuple):
     """A rule for one model: ``gain(s, out=None)`` maps the statistic
     ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
     ``s = ||xls||^2``) to gains ``g``, ``(rows,)`` or, per component,
-    ``(m, rows)``, that may be written into the work array ``out``. Every
+    ``(m, rows)``, that may be written into the work array ``out``
+    (``(m, rows)`` for a per-component gain, ``(2, rows)`` for a scalar one). Every
     ``gain`` but ``ls``'s and ``ebme``'s is a ``Ratio``, whose fields the
     exact-risk oracle in the tests reads as the rule's constants.
     ``undefined_at_zero`` marks a rule undefined where ``s == 0`` (gain 0 there).

@@ -8,7 +8,7 @@ thread, while it and one helper thread draw the next chunks' noise
 estimators see the same noise draw within a trial (common random numbers),
 which tightens pairwise MSE comparisons without biasing any single estimate.
 
-The engine (version 8, see the README) works in the eigenbasis ``U`` of
+The engine (version 9, see the README) works in the eigenbasis ``U`` of
 ``Q``. The SNR points of one (case, direction) pair share each chunk's
 noise ``z`` and its eigen-coordinates ``v0 = A' z'``, ``A = cw_sqrt ls_op'
 U``, laid out ``(m, rows)``; a point's ``xls`` has coordinates
@@ -19,7 +19,9 @@ only ``tik1``, and ``ebme`` where it cuts a trial, form ``v``. ``ls``'s
 error ``||v0||^2`` does not depend on the point and is reduced once per
 chunk. One kernel per group (``_chunk_kernel``) forms and bounds the
 group's noise-free terms once, and maps each chunk to a flat list of
-per-(point, rule) results, which fold into moments in chunk order.
+per-(point, rule) results, which fold into moments in chunk order. A
+scalar rule's temporaries go into the kernel's reused work arrays; only
+each (point, rule)'s squared errors ``se`` are a new array.
 """
 
 from __future__ import annotations
@@ -148,9 +150,11 @@ def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _numbers(value, name: str) -> list:
+def _numbers(value, name: str, finite: bool = False) -> list:
     if not (isinstance(value, list) and all(map(_is_number, value))):
         raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    if finite and not all(map(math.isfinite, value)):  # json.load reads NaN and Infinity
+        raise ConfigError(f"{name}: expected finite entries, got {value!r}")
     return [float(v) for v in value]
 
 
@@ -270,17 +274,21 @@ def _distinct(arrays):
     return np.array([np.frombuffer(k) for k in keys]), [keys.index(a.tobytes()) for a in arrays]
 
 
-def _affine_errors(affine, l2, base0, stat, base, w_u2):
+def _affine_errors(affine, l2, base0, stat, base, w_u2, work):
     """``ebme``'s squared errors ``||v0||^2 - a cross2 + a**2 l2`` and gain
     sum on rows its cutoff leaves whole (``l2 > affine.t0``). ``stat``,
     ``base`` and ``w_u2`` are the affine weights' statistic, its ``w . v0**2``
-    and its ``w . u**2``, so ``cross2 = 2 (w v0) . v = stat + base - w_u2``.
+    and its ``w . u**2``, so ``cross2 = 2 (w v0) . v = stat + base - w_u2``;
+    ``a`` and ``a l2`` go into the ``(2, rows)`` ``work``, and ``se`` is new.
     ``None`` when the closed form leaves float64 range, which leaves every
     row to the reference gain (and to its own error if that overflows too)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = affine.r1 / (l2 + affine.r2)
-        se = base0 - a * (stat + base - w_u2 - a * l2)
-        gain_sum = l2.shape[0] - affine.weights * a.sum()
+    a, a_l2 = work
+    np.divide(affine.r1, np.add(l2, affine.r2, out=a), out=a)
+    se = np.add(stat, base)
+    se -= w_u2
+    se -= np.multiply(a, l2, out=a_l2)
+    np.subtract(base0, np.multiply(se, a, out=se), out=se)
+    gain_sum = l2.shape[0] - affine.weights * a.sum()
     return (se, gain_sum) if np.isfinite(se).all() and np.isfinite(gain_sum).all() else None
 
 
@@ -305,7 +313,11 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
 
     ``A'`` and the work arrays are made on the first chunk and live as long
     as the kernel; each work array is a flat array of ``k * CHUNK_TRIALS``
-    floats, viewed as ``(k, rows)``.
+    floats, viewed as ``(k, rows)``. A scalar rule's gain and its
+    denominator (``Ratio``), its centred statistic and error terms, and
+    ``_affine_errors``' terms go into work arrays; each (point, plan)'s
+    ``se`` is a new array, so ``reduce`` may keep it. One ``np.errstate``
+    covers a chunk.
 
     All points share the block's ``v0 = A' z'``; a point's statistics are
     ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2``, and a scalar
@@ -331,12 +343,14 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
         u2 = np.einsum("pcm,pcm->pc", shifted, shifted)
         finite = [np.isfinite(cross_ops).all(axis=(1, 2)), np.isfinite(w_u2).all(axis=1),
                   np.isfinite(u2).all(axis=1)]
-        finite += [np.isfinite(plan.gain(w_u2[:, j] if plan.center is None else u2[:, c]))
-                   .reshape(-1, len(xs)).all(axis=0) for plan, j, c in zip(plans, s_slot, c_slot)]
+        gains = [plan.gain(w_u2[:, j] if plan.center is None else u2[:, c])
+                 for plan, j, c in zip(plans, s_slot, c_slot)]
+        finite += [np.isfinite(g).reshape(-1, len(xs)).all(axis=0) for g in gains]
     bad = np.flatnonzero(~np.logical_and.reduce(finite))
     if bad.size:
         raise ConfigError(f"snr_grid_db: ||x|| = {np.linalg.norm(xs[bad[0]]):.4g}: a rule's "
                           "statistic w . (U'x)**2 leaves float64 range on this model")
+    scalar = [g.ndim == 1 for g in gains]  # one gain per row, not per component
     n_w = w_mat.shape[0]
     has_ls = any(plan.gain is unit_gain for plan in plans)
     a_t = functools.cache(lambda: np.ascontiguousarray((model.cw_sqrt @ model.ls_op.T @ basis).T))
@@ -347,43 +361,49 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
             work[name] = np.empty(k * CHUNK_TRIALS)
         return work[name][: k * rows].reshape(k, rows)
 
+    @np.errstate(over="ignore", invalid="ignore")  # checked on base, _affine_errors and the fold
     def eval_chunk(z):
         rows = z.shape[0]
         v0 = np.matmul(a_t(), z.T, out=work_array("v0", m, rows))
         d = z.reshape(-1)[: m * rows].reshape(m, rows)  # the spent block (n >= m) holds squares
         cross = work_array("cross", cross_ops.shape[1], rows)
         stats = cross[:n_w]
-        # Overflow gives inf, which the check below rejects for every weight row.
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = w_mat @ np.multiply(v0, v0, out=d)
+        scratch = work_array("scalar", 5, rows)  # a scalar gain and its denominator, then s, h, t
+        s_c, h, t = scratch[2:]
+        base = w_mat @ np.multiply(v0, v0, out=d)
         if not np.all(np.isfinite(base)):
             raise NonFiniteError("a rule's noise statistic (||v0||^2, sig . v0**2 or ebme's "
                                  "sig**b . v0**2, v0 = U'(xls - x)) leaves float64 range")
         ls = (reduce(base[0]), float(rows)) if has_ls else None
         out = []
         for k, u in enumerate(us[:, :, None]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(cross_ops[k], v0, out=cross)
-                stats += base
-                stats += w_u2[k, :, None]
+            np.matmul(cross_ops[k], v0, out=cross)
+            stats += base
+            stats += w_u2[k, :, None]
             v = None
-            for plan, j, ja, c in zip(plans, s_slot, a_slot, c_slot):
+            for plan, j, ja, c, one in zip(plans, s_slot, a_slot, c_slot, scalar):
                 if plan.gain is unit_gain:
                     out.append(ls)
                     continue
                 fit = None
                 if plan.affine is not None and stats[j].min() > plan.affine.t0:
                     fit = _affine_errors(plan.affine, stats[j], base[0],
-                                         stats[ja], base[ja], w_u2[k, ja])
+                                         stats[ja], base[ja], w_u2[k, ja], scratch[3:])
                 if fit is not None:
                     se, gain_sum = fit
                 else:
-                    s = stats[j] if plan.center is None else base[0] + cross[n_w + c] + u2[k, c]
-                    g = plan.gain(s, d)  # a per-component g may be d itself
+                    s = stats[j]
+                    if plan.center is not None:  # base[0] + cross[n_w + c] + u2[k, c]
+                        s = np.add(base[0], cross[n_w + c], out=s_c)
+                        s += u2[k, c]
+                    g = plan.gain(s, scratch[:2] if one else d)  # a per-component g may be d
                     gain_sum = g.sum(axis=-1)
-                    if g.ndim == 1:
-                        h = g - 1.0
-                        se = (g * base[0] + h * cross[n_w + c]) * g + u2[k, c] * (h * h)
+                    if one:  # se = (g base[0] + h cross) g + u2[k, c] h**2, h = g - 1
+                        np.subtract(g, 1.0, out=h)
+                        se = np.multiply(g, base[0])  # the one new array
+                        se += np.multiply(h, cross[n_w + c], out=t)
+                        se *= g
+                        se += np.multiply(np.multiply(h, h, out=t), u2[k, c], out=t)
                     else:
                         if v is None:
                             v = np.add(v0, u, out=work_array("v", m, rows))
@@ -540,7 +560,7 @@ def run_experiment(config: ExperimentConfig):
             rows.append(MseRow(
                 scenario=scenario_name, estimator=spec.label, snr_db=snr_db, sweep_key=sweep_key,
                 mse_mean=mean, mse_stderr=stderr, trials=trials, seed=seed,
-                gain_mean=np.broadcast_to(gains, (model.m,)) / trials, eps0=model.eps0,
+                gain_mean=np.divide(gains, trials, out=np.empty(model.m)), eps0=model.eps0,
             ))
     rows.sort(key=MseRow.sort_key)
     return rows
@@ -600,9 +620,9 @@ def _inline_cases(obj):
         if isinstance(spec, dict) and list(spec) == ["identity"]:
             return np.eye(_count(spec["identity"], f"{name}.identity", least=1))
         if isinstance(spec, dict) and list(spec) == ["diag"]:
-            return np.diag(_numbers(spec["diag"], f"{name}.diag"))
+            return np.diag(_numbers(spec["diag"], f"{name}.diag", finite=True))
         if isinstance(spec, list) and len({len(r) if type(r) is list else -1 for r in spec}) == 1:
-            return np.array([_numbers(row, name) for row in spec])
+            return np.array([_numbers(row, name, finite=True) for row in spec])
         raise ConfigError(f"{name}: expected nested lists, or an object whose one key is diag "
                           "or identity")
 

@@ -342,6 +342,27 @@ class TestScenario:
         assert a.read_bytes() == b.read_bytes()  # env supplied the default
         assert a.read_bytes() != c.read_bytes()  # explicit flag wins
 
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process: a usage error, a seed from
+        # the environment and a rerun in between must not change what a call gives.
+        monkeypatch.delenv("BLINDMM_SEED", raising=False)
+        first = ["scenario", "fig3-pp", "--trials", "2000", "--seed", "3",
+                 "--out", str(tmp_path / "first.csv")]
+        assert main(first) == 0
+        stdout, csv = capsys.readouterr().out, (tmp_path / "first.csv").read_bytes()
+        assert main(["scenario", "fig3-pp", "--workers", "0",
+                     "--out", str(tmp_path / "workers.csv")]) == 2
+        assert "workers: must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("BLINDMM_SEED", "11")
+        assert main(["scenario", "fig3-pp", "--trials", "2000",
+                     "--out", str(tmp_path / "env.csv")]) == 0
+        rows = (tmp_path / "env.csv").read_text().splitlines()[1:]
+        assert rows and {row.rsplit(",", 1)[1] for row in rows} == {"11"}
+        capsys.readouterr()
+        assert main(first) == 0
+        assert capsys.readouterr().out == stdout
+        assert (tmp_path / "first.csv").read_bytes() == csv
+
 
 class TestExperiment:
     def _write_config(self, tmp_path, **overrides):
@@ -587,18 +608,28 @@ class TestExperiment:
         ({"scenario": {"H": {"identity": 3, "diag": [1.0, 2.0, 3.0]}, "Cw": {"identity": 3}}},
          "scenario.H"),
         ({"scenario": {"H": {"identity": 3}, "Cw": {"identity": 3, "bogus": 1}}}, "scenario.Cw"),
+        ({"scenario": {"H": {"identity": 2}, "Cw": {"diag": [float("nan"), 1.0]}}},
+         "scenario.Cw.diag"),
+        ({"scenario": {"H": {"diag": [1.0, float("-inf")]}, "Cw": {"identity": 2}}},
+         "scenario.H.diag"),
+        ({"scenario": {"H": [[1.0, 0.0], [float("nan"), 1.0]], "Cw": {"identity": 2}}},
+         "scenario.H"),
+        ({"scenario": {"H": {"identity": 2}, "Cw": [[float("inf"), 0.0], [0.0, 1.0]]}},
+         "scenario.Cw"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
             "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
             "env-seed-text", "scenario-number", "inline-unknown-key", "inline-without-H",
-            "inline-without-Cw", "matrix-identity-and-diag", "matrix-unknown-key"])
+            "inline-without-Cw", "matrix-identity-and-diag", "matrix-unknown-key",
+            "diag-nan", "diag-minus-inf", "rows-nan", "rows-inf"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator
         # label that is not one CSV field, or a repeated sweep key, label or
         # SNR, would break the results CSV or repeat its rows. An inline
         # matrix object takes exactly one key; with two, one would be ignored.
+        # Its entries must be finite: json.load reads NaN, Infinity and -Infinity.
         # BLINDMM_SEED is read only when the config has no seed.
         monkeypatch.setenv("BLINDMM_SEED", "abc")
         (tmp_path / "a,b.csv").write_text("1.0\n" * 15)  # a center for fig4-snr's m = 15
@@ -705,6 +736,14 @@ class TestExperiment:
             directions=[{"vector": [1, 0]}],
         )
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+
+    def test_singular_inline_cw_exit_3(self, tmp_path, capsys):
+        # Finite entries that make no valid model are data, unlike NaN or Infinity.
+        cfg = self._write_config(tmp_path,
+                                 scenario={"H": {"identity": 2}, "Cw": {"diag": [1.0, 0.0]}})
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "Cw" in capsys.readouterr().err and not out.exists()
 
     def test_missing_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -686,6 +686,39 @@ class TestPointInvariantWork:
         assert calls == [13, 13, 13]  # three groups of 13 points
 
 
+class TestKernelBuffers:
+    """Engine version 9: a chunk's temporaries go into the kernel's work
+    arrays, and each (point, rule) gets one new ``se`` array, so a ``reduce``
+    may keep it."""
+
+    def test_each_squared_error_array_is_new_and_kept(self):
+        model = fig5b_model()
+        specs = [parse_estimator_spec(tag)
+                 for tag in ("sbme", "bock", "pbm", "shrinkc:c=0", "ebme:b=-1")]
+        specs.append(EstimatorSpec("offcenter", x0=np.linspace(-1.0, 1.0, model.m),
+                                   x0_name="x0.csv"))
+        plans = [RULES[spec.kind].plan(model, spec) for spec in specs]
+        reference = []  # ebme's chunk-wide reference gain calls: none, so its closed form runs
+
+        def traced(s, out=None, gain=plans[4].gain):
+            reference.append(np.size(s) > 3)
+            return gain(s, out)
+
+        plans[4] = plans[4]._replace(gain=traced)
+        xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in (0.0, 5.0, 10.0)]
+        kernel = sim._chunk_kernel(model, xs, plans, lambda se: se)
+        blocks = [normal_block(7, np.arange(lo, lo + sim.CHUNK_TRIALS), model.n)
+                  for lo in (0, sim.CHUNK_TRIALS)]
+        first = [se for se, _ in kernel(blocks[0])]
+        kept = [se.copy() for se in first]
+        squared_errors = first + [se for se, _ in kernel(blocks[1])]
+        assert len(squared_errors) == 2 * len(xs) * len(specs) and not any(reference)
+        for i, se in enumerate(squared_errors):
+            assert not any(np.shares_memory(se, other) for other in squared_errors[:i]), i
+        for i, (se, copy) in enumerate(zip(first, kept)):
+            assert se.tobytes() == copy.tobytes(), i
+
+
 class TestNoisePipeline:
     """Engine version 8: a pass cycles its noise blocks through up to three
     reused slots. One helper thread draws posted blocks ahead of the chunk
