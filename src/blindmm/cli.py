@@ -8,7 +8,8 @@ default seed; explicit flags and config values win. A Monte Carlo pass
 evaluates its chunks on the calling thread, which shares the drawing of
 the noise with one helper thread: ``--workers`` is still accepted, and a
 value below 1 is a usage error, but it has no other effect. The argument
-parser is built once per process, on the first ``main`` call.
+parser is built once per process, on the first ``main`` call, so a caller
+that runs ``main`` many times in one process (the test suite) builds it once.
 """
 
 from __future__ import annotations

@@ -128,20 +128,17 @@ class Affine(NamedTuple):
 class Ratio(NamedTuple):
     """The gain ``_ratio_gain(s, c, e)`` of every rule but ``ls`` and ``ebme``;
     an ``(m, 1)`` ``spread`` makes it per component, ``s_i = spread_i * s``,
-    and ``clamp`` takes the positive part. A scalar gain's work array ``out``
-    is ``(2, rows)``: the gain goes into ``out[0]``, its denominator into ``out[1]``."""
+    and ``clamp`` takes the positive part."""
 
     c: float
     e: float
     spread: np.ndarray | None = None
     clamp: bool = False
 
-    def __call__(self, s, out=None):
-        if self.spread is None:
-            g = _ratio_gain(s, self.c, self.e, *(() if out is None else out))
-        else:
-            spread_s = np.multiply(self.spread, s, out=out)
-            g = _ratio_gain(spread_s, self.c, self.e, out=spread_s)
+    def __call__(self, s, out=None, denom=None):
+        spread_s = s if self.spread is None else np.multiply(self.spread, s, out=out)
+        g = _ratio_gain(spread_s, self.c, self.e, out=out if self.spread is None else spread_s,
+                        denom=denom)
         if self.clamp:
             np.maximum(g, 0.0, out=g)
         return g
@@ -151,10 +148,10 @@ class Plan(NamedTuple):
     """A rule for one model: ``gain(s, out=None)`` maps the statistic
     ``s = sum_i weights_i v_i**2`` of each row (``weights`` ``None``:
     ``s = ||xls||^2``) to gains ``g``, ``(rows,)`` or, per component,
-    ``(m, rows)``, that may be written into the work array ``out``
-    (``(m, rows)`` for a per-component gain, ``(2, rows)`` for a scalar one). Every
-    ``gain`` but ``ls``'s and ``ebme``'s is a ``Ratio``, whose fields the
-    exact-risk oracle in the tests reads as the rule's constants.
+    ``(m, rows)``, that may be written into the work array ``out``, shaped
+    like ``g``; a scalar gain also takes a work array ``denom`` for its
+    denominator. Every ``gain`` but ``ls``'s and ``ebme``'s is a ``Ratio``,
+    whose fields the exact-risk oracle in the tests reads as the rule's constants.
     ``undefined_at_zero`` marks a rule undefined where ``s == 0`` (gain 0 there).
     ``center`` is the point shrunk toward and the one ``s`` is taken about
     (``None``: the origin). ``affine`` (``ebme`` only) is the closed form of

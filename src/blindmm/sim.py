@@ -121,11 +121,10 @@ class ExperimentConfig:
         _check_distinct([_csv_field(spec.label, "estimators") for spec in specs], "estimators",
                         "labels")
         snr = np.array(_numbers(_nonempty(self.snr_grid_db, "snr_grid_db"), "snr_grid_db"))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             linear = 10.0 ** (snr / 10.0)
-        if not np.all(np.isfinite(snr) & np.isfinite(linear)):
-            raise ConfigError("snr_grid_db: entries must be finite, with 10**(snr/10) within "
-                              "float64 range")
+        if not np.all(np.isfinite(linear)):
+            raise ConfigError("snr_grid_db: 10**(snr/10) must be within float64 range")
         _check_distinct(snr.tolist(), "snr_grid_db", "values")
         _nonempty(self.directions, "directions")
         _count(self.trials, "trials", least=1)
@@ -150,12 +149,13 @@ def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _numbers(value, name: str, finite: bool = False) -> list:
+def _numbers(value, name: str) -> list:
     if not (isinstance(value, list) and all(map(_is_number, value))):
         raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
-    if finite and not all(map(math.isfinite, value)):  # json.load reads NaN and Infinity
-        raise ConfigError(f"{name}: expected finite entries, got {value!r}")
-    return [float(v) for v in value]
+    with contextlib.suppress(OverflowError):  # an int past float64 range
+        if all(map(math.isfinite, value)):  # json.load reads NaN and Infinity
+            return [float(v) for v in value]
+    raise ConfigError(f"{name}: entries must be finite")
 
 
 def _count(value, name: str, least: int = 0) -> int:
@@ -316,8 +316,11 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
     floats, viewed as ``(k, rows)``. A scalar rule's gain and its
     denominator (``Ratio``), its centred statistic and error terms, and
     ``_affine_errors``' terms go into work arrays; each (point, plan)'s
-    ``se`` is a new array, so ``reduce`` may keep it. One ``np.errstate``
-    covers a chunk.
+    ``se`` is a new array, so ``reduce`` may keep it. A chunk runs with
+    overflow and invalid values ignored, gains and error terms included:
+    ``base`` and ``_affine_errors`` are checked here, and any other
+    non-finite error reaches ``reduce`` (``run_experiment``'s check of each
+    row's moments raises ``NonFiniteError`` on it).
 
     All points share the block's ``v0 = A' z'``; a point's statistics are
     ``w . (v0 + u)**2 = w . v0**2 + 2 (w u) . v0 + w . u**2``, and a scalar
@@ -396,7 +399,8 @@ def _chunk_kernel(model: Model, xs, plans, reduce):
                     if plan.center is not None:  # base[0] + cross[n_w + c] + u2[k, c]
                         s = np.add(base[0], cross[n_w + c], out=s_c)
                         s += u2[k, c]
-                    g = plan.gain(s, scratch[:2] if one else d)  # a per-component g may be d
+                    # A scalar g and its denominator go into scratch, a per-component g into d.
+                    g = plan.gain(s, scratch[0], denom=scratch[1]) if one else plan.gain(s, d)
                     gain_sum = g.sum(axis=-1)
                     if one:  # se = (g base[0] + h cross) g + u2[k, c] h**2, h = g - 1
                         np.subtract(g, 1.0, out=h)
@@ -469,7 +473,7 @@ def resolve_directions(model: Model, policies, seed):
         elif keys in ({"vector"}, {"vector", "id"}):
             try:
                 vec = as_vector(_numbers(pol["vector"], "directions.vector"), "directions.vector")
-            except LinalgError as exc:  # empty, or an entry not finite
+            except LinalgError as exc:  # empty
                 raise ConfigError(str(exc)) from exc
             key = pol.get("id")
             key = f"vec-{vec_idx:03d}" if key is None else _csv_field(key, "directions.id")
@@ -620,9 +624,9 @@ def _inline_cases(obj):
         if isinstance(spec, dict) and list(spec) == ["identity"]:
             return np.eye(_count(spec["identity"], f"{name}.identity", least=1))
         if isinstance(spec, dict) and list(spec) == ["diag"]:
-            return np.diag(_numbers(spec["diag"], f"{name}.diag", finite=True))
+            return np.diag(_numbers(spec["diag"], f"{name}.diag"))
         if isinstance(spec, list) and len({len(r) if type(r) is list else -1 for r in spec}) == 1:
-            return np.array([_numbers(row, name, finite=True) for row in spec])
+            return np.array([_numbers(row, name) for row in spec])
         raise ConfigError(f"{name}: expected nested lists, or an object whose one key is diag "
                           "or identity")
 

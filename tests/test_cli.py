@@ -498,6 +498,33 @@ class TestExperiment:
         assert "ls: squared errors leave float64 range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_scalar_errors_exit_3(self, tmp_path, capsys):
+        # At 17 dB on Cw = 1e306 I, ||x||^2 is 1.5e308: sbme's and pbm's
+        # statistic ||v0 + u||^2 leaves float64 range on some rows, and with
+        # it their squared errors, inside a kernel that runs with overflow
+        # ignored. The check of each row's moments still makes it exit 3.
+        from blindmm import sim
+        from blindmm.estimators import RULES, parse_estimator_spec
+        from blindmm.model import build_model, scale_to_snr
+
+        model = build_model(np.eye(3), np.diag([1e306] * 3))
+        plans = [RULES[kind].plan(model, parse_estimator_spec(kind)) for kind in ("sbme", "pbm")]
+        kernel = sim._chunk_kernel(model, [scale_to_snr(model, np.ones(3), 17.0)], plans,
+                                   lambda se: se)
+        assert not any(np.isfinite(se).all()
+                       for se, _ in kernel(sim.normal_block(1, np.arange(100), 3)))
+        cfg = self._write_config(
+            tmp_path, scenario={"H": {"identity": 3}, "Cw": {"diag": [1e306] * 3}},
+            estimators=["sbme", "pbm"], snr_grid_db=[17.0],
+            directions=[{"vector": [1.0, 1.0, 1.0]}], trials=100, seed=1,
+        )
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "squared errors leave float64 range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_noise_statistic_exit_3(self, tmp_path, capsys):
         # Every xls is finite, but ebme's sig**b . v0**2 on the noise is not
         # (sig**b is about 1.6e308 on the clean axis).
@@ -542,9 +569,11 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
         assert len(built) == 1
 
-    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 4000.0])
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 4000.0, 10**400],
+                             ids=["nan", "inf", "4000.0", "int-past-float64"])
     def test_bad_snr_grid_exit_2(self, tmp_path, capsys, snr):
-        cfg = self._write_config(tmp_path, snr_grid_db=[0.0, snr])  # NaN, Infinity, 4000.0
+        # NaN, Infinity, 4000.0, and an integer that float64 cannot hold
+        cfg = self._write_config(tmp_path, snr_grid_db=[0.0, snr])
         out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -608,28 +637,18 @@ class TestExperiment:
         ({"scenario": {"H": {"identity": 3, "diag": [1.0, 2.0, 3.0]}, "Cw": {"identity": 3}}},
          "scenario.H"),
         ({"scenario": {"H": {"identity": 3}, "Cw": {"identity": 3, "bogus": 1}}}, "scenario.Cw"),
-        ({"scenario": {"H": {"identity": 2}, "Cw": {"diag": [float("nan"), 1.0]}}},
-         "scenario.Cw.diag"),
-        ({"scenario": {"H": {"diag": [1.0, float("-inf")]}, "Cw": {"identity": 2}}},
-         "scenario.H.diag"),
-        ({"scenario": {"H": [[1.0, 0.0], [float("nan"), 1.0]], "Cw": {"identity": 2}}},
-         "scenario.H"),
-        ({"scenario": {"H": {"identity": 2}, "Cw": [[float("inf"), 0.0], [0.0, 1.0]]}},
-         "scenario.Cw"),
     ], ids=["vector-number", "sphere-null", "sphere-fraction", "diag-number", "id-number",
             "id-list", "id-empty", "id-comma", "id-newline", "name-comma", "name-number",
             "repeated-key", "label-comma", "repeated-label", "label-comma-and-repeat",
             "repeated-shrinkc-label", "repeated-snr", "signed-zero-snr", "sphere-zero",
             "env-seed-text", "scenario-number", "inline-unknown-key", "inline-without-H",
-            "inline-without-Cw", "matrix-identity-and-diag", "matrix-unknown-key",
-            "diag-nan", "diag-minus-inf", "rows-nan", "rows-inf"])
+            "inline-without-Cw", "matrix-identity-and-diag", "matrix-unknown-key"])
     def test_malformed_entry_exit_2(self, tmp_path, capsys, monkeypatch, overrides, field):
         # A wrongly typed entry is a usage error, not a TypeError traceback
         # (exit 1) or a silently truncated count; an id, name or estimator
         # label that is not one CSV field, or a repeated sweep key, label or
         # SNR, would break the results CSV or repeat its rows. An inline
         # matrix object takes exactly one key; with two, one would be ignored.
-        # Its entries must be finite: json.load reads NaN, Infinity and -Infinity.
         # BLINDMM_SEED is read only when the config has no seed.
         monkeypatch.setenv("BLINDMM_SEED", "abc")
         (tmp_path / "a,b.csv").write_text("1.0\n" * 15)  # a center for fig4-snr's m = 15
@@ -637,6 +656,22 @@ class TestExperiment:
         out = tmp_path / "o.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"error: {field}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, field", [
+        ({"H": {"identity": 2}, "Cw": {"diag": [float("nan"), 1.0]}}, "scenario.Cw.diag"),
+        ({"H": {"diag": [1.0, float("-inf")]}, "Cw": {"identity": 2}}, "scenario.H.diag"),
+        ({"H": [[1.0, 0.0], [float("nan"), 1.0]], "Cw": {"identity": 2}}, "scenario.H"),
+        ({"H": {"identity": 2}, "Cw": [[float("inf"), 0.0], [0.0, 1.0]]}, "scenario.Cw"),
+        ({"H": {"identity": 2}, "Cw": {"diag": [10**400, 1]}}, "scenario.Cw.diag"),
+    ], ids=["diag-nan", "diag-minus-inf", "rows-nan", "rows-inf", "diag-int-past-float64"])
+    def test_non_finite_inline_entry_exit_2(self, tmp_path, capsys, scenario, field):
+        # json.load reads NaN, Infinity and -Infinity; an inline model holding
+        # one is a usage error, like a direction vector holding one.
+        cfg = self._write_config(tmp_path, scenario=scenario)
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {field}: entries must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("vector, message", [

@@ -587,9 +587,9 @@ class TestAffineEbme:
         calls = [0] * len(specs)
 
         def counted(i, plan):
-            def gain(s, out=None):
+            def gain(s, out=None, **denom):
                 calls[i] += np.shape(s)[-1] > len(snrs)  # not the noise-free bound
-                return plan.gain(s, out)
+                return plan.gain(s, out, **denom)
             return plan._replace(gain=gain)
 
         xs = [scale_to_snr(model, np.ones(model.m), snr) for snr in snrs]
