@@ -178,13 +178,17 @@ def _cmd_check(args) -> int:
 
 def _cmd_scenario(args) -> int:
     rows = _run(ExperimentConfig(scenario=args.name, seed=None), args)
-    gains = {row.estimator: row.gain_mean for row in rows}
-    for label in scenarios.preset(args.name).summary:
-        if RULES[parse_estimator_spec(label).kind].per_component:
-            print(f"adaptive gain range ({label}): "
-                  f"[{gains[label].min():.4f}, {gains[label].max():.4f}]")
-        else:
-            print(f"mean scalar gain ({label}): {gains[label][0]:.4f}")
+    specs = scenarios.preset(args.name).estimators
+    if len(rows) == len(specs):  # one grid point: each rule's mean gain but ls's, in preset order
+        gains = {row.estimator: row.gain_mean for row in rows}
+        for spec in specs:
+            gain = gains[spec.label]
+            if spec.kind == "ls":
+                continue
+            if RULES[spec.kind].per_component:
+                print(f"adaptive gain range ({spec.label}): [{gain.min():.4f}, {gain.max():.4f}]")
+            else:
+                print(f"mean scalar gain ({spec.label}): {gain[0]:.4f}")
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 

@@ -87,8 +87,8 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return np.where(a == a.T, a, mean)
 
 
-def sym_eig(a) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a, name: str = "sym_eig input") -> EigDecomp:
+    """Eigendecomposition of a symmetric matrix, named ``name`` in errors.
 
     Deterministic for identical input: eigenvalues sorted non-increasing
     with ties kept in ``np.linalg.eigh`` order, and each eigenvector's
@@ -99,11 +99,13 @@ def sym_eig(a) -> EigDecomp:
     NonSymmetricError
         If ``|a - a.T|`` exceeds the symmetry tolerance anywhere.
     NonFiniteError
-        If any entry is NaN or Inf.
+        If any entry is NaN or Inf, or an eigenvalue leaves float64 range
+        (finite entries near float64's limit can have one).
     """
-    a = as_matrix(a, "sym_eig input")
-    a = _check_symmetric(a, "sym_eig input")
+    a = _check_symmetric(as_matrix(a, name), name)
     eigenvalues, basis = np.linalg.eigh(a)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise NonFiniteError(f"{name}: eigenvalues leave float64 range")
     # Non-increasing sort; stable keeps eigh's order on ties.
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]

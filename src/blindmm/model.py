@@ -79,7 +79,8 @@ def build_model(h, cw) -> Model:
         If the smallest eigenvalue of ``Q`` falls below ``1e-12`` of its
         largest (``H`` numerically rank deficient).
     NonFiniteError
-        If ``Cw^-1``, ``Cw^1/2``, ``Q``, ``eps0`` or ``ls_op`` leaves float64 range.
+        If an eigenvalue of ``Cw`` or ``Q``, or ``Cw^-1``, ``Cw^1/2``, ``Q``,
+        ``eps0`` or ``ls_op``, leaves float64 range.
     """
     h = as_matrix(h, "H")
     cw = as_matrix(cw, "Cw")
@@ -89,7 +90,7 @@ def build_model(h, cw) -> Model:
     if cw.shape != (n, n):
         raise DimensionMismatchError(f"Cw: expected {n}x{n} to match H, got {cw.shape}")
 
-    cw_eig = sym_eig(cw)
+    cw_eig = sym_eig(cw, "Cw")
     w = cw_eig.eigenvalues
     if w[-1] <= PD_REL_TOL * w[0]:
         raise NotPositiveDefiniteError(
@@ -101,7 +102,7 @@ def build_model(h, cw) -> Model:
         q = h.T @ cw_inv @ h
         q = (q + q.T) / 2.0
     _check_range(("Cw: Cw^-1", cw_inv), ("Cw: Cw^1/2", cw_sqrt), ("H, Cw: Q = H' Cw^-1 H", q))
-    qeig = sym_eig(q)
+    qeig = sym_eig(q, "H, Cw: Q = H' Cw^-1 H")
     sig = qeig.eigenvalues
     if sig[-1] <= PD_REL_TOL * sig[0]:
         ratio = f"eigenvalue ratio {sig[-1] / sig[0]:.3g}" if sig[0] > 0.0 else "Q = 0"

@@ -55,15 +55,13 @@ class UnknownScenarioError(LinalgError):
 class Preset:
     """A scenario: one or more (case_key, model) pairs plus sweep defaults
     (by default the four-rule comparison over ``DEFAULT_SNR_GRID_DB``), with
-    directions in ``ExperimentConfig``'s forms. ``summary`` names the rules
-    of a one-point preset whose mean gains ``blindmm scenario`` prints."""
+    directions in ``ExperimentConfig``'s forms."""
 
     cases: tuple
     directions: tuple
     estimators: tuple = tuple(map(parse_estimator_spec, ("ls", "sbme", "ebme:b=-1", "bock")))
     snr_grid_db: tuple = DEFAULT_SNR_GRID_DB
     trials: int = DEFAULT_TRIALS
-    summary: tuple = ()
 
 
 def fig4_model() -> Model:
@@ -126,7 +124,6 @@ def _fig2_preset() -> Preset:
         estimators=tuple(map(parse_estimator_spec, DCT_ESTIMATORS)),
         snr_grid_db=(5.0,),
         trials=1000,
-        summary=("sbme", "ebme:b=-1"),
     )
 
 

@@ -214,7 +214,11 @@ class TestCheck:
         (np.zeros((2, 2)), np.eye(2), "H: Q = H' Cw^-1 H is numerically singular (Q = 0)"),
         (np.eye(2), np.diag([1e-310, 1e-310]), "Cw: Cw^-1 leaves float64 range"),
         (1e-160 * np.eye(2), np.eye(2), "H, Cw: eps0 = tr(Q^-1) leaves float64 range"),
-    ], ids=["q-overflow", "zero-h", "cw-inverse-overflow", "eps0-overflow"])
+        # Positive definite, but its largest eigenvalue overflows: not a definiteness failure.
+        (np.eye(3), 1e308 * np.array([[1.7, 1.0, 0.0], [1.0, 1.7, 1.0], [0.0, 1.0, 1.7]]),
+         "Cw: eigenvalues leave float64 range"),
+    ], ids=["q-overflow", "zero-h", "cw-inverse-overflow", "eps0-overflow",
+            "cw-eigenvalue-overflow"])
     def test_model_out_of_range_exit_3(self, tmp_path, capsys, h, cw, message):
         write_matrix_csv(tmp_path / "H.csv", np.asarray(h))
         write_matrix_csv(tmp_path / "Cw.csv", np.asarray(cw))
@@ -308,6 +312,18 @@ class TestScenario:
                          "--seed", "2", "--workers", workers]) == 0
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name, gain_lines", [
+        ("fig2-dct", ["mean scalar gain (sbme)", "adaptive gain range (ebme:b=-1)"]),
+        ("fig6-cond", []),  # one SNR and one direction, but seven cases
+    ], ids=["fig2-dct", "fig6-cond"])
+    def test_gain_lines_only_at_one_grid_point(self, tmp_path, capsys, name, gain_lines):
+        # Every rule but ls, in the preset's order, and only where the run has one grid point.
+        assert main(["scenario", name, "--out", str(tmp_path / "o.csv"), "--trials", "8",
+                     "--seed", "0"]) == 0
+        printed = [line.rsplit(": ", 1)[0] for line in capsys.readouterr().out.splitlines()
+                   if " gain " in line]
+        assert printed == gain_lines
 
     def test_dct_scenario_single_monte_carlo_pass(self, tmp_path, monkeypatch):
         import blindmm.scenarios
@@ -909,6 +925,15 @@ class TestSteinCheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: g is undefined at c=0 with v=0")
         assert captured.out == ""
+
+    def test_stray_value_error_exit_2(self, capsys, monkeypatch):
+        # A ValueError that is none of the package's typed errors is a usage error.
+        def refuse(*args):
+            raise ValueError("stray")
+
+        monkeypatch.setattr("blindmm.cli.stein_lemma_check", refuse)
+        assert main(["stein-check", "--v", "1,2", "--sigma", "1,4"]) == 2
+        assert capsys.readouterr().err == "error: stray\n"
 
     def test_negative_seed_exit_2(self, capsys):
         assert main(["stein-check", "--v", "1,2", "--sigma", "1,4", "--trials", "10000",

@@ -7,6 +7,7 @@ from it are checked in ``test_model.py``.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from blindmm.linalg import (
     DimensionMismatchError,
     NonFiniteError,
     NonSymmetricError,
+    as_matrix,
+    as_vector,
     read_matrix_csv,
     read_vector_csv,
     sym_eig,
@@ -48,8 +51,6 @@ class TestSymEig:
 
     def test_entries_near_float64_max(self):
         # a + a.T would overflow on the diagonal; an exactly symmetric input is kept as is.
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             eig = sym_eig(np.diag([1.7e308, 1.0]))
@@ -119,6 +120,26 @@ class TestSymEig:
         with pytest.raises(DimensionMismatchError):
             sym_eig(np.ones((2, 3)))
 
+    def test_eigenvalue_overflow_rejected(self):
+        # Finite, positive definite entries whose largest eigenvalue (about
+        # 2.9e308) overflows; eigh returns inf without a warning.
+        a = 1e308 * np.array([[1.7, 1.0, 0.0], [1.0, 1.7, 1.0], [0.0, 1.0, 1.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"^Cw: eigenvalues leave float64 range$"):
+                sym_eig(a, "Cw")
+            with pytest.raises(NonFiniteError, match=r"^sym_eig input: eigenvalues leave"):
+                sym_eig(a)
+
+
+@pytest.mark.parametrize("coerce, value, error", [
+    (as_matrix, np.ones(3), DimensionMismatchError),
+    (as_vector, [1.0, np.nan], NonFiniteError),
+], ids=["matrix-1d", "vector-nan"])
+def test_coercion_rejects(coerce, value, error):
+    with pytest.raises(error, match="^x: "):
+        coerce(value, "x")
+
 
 class TestCsv:
     def test_matrix_roundtrip(self, tmp_path):
@@ -151,6 +172,11 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             read_matrix_csv(p)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("\n1,2\n  \n3,4\n\n")
+        np.testing.assert_array_equal(read_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_vector_rejects_two_columns(self, tmp_path):
         p = tmp_path / "wide.csv"
         p.write_text("1,2\n3,4\n")
@@ -173,3 +199,14 @@ class TestCsv:
             write_text_atomic(target, text)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
         assert target.read_text() == "old\n"
+
+    def test_temp_name_collision_retried(self, tmp_path, monkeypatch):
+        # A temp name that exists already is left alone; the next random name is used.
+        taken = tmp_path / ".blindmm-0000000000000000.tmp"
+        taken.write_text("someone else's\n")
+        names = iter([b"\0" * 8, b"\1" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(names))
+        write_text_atomic(tmp_path / "out.csv", "new\n")
+        assert (tmp_path / "out.csv").read_text() == "new\n"
+        assert taken.read_text() == "someone else's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.csv"]

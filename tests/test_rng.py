@@ -72,9 +72,9 @@ class TestDeterminism:
         assert normal_block(1, [0, 1], 0).shape == (2, 0)
 
     @pytest.mark.parametrize("ids", [[0, 2], [3, 2], [5, 5], [0, 1, 3],
-                                     [0.5, 1.5], [True, False], [-1, 0]])
+                                     [0.5, 1.5], [True, False], [-1, 0], [[0, 1], [2, 3]]])
     def test_non_contiguous_ids_rejected(self, ids):
-        # Float, bool and negative ids are refused, not read as other ids.
+        # Float, bool, negative and 2-D ids are refused, not read as other ids.
         with pytest.raises(ValueError, match="trial_ids"):
             normal_block(0, ids, 4)
 

@@ -1312,6 +1312,10 @@ class TestDctDemo:
 
 
 class TestBockPathology:
+    def test_condition_below_one_rejected(self):
+        with pytest.raises(ValueError, match="condition number must be >= 1"):
+            fig6_model(0.5)
+
     def test_gain_collapses_when_ill_conditioned(self):
         spec = EstimatorSpec("bock")
 
